@@ -1,10 +1,11 @@
-"""Logit demand: best-assortment LP and column generation.
+"""Logit demand: the best-assortment solver and column generation.
 
 When actions are assortments of up to m products out of n, the action space
 has size sum_s C(n, s) and enumeration dies quickly. Two tools avoid it: the
-weighted greedy step reduces to a small LP over per-product coefficients, and
-the steady-state LP is solved by column generation whose pricing problem is
-that same assortment LP. Both are exact, so small cases can be checked
+weighted greedy step over per-product coefficients is solved by sorting
+products and iterating to a fixed point of the optimal value, and the
+steady-state LP is solved by column generation whose pricing problem is that
+same assortment problem. Both are exact, so small cases can be checked
 against brute force.
 """
 
@@ -30,7 +31,7 @@ model = MnlModel(
 coef = rng.standard_normal(n)  # per-product net cost, negative = attractive
 best = best_assortment(model, 0, coef)
 print(f"coefficients: {np.round(coef, 3)}")
-print(f"LP-optimal assortment for segment 0: {best}")
+print(f"optimal assortment for segment 0: {best}")
 
 # brute force over all 26 feasible assortments agrees
 def subsets(n, m):
@@ -38,10 +39,10 @@ def subsets(n, m):
 
 def objective(S):
     q = model.choice_probability(0, S)
-    return sum(coef[i] * q[idx] for idx, i in enumerate(S))
+    return sum(coef[i] * q[i] for i in S)
 
 brute = min(subsets(n, model.max_size), key=lambda S: (round(objective(S), 12), S))
-print(f"brute-force minimizer:               {tuple(brute)}")
+print(f"brute-force minimizer:             {tuple(brute)}")
 assert tuple(best) == tuple(brute)
 
 # Now a full rental instance on this demand model. The action space is still

@@ -83,20 +83,28 @@ def _resolve_config(args, inst, benchmarks) -> AlgoConfig:
             [r.survival for r in inst.resources], data["delta"]
         )
     config = AlgoConfig(**data)
-    problems = config.violations(inst.horizon)
-    if problems and not getattr(args, "relaxed_schedule", False):
+    problems = config.violations(
+        inst.horizon, relaxed_schedule=getattr(args, "relaxed_schedule", False)
+    )
+    if problems:
         raise ValueError("config: " + "; ".join(problems))
     return config
 
 
 def _policy_labels(args) -> list[str]:
     labels = [s.strip() for s in args.policy.split(",") if s.strip()]
-    if getattr(args, "saa_sample", None):
-        labels = [
-            n if n in ("uniform", "null") else f"{n}+saa{args.saa_sample}"
-            for n in labels
-        ]
+    m = getattr(args, "saa_sample", None)
+    if m:
+        labels = [_with_saa(n, m) for n in labels]
     return labels
+
+
+def _with_saa(label: str, m: int) -> str:
+    """``label`` planning on an m-draw subsample: +saa<m> goes before +tailguard."""
+    base, guard, rest = label.partition("+tailguard")
+    if base in ("uniform", "null"):
+        return label
+    return f"{base}+saa{m}{guard}{rest}"
 
 
 def _cmd_validate(args) -> int:

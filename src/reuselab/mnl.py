@@ -10,8 +10,9 @@ duration and earns its price.
 Assortment optimization (the pricing step of column generation and the
 per-arrival action choice of the adaptive policy) minimizes a linear
 function sum_{i in S} coef_i q_i(S) over assortments of size at most n.
-That problem is solved exactly by a small LP over choice-probability-like
-variables whose vertices are assortments, so no enumeration is needed.
+That problem is solved exactly by sorting and a fixed-point iteration on
+the optimal value (Rusmevichientong, Shen & Shmoys, Oper. Res. 2010), so
+neither enumeration nor an LP is needed.
 """
 
 from __future__ import annotations
@@ -21,7 +22,7 @@ import math
 
 import numpy as np
 
-from .lp import ENUMERATION_CAP, LinearProgram, NumericalBreakdown, solve_lp
+from .lp import ENUMERATION_CAP
 from .model import (
     AssortmentActions,
     CustomerType,
@@ -122,48 +123,35 @@ def best_assortment(model: MnlModel, customer: int, coef) -> tuple:
 
     Products with nonnegative coefficients are dropped up front (including
     one can never lower the objective: it contributes a nonnegative term
-    and only dilutes the others).  The rest is an LP over variables
-    (z_1..z_m, z_0) on the simplex with z_i <= v_i z_0 and
-    sum z_i / v_i <= n z_0; its vertices put z_i / v_i at exactly z_0 for
-    the members of an assortment, so reading off the tight ratios recovers
-    the exact optimum without enumeration.
+    and only dilutes the others).  With r = -coef the rest maximizes the
+    revenue R(S) = sum_{i in S} v_i r_i / (1 + sum_{i in S} v_i), and
+    max_S R(S) >= z exactly when some S has sum_{i in S} v_i (r_i - z) >= z.
+    Starting from z = 0, each round takes the top-n products by
+    v_i (r_i - z) among those scoring positive and moves z to that set's
+    revenue; z rises strictly until it reaches the optimum, and the set
+    that attained it is returned as a sorted tuple.
     """
     coef = np.asarray(coef, dtype=float)
     if coef.shape != (model.n_products,):
         raise ValueError("one coefficient per product required")
-    keep = np.where(coef < 0.0)[0]
-    if keep.size == 0:
-        return ()
-    v = model.attractions[customer, keep]
-    m = keep.size
-    n = min(model.max_size, m)
-    c = np.zeros(m + 1)
-    c[:m] = -coef[keep]  # minimize coef @ z as a max problem
-    A = np.zeros((2 + m, m + 1))
-    senses = ["=="] + ["<="] * (1 + m)
-    b = np.zeros(2 + m)
-    A[0, :m] = 1.0
-    A[0, m] = 1.0
-    b[0] = 1.0
-    A[1, :m] = 1.0 / v
-    A[1, m] = -float(n)
-    for r in range(m):
-        A[2 + r, r] = 1.0 / v[r]
-        A[2 + r, m] = -1.0
-    sol = solve_lp(LinearProgram(c, A, senses, b))
-    if sol.status != "optimal":
-        raise NumericalBreakdown(f"assortment LP came back {sol.status}")
-    z, z0 = sol.x[:m], sol.x[m]
-    if z0 <= 0.0:
-        raise NumericalBreakdown("assortment LP returned z_0 = 0")
-    ratio = z / v / z0
-    tight = ratio >= 1.0 - 1e-7
-    if int(tight.sum()) > model.max_size:
-        # numerical safety only: keep the largest ratios
-        order = np.argsort(-ratio)[: model.max_size]
-        tight = np.zeros(m, dtype=bool)
-        tight[order] = True
-    return tuple(int(i) for i in keep[tight])
+    # (product, v_i, v_i r_i) per product worth offering, as plain floats:
+    # catalogues are small enough that numpy's per-call overhead would
+    # dominate the sort
+    cands = [
+        (i, v, -c * v)
+        for i, (c, v) in enumerate(zip(coef.tolist(), model.attractions[customer].tolist()))
+        if c < 0.0
+    ]
+    n = model.max_size
+    best, z = [], 0.0
+    while True:
+        ranked = sorted(cands, key=lambda p: z * p[1] - p[2])  # stable: ties by index
+        top = [p for p in ranked[:n] if p[2] - z * p[1] > 0.0]
+        val = sum(p[2] for p in top) / (1.0 + sum(p[1] for p in top))
+        if val <= z:
+            break
+        best, z = top, val
+    return tuple(sorted(p[0] for p in best))
 
 
 def make_assortment_pricing(model: MnlModel, durations):

@@ -568,11 +568,17 @@ class AlgoConfig:
             return self.eta
         return self.epsilon / (5.0 * self.n_stages)
 
-    def violations(self, T: int | None = None) -> list[str]:
+    def violations(self, T: int | None = None, relaxed_schedule: bool = False) -> list[str]:
+        """Invalid fields as messages; an empty list means valid.
+
+        ``relaxed_schedule`` waives only the two divisibility checks that
+        :func:`relaxed_stage_schedule` exists for (1/epsilon a power of two,
+        epsilon*T an integer); every other check still applies.
+        """
         out = []
         if not (0.0 < self.epsilon <= 0.5):
             out.append(f"epsilon must lie in (0, 1/2], got {self.epsilon}")
-        else:
+        elif not relaxed_schedule:
             l = round(math.log2(1.0 / self.epsilon))
             if abs(self.epsilon * (1 << max(l, 0)) - 1.0) > 1e-12:
                 out.append(f"1/epsilon must be a power of two, got {self.epsilon}")

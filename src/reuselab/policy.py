@@ -118,7 +118,10 @@ class PenaltyWeights:
     ``occ_factors[i, u]`` is log(1 + eps*gamma*Pr(D_i >= u)/(d_i*(1+eps))),
     the static growth factor shared by initialization and updates.
     ``updates`` counts applied steps, so the live weights are those of
-    in-stage step updates + 1.
+    in-stage step updates + 1.  ``d_max`` is the last slot gap u with a
+    nonzero ``surv[:, u]`` over all resources: past it ``surv`` and
+    ``occ_factors`` are 0 and ``log_surv`` is -inf, so a step at slot s
+    only reaches slots up to s + d_max.
     """
 
     stage_len: int
@@ -138,6 +141,11 @@ class PenaltyWeights:
     log_shrink_z: float       # log(1 - eps_z)
     log_drift_z: float        # log(1 - eps_z * lam / (w_max * (1 + eps)))
     updates: int = 0
+    d_max: int = field(init=False)
+
+    def __post_init__(self):
+        live = np.flatnonzero(np.any(self.surv != 0.0, axis=0))
+        self.d_max = int(live[-1]) if live.size else 0
 
 
 def init_penalty_weights(
@@ -204,9 +212,11 @@ def select_action(
     sum over future slots t of a_i * Pr(D_i >= t - s + 1) * phi_{i,s,t}
     plus sum over reward indices of w_i * psi_{i,s}, using mean outcomes.
     ``include_current`` controls whether the slot of the current step
-    itself (t = s) enters the occupancy sum.  Ties go to the lowest action
-    index; logit customers are solved through the assortment LP on the
-    per-product coefficients, which needs no enumeration.
+    itself (t = s) enters the occupancy sum; only slots t <= s + d_max - 1
+    carry survival mass, so the sum stops there.  Ties go to the lowest
+    action index; logit customers are solved by the sort-and-fixed-point
+    assortment solver on the per-product coefficients, which needs no
+    enumeration.
     """
     om = inst.customers[customer].outcomes
     null = inst.actions.null_action
@@ -217,12 +227,14 @@ def select_action(
     if s > L:
         raise RuntimeError(f"stage of length {L} already exhausted")
     start = s if include_current else s + 1
-    C = ws.caps.size
-    if start > L:
-        log_phi_sum = np.full(C, -np.inf)
+    end = min(L, s + ws.d_max - 1)
+    if start > end:
+        log_phi_sum = np.full(ws.caps.size, -np.inf)
     else:
-        args = np.arange(start - s + 1, L - s + 2)
-        terms = ws.log_surv[:, args] + ws.log_resource[:, start : L + 1]
+        terms = (
+            ws.log_surv[:, start - s + 1 : end - s + 2]
+            + ws.log_resource[:, start : end + 1]
+        )
         log_phi_sum = _logsumexp(terms, axis=1)
     cand = np.concatenate([log_phi_sum, ws.log_reward_mag])
     finite = cand[np.isfinite(cand)]
@@ -243,19 +255,21 @@ def update_penalty_weights(ws: PenaltyWeights, inst: Instance, customer: int, ac
     Future resource slots grow by (1+eps)^((gamma/c_i) * projected
     occupancy) and shed one static occupancy factor; reward weights shrink
     by (1-eps_z)^(w_i/w_max) and shed one drift factor.  Deterministic
-    given the arrival and the chosen action.
+    given the arrival and the chosen action.  Slots past s + d_max would
+    only receive += 0.0, so they are skipped.
     """
     w, a = inst.customers[customer].outcomes.means(action)
     s = ws.updates + 1
     L = ws.stage_len
     if s > L:
         raise RuntimeError(f"stage of length {L} already exhausted")
-    if s < L:
-        rel = np.arange(1, L - s + 1)   # t - s for t in s+1..L
-        proj = a[:, None] * ws.surv[:, rel + 1]   # Pr(D >= t - s + 1)
-        ws.log_resource[:, s + 1 : L + 1] += (
+    hi = min(L, s + ws.d_max)
+    if hi > s:
+        gap = hi - s   # t - s runs over 1..gap for t in s+1..hi
+        proj = a[:, None] * ws.surv[:, 2 : gap + 2]   # Pr(D >= t - s + 1)
+        ws.log_resource[:, s + 1 : hi + 1] += (
             (ws.gamma / ws.caps)[:, None] * proj * ws.log1p_eps
-            - ws.occ_factors[:, rel]
+            - ws.occ_factors[:, 1 : gap + 1]
         )
     ws.log_reward_mag += (w / ws.w_max) * ws.log_shrink_z - ws.log_drift_z
     ws.updates = s

@@ -2,7 +2,10 @@
 
 Everything here is deliberately written the slow, obvious way (enumeration,
 plain loops, extended precision) and shares no code with the package beyond
-the public data types it checks.
+the public data types it checks.  The one exception is
+:func:`lp_best_assortment`, a second, independent formulation of the
+assortment problem that runs on the package's simplex; A1 checks that
+simplex against :func:`lp_enumerate`.
 """
 
 from __future__ import annotations
@@ -12,7 +15,7 @@ import math
 
 import numpy as np
 
-from reuselab.lp import LinearProgram
+from reuselab.lp import LinearProgram, solve_lp
 from reuselab.mnl import MnlModel
 
 
@@ -82,6 +85,46 @@ def enumerate_best_assortment(model: MnlModel, customer: int, coef) -> tuple:
             if val < best_val:
                 best, best_val = s, val
     return best
+
+
+def lp_best_assortment(model: MnlModel, customer: int, coef) -> tuple:
+    """Minimizer of sum_{i in S} coef_i q_i(S) over |S| <= max_size, by LP.
+
+    The Davis-Gallego-Topaloglu (2013) formulation: after dropping the
+    products with nonnegative coefficients, maximize -coef @ z over
+    (z_1..z_m, z_0) on the simplex with z_i <= v_i z_0 and
+    sum z_i / v_i <= n z_0.  Its vertices put z_i / v_i at exactly z_0 for
+    the members of an assortment, so the tight ratios are the answer.
+    """
+    coef = np.asarray(coef, dtype=float)
+    keep = np.where(coef < 0.0)[0]
+    if keep.size == 0:
+        return ()
+    v = model.attractions[customer, keep]
+    m = keep.size
+    n = min(model.max_size, m)
+    c = np.zeros(m + 1)
+    c[:m] = -coef[keep]
+    A = np.zeros((2 + m, m + 1))
+    senses = ["=="] + ["<="] * (1 + m)
+    b = np.zeros(2 + m)
+    A[0, :] = 1.0
+    b[0] = 1.0
+    A[1, :m] = 1.0 / v
+    A[1, m] = -float(n)
+    for r in range(m):
+        A[2 + r, r] = 1.0 / v[r]
+        A[2 + r, m] = -1.0
+    sol = solve_lp(LinearProgram(c, A, senses, b))
+    assert sol.status == "optimal", sol.status
+    z, z0 = sol.x[:m], sol.x[m]
+    assert z0 > 0.0
+    ratio = z / v / z0
+    tight = ratio >= 1.0 - 1e-7
+    if int(tight.sum()) > model.max_size:
+        tight = np.zeros(m, dtype=bool)
+        tight[np.argsort(-ratio)[: model.max_size]] = True
+    return tuple(int(i) for i in keep[tight])
 
 
 def reference_select(ws, inst, customer: int, include_current: bool = True):

@@ -21,6 +21,7 @@ from helpers import (
 )
 from oracles import (
     enumerate_best_assortment,
+    lp_best_assortment,
     lp_enumerate,
     reference_select,
     weights_closed_form,
@@ -303,9 +304,14 @@ def test_a7_assortment_lp_matches_enumeration():
         got = best_assortment(model, customer, coef)
         want = enumerate_best_assortment(model, customer, coef)
         assert tuple(got) == tuple(want), (trial, got, want)
+        via_lp = lp_best_assortment(model, customer, coef)
+        assert tuple(got) == tuple(via_lp), (trial, got, via_lp)
     elapsed = time.perf_counter() - t0
     assert elapsed < 30.0
-    report(f"A7 assortment LP vs enumeration: PASS (500 cases, exact sets, {elapsed:.1f}s)")
+    report(
+        f"A7 assortment solver vs enumeration and LP: PASS "
+        f"(500 cases, exact sets, {elapsed:.1f}s)"
+    )
 
 
 def potential_toy():

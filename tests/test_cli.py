@@ -144,6 +144,35 @@ class TestExperiment:
         assert rc == 0
         assert "null: mean=0.0" in capsys.readouterr().out
 
+    def test_saa_sample_goes_before_tailguard(self, inst_file, tmp_path, capsys):
+        path = tmp_path / "saa.csv"
+        rc = main([
+            "experiment", "--instance", inst_file, "--policy", "static+tailguard",
+            "--saa-sample", "10", "--reps", "2", "--out", str(path),
+        ])
+        assert rc == 0
+        assert "static+saa10+tailguard: mean=" in capsys.readouterr().out
+        header, row = path.read_text().strip().split("\n")
+        assert row.split(",")[header.split(",").index("policy")] == "static+saa10+tailguard"
+
+    def test_relaxed_schedule_waives_divisibility(self, inst_file, capsys):
+        rc = main([
+            "experiment", "--instance", inst_file, "--policy", "adaptive",
+            "--reps", "1", "--epsilon", "0.3", "--relaxed-schedule",
+        ])
+        assert rc == 0
+
+    def test_relaxed_schedule_keeps_other_checks(self, inst_file, capsys):
+        rc = main([
+            "experiment", "--instance", inst_file, "--policy", "null",
+            "--reps", "1", "--relaxed-schedule", "--eta", "3",
+        ])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1
+        assert err.startswith("error: config: eta must lie in (0, 1)")
+        assert "Traceback" not in err
+
 
 class TestTrend:
     def test_two_scales_rejected(self, capsys):

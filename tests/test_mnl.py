@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from helpers import random_mnl_model, small_mnl_instance
-from oracles import enumerate_best_assortment
+from oracles import enumerate_best_assortment, lp_best_assortment
 from reuselab.lp import solve_steady_state, solve_steady_state_colgen
 from reuselab.mnl import (
     AssortmentTooLarge,
@@ -82,8 +82,8 @@ class TestBestAssortment:
             j = int(rng.integers(0, m.n_customers))
             coef = rng.standard_normal(m.n_products)
             got = best_assortment(m, j, coef)
-            want = enumerate_best_assortment(m, j, coef)
-            assert got == want
+            assert got == enumerate_best_assortment(m, j, coef)
+            assert got == lp_best_assortment(m, j, coef)
 
     def test_respects_size_cap(self):
         rng = np.random.default_rng(41)

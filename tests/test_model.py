@@ -168,6 +168,13 @@ class TestAlgoConfig:
         # tail cutoff longer than the exploration stage
         assert AlgoConfig(epsilon=0.25, gamma=1.0, tail_cutoff=5).violations(8)
 
+    def test_relaxed_schedule_waives_only_divisibility(self):
+        assert AlgoConfig(epsilon=0.3, gamma=1.0).violations(10, relaxed_schedule=True) == []
+        assert AlgoConfig(epsilon=0.25, gamma=1.0).violations(10, relaxed_schedule=True) == []
+        bad = AlgoConfig(epsilon=0.25, gamma=1.0, eta=3.0).violations(10, relaxed_schedule=True)
+        assert bad == ["eta must lie in (0, 1), got 3.0"]
+        assert AlgoConfig(epsilon=0.6, gamma=1.0).violations(10, relaxed_schedule=True)
+
 
 class TestScaleParameter:
     def test_capacity_bound(self):

@@ -174,6 +174,82 @@ class TestWeightUpdates:
         assert np.allclose(ws.log_resource, res)
 
 
+def full_width_update(ws, inst, customer, action):
+    """The weight update over every future slot s+1..L, with no d_max window."""
+    w, a = inst.customers[customer].outcomes.means(action)
+    s = ws.updates + 1
+    L = ws.stage_len
+    if s < L:
+        rel = np.arange(1, L - s + 1)   # t - s for t in s+1..L
+        proj = a[:, None] * ws.surv[:, rel + 1]
+        ws.log_resource[:, s + 1 : L + 1] += (
+            (ws.gamma / ws.caps)[:, None] * proj * ws.log1p_eps
+            - ws.occ_factors[:, rel]
+        )
+    ws.log_reward_mag += (w / ws.w_max) * ws.log_shrink_z - ws.log_drift_z
+    ws.updates = s
+
+
+def curves_instance(curves, rng, n_actions: int = 4) -> Instance:
+    """One resource per survival curve, two real types with random tables."""
+    C = len(curves)
+    real = []
+    for _ in range(2):
+        w = rng.uniform(0.0, 1.0, size=(2, n_actions))
+        a = rng.uniform(0.0, 1.0, size=(C, n_actions))
+        w[:, 0] = 0.0
+        a[:, 0] = 0.0
+        real.append(CustomerType(0.4, ExplicitOutcomes(w, a)))
+    return Instance(
+        resources=[ResourceSpec(float(rng.uniform(0.5, 2.0)), SurvivalCurve(c)) for c in curves],
+        reward_count=2,
+        customers=[CustomerType(0.2, zero_outcomes(2, C, n_actions))] + real,
+        actions=ExplicitActions(n_actions),
+        horizon=64,
+        null_type=0,
+    )
+
+
+class TestWeightWindow:
+    """The d_max-wide update and greedy sum against the full-width versions."""
+
+    @pytest.mark.parametrize(
+        "curves, L, d_max",
+        [
+            ([[1.0, 0.9, 0.7, 0.5, 0.3, 0.2]], 3, 4),           # stage shorter than d_max
+            ([[1.0], [0.6]], 7, 1),                             # d_max = 1
+            ([[0.0, 0.0], [1.0, 0.5, 0.25]], 9, 3),             # a zero-duration resource
+            ([[0.0]], 5, 0),                                    # nothing ever occupies
+            ([[1.0, 0.5], [1.0, 0.8, 0.6, 0.3, 0.1], [0.4]], 12, 5),  # mixed d_max
+        ],
+    )
+    def test_matches_full_width_every_step(self, curves, L, d_max):
+        rng = np.random.default_rng(len(curves) * 100 + L)
+        inst = curves_instance(curves, rng)
+        config = AlgoConfig(epsilon=0.25, gamma=1.7)
+        ws = init_penalty_weights(inst, L, 0.2 * inst.w_max, 0.3, config)
+        ref = init_penalty_weights(inst, L, 0.2 * inst.w_max, 0.3, config)
+        assert ws.d_max == d_max
+        acts = inst.actions.all_actions()
+        for s in range(1, L + 1):
+            # the last step with include_current=False has an empty window
+            for inc in (True, False):
+                for j in range(inst.n_types):
+                    assert select_action(ws, inst, j, inc) == reference_select(ref, inst, j, inc)
+            j = int(rng.integers(0, inst.n_types))
+            k = acts[int(rng.integers(0, len(acts)))]
+            update_penalty_weights(ws, inst, j, k)
+            full_width_update(ref, inst, j, k)
+            assert np.array_equal(ws.log_resource, ref.log_resource), s
+            assert np.array_equal(ws.log_reward_mag, ref.log_reward_mag), s
+        assert ws.updates == ref.updates == L
+
+    def test_long_curve_window_is_clipped_to_stage(self):
+        inst = curves_instance([np.linspace(1.0, 0.1, 20)], np.random.default_rng(3))
+        ws = init_penalty_weights(inst, 6, 0.1, 0.3, AlgoConfig(epsilon=0.25, gamma=1.0))
+        assert ws.d_max == 7   # surv is kept through gap stage_len + 1
+
+
 class TestSelectAction:
     def test_null_customer_gets_null(self):
         inst = lead_instance()
