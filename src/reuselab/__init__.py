@@ -44,6 +44,7 @@ from .lp import (
     build_time_expanded_lp,
     dump_lp,
     enumeration_pricing,
+    plan_rates,
     solve_lp,
     solve_stage_lambda,
     solve_steady_state,
@@ -56,7 +57,6 @@ from .mnl import (
     MnlOutcomes,
     best_assortment,
     build_mnl_instance,
-    enumerate_assortments,
     make_assortment_pricing,
 )
 from .sim import (

@@ -38,7 +38,7 @@ from .model import (
 )
 from .lp import IterationLimit, NumericalBreakdown, TooLarge
 from .mnl import AssortmentTooLarge
-from .policy import AdaptivePolicy, HybridPolicy, StageTailRejector
+from .policy import AdaptivePolicy, StageTailRejector
 from .serialize import load_instance, trace_to_jsonl
 from .sim import run_episode
 
@@ -160,10 +160,7 @@ def _cmd_solve_benchmark(args) -> int:
     return 0
 
 
-def _dump_weights(policy, path):
-    inner = policy.inner if isinstance(policy, StageTailRejector) else policy
-    if not isinstance(inner, AdaptivePolicy):
-        raise ValueError("--dump-weights needs an adaptive or hybrid policy")
+def _dump_weights(inner: AdaptivePolicy, path):
     snap = inner.snapshot()
     doc = {
         "stages": [
@@ -201,8 +198,11 @@ def _cmd_simulate(args) -> int:
     if len(labels) != 1:
         raise ValueError("simulate plays exactly one policy")
     pol = make_policy(labels[0], inst, config, bench, relaxed=args.relaxed_schedule)
-    if isinstance(pol, (AdaptivePolicy, HybridPolicy)) and args.dump_weights:
-        pol.record_history = True
+    inner = pol.inner if isinstance(pol, StageTailRejector) else pol
+    if args.dump_weights:
+        if not isinstance(inner, AdaptivePolicy):
+            raise ValueError("--dump-weights needs an adaptive or hybrid policy")
+        inner.record_history = True
     vals = []
     for i in range(1, args.reps + 1):
         record = bool(args.dump_trace) and i == 1
@@ -219,7 +219,7 @@ def _cmd_simulate(args) -> int:
     print(f"mean min_reward over {args.reps} reps: {float(np.mean(vals))!r}")
     print(f"upper bound: {bench.upper_bound!r}")
     if args.dump_weights:
-        _dump_weights(pol, args.dump_weights)
+        _dump_weights(inner, args.dump_weights)
         print(f"wrote {args.dump_weights}")
     return 0
 

@@ -19,8 +19,8 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from . import lp as _lp
-from .lp import ENUMERATION_CAP, SteadyStateSolution, TooLarge
-from .mnl import MnlModel, MnlOutcomes, build_mnl_instance, make_assortment_pricing
+from .lp import SteadyStateSolution, TooLarge
+from .mnl import MnlModel, build_mnl_instance
 from .model import (
     AlgoConfig,
     Instance,
@@ -122,26 +122,11 @@ class Benchmarks:
     delta: float
 
 
-def _find_mnl(inst: Instance) -> MnlModel | None:
-    for cust in inst.customers:
-        if isinstance(cust.outcomes, MnlOutcomes) and not cust.outcomes.is_null:
-            return cust.outcomes.model
-    return None
-
-
-def _solve_rates(inst: Instance, p) -> SteadyStateSolution:
-    if inst.actions.size <= ENUMERATION_CAP:
-        return _lp.solve_steady_state(inst, p)
-    model = _find_mnl(inst)
-    pricing = make_assortment_pricing(model, inst.durations()) if model else None
-    return _lp.solve_steady_state_colgen(inst, p, pricing=pricing)
-
-
 def solve_benchmarks(
     inst: Instance, p=None, delta: float = 0.0, te_cap: int = 20_000
 ) -> Benchmarks:
     p = inst.arrival_weights() if p is None else np.asarray(p, dtype=float)
-    rates = _solve_rates(inst, p)
+    rates = _lp.plan_rates(inst, p)
     lam_ss = rates.lambda_
     try:
         lam_te, _y = _lp.solve_time_expanded(inst, p, cap=te_cap)
@@ -181,7 +166,7 @@ def make_policy(
     def saa_rates():
         rng = np.random.default_rng(np.random.SeedSequence([config.seed, 101]))
         p = subsample_distribution(inst.arrival_weights(), saa, rng)
-        return _solve_rates(inst, p)
+        return _lp.plan_rates(inst, p)
 
     if base == "static":
         rates = saa_rates() if saa else benchmarks.rates

@@ -9,6 +9,11 @@ two planning relaxations used as benchmarks and inside the adaptive policy:
   occupancy terms, maximizing the worst expected total reward over the
   horizon.
 
+:func:`plan_rates` is the one planner: the benchmarks, the ``+saa`` rates
+and every adaptive stage LP (:func:`solve_stage_lambda`) plan through it.
+Column generation prices each type by its own outcome model's
+``best_action``.
+
 Bland's rule is slow but deterministic and cycle-free, which is what the
 reproducibility contract needs at desk scale.  Dual values of the restricted
 master are recovered internally for column generation but are not part of
@@ -36,6 +41,7 @@ __all__ = [
     "solve_lp",
     "build_steady_state_lp",
     "solve_steady_state",
+    "plan_rates",
     "solve_stage_lambda",
     "build_time_expanded_lp",
     "solve_time_expanded",
@@ -447,20 +453,24 @@ def solve_steady_state(inst: Instance, p, columns=None) -> SteadyStateSolution:
     return SteadyStateSolution(float(sol.objective), x)
 
 
-def solve_stage_lambda(
-    inst: Instance, p_hat, margin: float, columns=None, pricing=None
-) -> StageEstimate:
-    """Solve the steady-state LP on an empirical distribution and shrink it.
+def plan_rates(inst: Instance, p) -> SteadyStateSolution:
+    """Optimal steady-state rates under arrival distribution ``p``: over
+    every column up to ``ENUMERATION_CAP`` actions, by column generation
+    above."""
+    if inst.actions.size <= ENUMERATION_CAP:
+        return solve_steady_state(inst, p)
+    return solve_steady_state_colgen(inst, p)
+
+
+def solve_stage_lambda(inst: Instance, p_hat, margin: float) -> StageEstimate:
+    """Plan rates on an empirical distribution and shrink the optimum.
 
     ``margin`` is the sampling-error half-width of the previous stage; the
     stage target is mu* / (1 + margin).  Raises :class:`DegenerateStage`
     when the empirical optimum is numerically zero (the caller is expected
     to fall back to exploration).
     """
-    if pricing is not None or (columns is None and inst.actions.size > ENUMERATION_CAP):
-        sol = solve_steady_state_colgen(inst, p_hat, pricing=pricing)
-    else:
-        sol = solve_steady_state(inst, p_hat, columns)
+    sol = plan_rates(inst, p_hat)
     mu = sol.lambda_
     if mu <= 1e-12:
         raise DegenerateStage(f"stage LP optimum {mu!r} is numerically zero")
@@ -550,7 +560,7 @@ def enumeration_pricing(inst: Instance):
     Given nonnegative knapsack duals alpha (per resource) and reward duals
     rho (per reward index), returns the column minimizing
     sum_i alpha_i d_i a_i - sum_i rho_i w_i for the type; ties go to the
-    lowest action index.
+    lowest action index.  Tests check the per-type oracle against it.
     """
     d = inst.durations()
     actions = inst.actions.all_actions()
@@ -577,13 +587,19 @@ def solve_steady_state_colgen(
     solves the master, prices one candidate column per type against the
     master duals, and adds those with reduced cost above ``rc_tol``.  Stops
     when no column improves; raises :class:`IterationLimit` (carrying the
-    incumbent) after ``max_rounds``.
+    incumbent) after ``max_rounds``.  ``pricing(j, alpha, rho)`` returns
+    (action, mean rewards, mean consumption); by default each type's own
+    outcome model prices it through ``best_action``.
     """
     p = np.asarray(p, dtype=float)
-    if pricing is None:
-        pricing = enumeration_pricing(inst)
     R, C, J = inst.reward_count, inst.n_resources, inst.n_types
     d = inst.durations()
+    if pricing is None:
+        def pricing(j, alpha, rho):
+            om = inst.customers[j].outcomes
+            k = om.best_action(inst.actions, alpha * d, rho)
+            return (k, *om.means(k))
+
     null = inst.actions.null_action
     columns = [(j, null) for j in range(J)]
     colset = set(columns)

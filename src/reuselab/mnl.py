@@ -7,18 +7,17 @@ where v_ij = exp(b_ij @ f_i) for product features f_i and customer taste
 vectors b_ij.  A purchase consumes one unit of the product for a random
 duration and earns its price.
 
-Assortment optimization (the pricing step of column generation and the
-per-arrival action choice of the adaptive policy) minimizes a linear
-function sum_{i in S} coef_i q_i(S) over assortments of size at most n.
-That problem is solved exactly by sorting and a fixed-point iteration on
-the optimal value (Rusmevichientong, Shen & Shmoys, Oper. Res. 2010), so
-neither enumeration nor an LP is needed.
+Assortment optimization minimizes a linear function
+sum_{i in S} coef_i q_i(S) over assortments of size at most n.  That
+problem is solved exactly by sorting and a fixed-point iteration on the
+optimal value (Rusmevichientong, Shen & Shmoys, Oper. Res. 2010), so
+neither enumeration nor an LP is needed.  On top of it,
+:meth:`MnlOutcomes.best_action` is a logit type's pricing oracle for
+column generation and for the adaptive policy's per-arrival choice: each
+type prices as its own logit customer, wherever it sits in the instance.
 """
 
 from __future__ import annotations
-
-import itertools
-import math
 
 import numpy as np
 
@@ -37,7 +36,6 @@ __all__ = [
     "AssortmentTooLarge",
     "best_assortment",
     "make_assortment_pricing",
-    "enumerate_assortments",
     "build_mnl_instance",
 ]
 
@@ -155,41 +153,22 @@ def best_assortment(model: MnlModel, customer: int, coef) -> tuple:
 
 
 def make_assortment_pricing(model: MnlModel, durations):
-    """Column-generation pricing oracle for logit instances.
+    """Column-generation pricing oracle for types in logit-table order.
 
-    Given knapsack duals alpha and reward duals rho (both per product), the
-    best column for customer j minimizes
-    sum_{i in S} (alpha_i d_i - rho_i r_i) q_i(S), a job for
-    :func:`best_assortment`.  Customers beyond the logit table (the
-    no-purchase type) price to the empty assortment.
+    Type j prices as logit customer j through :meth:`MnlOutcomes.best_action`
+    and types past the table as the no-purchase type: the order
+    :func:`build_mnl_instance` lays out.  Column generation's default
+    pricing asks each type's own outcome model, which needs no such order.
     """
     d = np.asarray(durations, dtype=float)
+    space = model.action_space()
 
     def pricing(j, alpha, rho):
-        if j >= model.n_customers:
-            n = model.n_products
-            return (), np.zeros(n), np.zeros(n)
-        coef = alpha * d - rho * model.prices
-        s = best_assortment(model, j, coef)
-        w, a = model.mean_outcomes(j, s)
-        return s, w, a
+        om = MnlOutcomes(model, j if j < model.n_customers else None)
+        s = om.best_action(space, alpha * d, rho)
+        return (s, *om.means(s))
 
     return pricing
-
-
-def enumerate_assortments(n_products: int, max_size: int, cap: int = ENUMERATION_CAP):
-    """All assortments of size <= max_size, size-major then lexicographic.
-
-    Raises :class:`AssortmentTooLarge` past ``cap``; meant for small
-    instances and cross-checks, not for optimization.
-    """
-    total = sum(math.comb(n_products, s) for s in range(0, max_size + 1))
-    if total > cap:
-        raise AssortmentTooLarge(f"{total} assortments exceeds cap {cap}")
-    out = []
-    for size in range(0, max_size + 1):
-        out.extend(itertools.combinations(range(n_products), size))
-    return out
 
 
 class MnlOutcomes(OutcomeModel):
@@ -243,6 +222,12 @@ class MnlOutcomes(OutcomeModel):
             return 0.0, 0.0
         prices = self.model.prices
         return (float(prices.max()) if prices.size else 0.0), 1.0
+
+    def best_action(self, space, cost, credit):
+        """:func:`best_assortment` on coefficients cost_i - price_i credit_i."""
+        if self.customer is None:
+            return space.null_action
+        return best_assortment(self.model, self.customer, cost - self.model.prices * credit)
 
     def mean_matrix(self, space):
         if space.size > ENUMERATION_CAP:

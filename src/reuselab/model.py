@@ -180,6 +180,16 @@ class OutcomeModel:
         """Scalar (reward, consumption) support bounds over all actions."""
         raise NotImplementedError
 
+    def best_action(self, space, cost, credit):
+        """Action in ``space`` minimizing cost @ a - credit @ w over mean outcomes.
+
+        ``cost`` has one entry per resource and ``credit`` one per reward
+        index.  This is the one per-type pricing oracle: the adaptive
+        policy's greedy step and column generation both call it.  Null
+        types return the null action.
+        """
+        raise NotImplementedError
+
     def mean_matrix(self, space):
         """Stacked means over an enumerable action space: (W RxK, A CxK)."""
         ws, as_ = [], []
@@ -261,6 +271,12 @@ class ExplicitOutcomes(OutcomeModel):
 
     def mean_matrix(self, space):
         return self.rewards.copy(), self.consumption.copy()
+
+    def best_action(self, space, cost, credit):
+        """Lowest-index argmin of cost @ a - credit @ w over the mean tables."""
+        if self.is_null:
+            return space.null_action
+        return int(np.argmin(cost @ self.consumption - credit @ self.rewards))
 
     def __eq__(self, other):
         return (

@@ -4,17 +4,18 @@ Four families plus a wrapper:
 
 * StaticPolicy: randomized rates from a steady-state LP solution, every
   rate shrunk by 1/(1+epsilon), the slack going to the null action;
-* AdaptivePolicy: multi-stage learning.  An exploration stage plays
+* AdaptivePolicy: the stage loop.  An exploration stage plays
   uniformly random actions; each later stage estimates the arrival
-  distribution from the previous stage's counts, solves the steady-state
-  LP on it, shrinks the optimum by a sampling margin, and then plays a
-  multiplicative-weights rule that penalizes projected future occupancy
-  and rewards progress toward the stage's per-step target;
-* HybridPolicy: the adaptive rule for the first ``s_switch`` steps of each
-  stage, a frozen static rule afterwards;
+  distribution from the previous stage's counts, plans rates on it
+  (``lp.plan_rates``), shrinks the optimum by a sampling margin, and then
+  plays a multiplicative-weights rule whose greedy step is the arriving
+  type's pricing oracle ``outcomes.best_action``;
+* HybridPolicy: that loop with a switch rule: adaptive for the first
+  ``s_switch`` steps of each stage, frozen static rates afterwards;
 * UniformRandomPolicy / AlwaysNullPolicy: baselines;
-* StageTailRejector: wraps any policy and refuses new allocations close
-  enough to a stage boundary that a max-cutoff duration could cross it.
+* StageTailRejector: a tail rule over the same schedule, wrapping any
+  policy: it refuses new allocations close enough to a stage boundary
+  that a max-cutoff duration could cross it.
 
 Penalty weights live in log space: their exponents scale with the scale
 parameter times the stage length, far past float range in linear form.
@@ -30,8 +31,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .lp import ENUMERATION_CAP, DegenerateStage, SteadyStateSolution, solve_stage_lambda
-from .mnl import MnlOutcomes, best_assortment, make_assortment_pricing
+from .lp import DegenerateStage, SteadyStateSolution, solve_stage_lambda
 from .model import (
     AlgoConfig,
     Instance,
@@ -213,10 +213,10 @@ def select_action(
     plus sum over reward indices of w_i * psi_{i,s}, using mean outcomes.
     ``include_current`` controls whether the slot of the current step
     itself (t = s) enters the occupancy sum; only slots t <= s + d_max - 1
-    carry survival mass, so the sum stops there.  Ties go to the lowest
-    action index; logit customers are solved by the sort-and-fixed-point
-    assortment solver on the per-product coefficients, which needs no
-    enumeration.
+    carry survival mass, so the sum stops there.  The minimization itself
+    is the customer's own pricing oracle, ``outcomes.best_action``: an
+    argmin over mean tables (ties to the lowest action index) for explicit
+    types, the sort-and-fixed-point assortment solver for logit customers.
     """
     om = inst.customers[customer].outcomes
     null = inst.actions.null_action
@@ -241,12 +241,7 @@ def select_action(
     off = float(finite.max()) if finite.size else 0.0
     phi = np.exp(log_phi_sum - off)
     psi_mag = np.exp(ws.log_reward_mag - off)
-    if isinstance(om, MnlOutcomes):
-        coef = phi - om.model.prices * psi_mag
-        return best_assortment(om.model, om.customer, coef)
-    W, A = inst.mean_tables(customer)
-    scores = phi @ A - psi_mag @ W
-    return inst.actions.all_actions()[int(np.argmin(scores))]
+    return om.best_action(inst.actions, phi, psi_mag)
 
 
 def update_penalty_weights(ws: PenaltyWeights, inst: Instance, customer: int, action):
@@ -374,21 +369,34 @@ class StageRecord:
     choices: list = field(default_factory=list)
 
 
+def _stage_plan(inst: Instance, config: AlgoConfig, relaxed: bool):
+    """[(stage, offset, length)] covering 1..T: the one schedule the stage
+    loop and the tail guard both walk."""
+    build = relaxed_stage_schedule if relaxed else stage_schedule
+    return build(inst.horizon, config.epsilon)
+
+
 class AdaptivePolicy:
     """Multi-stage policy: explore, estimate, then play weighted greedy.
 
     Stage -1 plays uniformly at random over all actions.  Each stage r >= 0
     builds the empirical arrival distribution from the previous stage only,
-    solves the steady-state LP on it (column generation with the assortment
-    pricer when a logit action space is too big to enumerate), shrinks the
-    optimum by the sampling margin into the stage target, initializes fresh
-    penalty weights, and plays/updates them per arrival.  A degenerate
-    stage LP (zero optimum) downgrades that stage to uniform play.
+    plans rates on it (:func:`solve_stage_lambda`), shrinks the optimum by
+    the sampling margin into the stage target, initializes fresh penalty
+    weights, and plays/updates them per arrival.  A degenerate stage LP
+    (zero optimum) downgrades that stage to uniform play.  Past in-stage
+    step ``s_switch`` a stage plays frozen static rates
+    (:class:`HybridPolicy`; plain adaptive never switches).
 
-    The weight trajectory is deterministic given the arrival sequence; the
-    policy updates on its own chosen action even when the simulator forced
-    a rejection, so learning never depends on realized noise.
+    The stage cursor moves on ``observe`` as well as on ``choose``, so a
+    stage whose every ``choose`` a wrapper answers itself is still planned
+    from the previous stage's arrivals.  The weight trajectory is
+    deterministic given the arrival sequence; the policy updates on its
+    own chosen action even when the simulator forced a rejection, so
+    learning never depends on realized noise.
     """
+
+    s_switch = math.inf
 
     def __init__(
         self,
@@ -408,11 +416,9 @@ class AdaptivePolicy:
     def reset(self, inst: Instance, rng: np.random.Generator):
         if self.config.gamma <= 0.0:
             raise ValueError("adaptive policy needs a positive scale parameter")
-        build = relaxed_stage_schedule if self.relaxed_schedule else stage_schedule
-        self.schedule = build(inst.horizon, self.config.epsilon)
+        self.schedule = _stage_plan(inst, self.config, self.relaxed_schedule)
         self.inst, self.rng = inst, rng
         self._idx = -1
-        self._stage_start = 0
         self._stage_end = 0
         self._counts = np.zeros(inst.n_types)
         self._uniform = True
@@ -423,23 +429,13 @@ class AdaptivePolicy:
         self._n_indices = inst.reward_count + inst.n_resources
         self._n_learning = len(self.schedule) - 1
         self._eta = self.config.eta_value()
-        self._mnl = None
-        for cust in inst.customers:
-            if isinstance(cust.outcomes, MnlOutcomes) and not cust.outcomes.is_null:
-                self._mnl = cust.outcomes.model
-                break
-
-    def _pricing(self):
-        if self._mnl is not None and self.inst.actions.size > ENUMERATION_CAP:
-            return make_assortment_pricing(self._mnl, self.inst.durations())
-        return None
 
     def _begin_stage(self, idx: int):
         r, offset, length = self.schedule[idx]
         prev_counts, self._counts = self._counts, np.zeros(self.inst.n_types)
         self._idx = idx
-        self._stage_start = offset + 1
         self._stage_end = offset + length
+        self._switch_at = offset + 1 + self.s_switch  # first step on static rates
         self._uniform = True
         self.ws = None
         mode, p_hat, lam, eps_x, eps_z = "uniform", None, None, None, None
@@ -453,7 +449,7 @@ class AdaptivePolicy:
             )
             self.lp_solves += 1
             try:
-                est = solve_stage_lambda(self.inst, p_hat, eps_x, pricing=self._pricing())
+                est = solve_stage_lambda(self.inst, p_hat, eps_x)
             except DegenerateStage:
                 logger.warning(
                     "stage %d: empirical steady-state LP is degenerate, playing uniform",
@@ -486,13 +482,16 @@ class AdaptivePolicy:
 
     def choose(self, t: int, j: int):
         self._advance(t)
+        if t >= self._switch_at:
+            return self._tables.sample(j, self.rng)
         if self._uniform:
             return self.inst.actions.sample_uniform(self.rng)
         return select_action(self.ws, self.inst, j, self.include_current)
 
     def observe(self, t: int, j: int, action, forced: bool):
+        self._advance(t)
         self._counts[j] += 1
-        if not self._uniform:
+        if not self._uniform and t < self._switch_at:
             update_penalty_weights(self.ws, self.inst, j, action)
             if self.record_history:
                 self._record.choices.append((j, action))
@@ -533,24 +532,6 @@ class HybridPolicy(AdaptivePolicy):
         super().reset(inst, rng)
         self._tables = _RateTables(inst, self.rates, self.config.epsilon)
 
-    def _in_stage(self, t: int) -> int:
-        return t - self._stage_start + 1
-
-    def choose(self, t: int, j: int):
-        self._advance(t)
-        if self._in_stage(t) > self.s_switch:
-            return self._tables.sample(j, self.rng)
-        if self._uniform:
-            return self.inst.actions.sample_uniform(self.rng)
-        return select_action(self.ws, self.inst, j, self.include_current)
-
-    def observe(self, t: int, j: int, action, forced: bool):
-        self._counts[j] += 1
-        if not self._uniform and self._in_stage(t) <= self.s_switch:
-            update_penalty_weights(self.ws, self.inst, j, action)
-            if self.record_history:
-                self._record.choices.append((j, action))
-
 
 class StageTailRejector:
     """Refuse allocations whose max-cutoff duration could cross a stage end.
@@ -558,7 +539,8 @@ class StageTailRejector:
     With cutoff d, an allocation at step t occupies through t + d - 1 in
     the worst (retained) case, so the wrapper forces null on the last
     d - 1 steps of every stage.  Off by default in experiments; a cutoff
-    of 1 never rejects.
+    of 1 never rejects.  Refused steps skip ``inner.choose`` but still
+    reach ``inner.observe``.
     """
 
     def __init__(self, inner, config: AlgoConfig, relaxed_schedule: bool = False,
@@ -570,18 +552,16 @@ class StageTailRejector:
         self.name = f"{inner.name}+tailguard"
 
     def reset(self, inst: Instance, rng: np.random.Generator):
-        build = relaxed_stage_schedule if self.relaxed_schedule else stage_schedule
-        self.schedule = build(inst.horizon, self.config.epsilon)
+        plan = _stage_plan(inst, self.config, self.relaxed_schedule)
         self.inst = inst
-        self._bounds = [(off + 1, off + ln) for _r, off, ln in self.schedule]
+        self._ends = [off + ln for _r, off, ln in plan]
         self._idx = 0
         self.inner.reset(inst, rng)
 
     def choose(self, t: int, j: int):
-        while t > self._bounds[self._idx][1]:
+        while t > self._ends[self._idx]:
             self._idx += 1
-        end = self._bounds[self._idx][1]
-        if t > end - self.tail + 1:
+        if t > self._ends[self._idx] - self.tail + 1:
             return self.inst.actions.null_action
         return self.inner.choose(t, j)
 

@@ -97,22 +97,26 @@ class TestSimulate:
         assert json.loads(lines[0])["t"] == 1
 
     def test_dump_weights(self, inst_file, tmp_path, capsys):
-        weights_path = tmp_path / "weights.json"
-        rc = main([
-            "simulate", "--instance", inst_file, "--policy", "adaptive",
-            "--dump-weights", str(weights_path),
-        ])
-        assert rc == 0
-        doc = json.loads(weights_path.read_text())
-        assert [st["stage"] for st in doc["stages"]] == [-1, 0, 1]
-        assert doc["final"]["mode"] in ("weighted", "uniform")
+        for label in ("adaptive", "adaptive+tailguard"):
+            weights_path = tmp_path / f"{label}.json"
+            rc = main([
+                "simulate", "--instance", inst_file, "--policy", label,
+                "--dump-weights", str(weights_path),
+            ])
+            assert rc == 0, label
+            doc = json.loads(weights_path.read_text())
+            assert [st["stage"] for st in doc["stages"]] == [-1, 0, 1], label
+            assert doc["final"]["mode"] in ("weighted", "uniform")
 
-    def test_dump_weights_needs_adaptive(self, inst_file, capsys):
-        rc = main([
-            "simulate", "--instance", inst_file, "--policy", "static",
-            "--dump-weights", "/tmp/should-not-exist.json",
-        ])
-        assert rc == 2
+    def test_dump_weights_needs_adaptive(self, inst_file, tmp_path, capsys):
+        for label in ("static", "static+tailguard"):
+            path = tmp_path / "weights.json"
+            rc = main([
+                "simulate", "--instance", inst_file, "--policy", label,
+                "--dump-weights", str(path),
+            ])
+            assert rc == 2, label
+            assert not path.exists()
 
     def test_exactly_one_policy(self, inst_file, capsys):
         rc = main(["simulate", "--instance", inst_file, "--policy", "static,adaptive"])

@@ -16,8 +16,10 @@ from reuselab.harness import (
     trend_report,
     write_csv,
 )
-from reuselab.model import AlgoConfig, validate_instance
-from reuselab.serialize import instance_to_json
+from reuselab.lp import solve_stage_lambda
+from reuselab.mnl import MnlModel, build_mnl_instance
+from reuselab.model import AlgoConfig, Instance, SurvivalCurve, validate_instance
+from reuselab.serialize import instance_from_json, instance_to_json
 
 TINY_SPEC = GeneratorSpec(
     n_products=2,
@@ -75,6 +77,39 @@ class TestBenchmarks:
     def test_explicit_arrival_override(self, hand):
         bench = solve_benchmarks(hand, p=[0.5, 0.5])
         assert bench.lambda_ss == pytest.approx(0.5, abs=1e-9)
+
+    def test_type_order_does_not_change_colgen_plan(self):
+        # 15 products, size <= 5: 4944 assortments, past the enumeration
+        # cap, so both planners run column generation; each instance type
+        # must be priced by its own logit customer, not by its position
+        rng = np.random.default_rng(3)
+        n, J = 15, 2
+        model = MnlModel(
+            rng.standard_normal((n, 2)), rng.standard_normal((J, n, 2)), 5,
+            rng.uniform(1.0, 2.0, n),
+        )
+        weights = np.concatenate([rng.dirichlet(np.ones(J)) * 0.8, [0.2]])
+        inst = build_mnl_instance(
+            model, np.full(n, 3.0), [SurvivalCurve([1.0, 0.5])] * n, 40, weights
+        )
+        assert inst.actions.size == 4944
+        null_first = Instance(
+            resources=inst.resources,
+            reward_count=inst.reward_count,
+            customers=[inst.customers[-1]] + inst.customers[:-1],
+            actions=inst.actions,
+            horizon=inst.horizon,
+            null_type=0,
+        )
+        null_first = instance_from_json(instance_to_json(null_first))
+        assert validate_instance(null_first) == []
+        want = solve_benchmarks(inst, te_cap=0).lambda_ss
+        got = solve_benchmarks(null_first, te_cap=0).lambda_ss
+        assert got == pytest.approx(want, abs=1e-9)
+        p_hat = np.array([0.5, 0.25, 0.25])  # model order: customers, then null
+        want = solve_stage_lambda(inst, p_hat, 0.5).lambda_r
+        got = solve_stage_lambda(null_first, np.roll(p_hat, 1), 0.5).lambda_r
+        assert got == pytest.approx(want, abs=1e-9)
 
 
 class TestMakePolicy:

@@ -13,7 +13,6 @@ from reuselab.mnl import (
     MnlOutcomes,
     best_assortment,
     build_mnl_instance,
-    enumerate_assortments,
     make_assortment_pricing,
 )
 from reuselab.model import AssortmentActions, SurvivalCurve, validate_instance
@@ -124,20 +123,12 @@ class TestPricing:
 
 class TestEnumeration:
     def test_counts_and_order(self):
-        acts = enumerate_assortments(4, 2)
-        assert len(acts) == 1 + 4 + 6
+        space = AssortmentActions(4, 2)
+        acts = space.all_actions()
+        assert len(acts) == space.size == 1 + 4 + 6
         assert acts[0] == ()
-        sizes = [len(s) for s in acts]
-        assert sizes == sorted(sizes)
-
-    def test_cap(self):
-        with pytest.raises(AssortmentTooLarge):
-            enumerate_assortments(30, 10, cap=100)
-
-    def test_matches_action_space(self):
-        space = AssortmentActions(5, 3)
-        assert space.all_actions() == enumerate_assortments(5, 3)
-        assert space.size == len(space.all_actions())
+        # size-major, then lexicographic
+        assert acts == sorted(acts, key=lambda s: (len(s), s))
 
 
 class TestOutcomes:
@@ -233,6 +224,9 @@ class TestInstance:
             mnl_inst.durations(),
         )
         cg = solve_steady_state_colgen(mnl_inst, p, pricing=pricing)
+        assert cg.lambda_ == pytest.approx(dense.lambda_, abs=1e-8)
+        # default pricing: each type's own outcome model
+        cg = solve_steady_state_colgen(mnl_inst, p)
         assert cg.lambda_ == pytest.approx(dense.lambda_, abs=1e-8)
 
 

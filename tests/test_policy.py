@@ -11,6 +11,7 @@ from helpers import (
     two_resource_instance,
 )
 from oracles import reference_select, weights_closed_form
+from reuselab.harness import GeneratorSpec, generate_instance, make_policy, solve_benchmarks
 from reuselab.lp import solve_steady_state
 from reuselab.model import (
     AlgoConfig,
@@ -457,6 +458,36 @@ class TestStageTailRejector:
         trace = run_episode(inst, StageTailRejector(inner, config), seed=0, record_steps=True)
         assert all(st.chosen == 1 for st in trace.steps)
         assert inner.observed == 16  # observe is forwarded every step
+
+    def test_refused_stages_still_plan_from_arrivals(self):
+        # relaxed stages at T=50, eps=0.03 are 2, 2, 3, 6, 12, 25 long, so a
+        # cutoff of 5 refuses the first three outright: the guarded policies
+        # must still see those arrivals and plan every stage as plain
+        # adaptive does
+        spec = GeneratorSpec(n_products=3, n_customers=4, base_horizon=50, base_capacity=5.0)
+        inst = generate_instance(spec)
+        bench = solve_benchmarks(inst, te_cap=0)
+        config = AlgoConfig(
+            epsilon=0.03, gamma=scale_parameter(inst, bench.lambda_ss), tail_cutoff=5
+        )
+        history = {}
+        for label in ("adaptive", "adaptive+tailguard", "hybrid3+tailguard"):
+            pol = make_policy(label, inst, config, bench, relaxed=True)
+            inner = pol.inner if isinstance(pol, StageTailRejector) else pol
+            inner.record_history = True
+            run_episode(inst, pol, seed=7)
+            history[label] = inner.history
+        want = history.pop("adaptive")
+        assert [rec.length for rec in want] == [2, 2, 3, 6, 12, 25]
+        assert all(rec.mode == "weighted" for rec in want[1:])
+        for label, got in history.items():
+            assert len(got) == len(want), label
+            for a, b in zip(got, want):
+                assert (a.start, a.mode, a.lam) == (b.start, b.mode, b.lam), (label, a.stage)
+                if b.p_hat is None:
+                    assert a.p_hat is None
+                else:
+                    assert np.array_equal(a.p_hat, b.p_hat), (label, a.stage)
 
 
 class TestViolationPotential:
