@@ -24,7 +24,6 @@ from .model import (
     SurvivalCurve,
     duration_tail_cutoff,
     mean_duration,
-    relaxed_stage_schedule,
     scale_parameter,
     stage_schedule,
     subsample_distribution,

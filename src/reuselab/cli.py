@@ -17,6 +17,7 @@ import argparse
 import json
 import sys
 import traceback
+from dataclasses import fields
 
 import numpy as np
 
@@ -54,6 +55,18 @@ _USER_ERRORS = (
 )
 
 
+# AlgoConfig fields settable by flag; each flag is None unless given
+_CONFIG_FLAGS = ("epsilon", "gamma", "delta", "tail_cutoff", "eta", "seed", "relaxed_schedule")
+
+# the JSON values each AlgoConfig field annotation accepts (a bool is no number)
+_JSON_KINDS = {
+    "float": (int, float),
+    "float | None": (int, float, type(None)),
+    "int": (int,),
+    "bool": (bool,),
+}
+
+
 def _add_config_flags(p: argparse.ArgumentParser):
     p.add_argument("--config", help="JSON file of algorithm knobs (AlgoConfig fields)")
     p.add_argument("--epsilon", type=float, help="schedule/shrink parameter")
@@ -62,15 +75,30 @@ def _add_config_flags(p: argparse.ArgumentParser):
     p.add_argument("--tail-cutoff", type=int, help="duration tail cutoff (default: derived)")
     p.add_argument("--eta", type=float, help="per-stage failure budget")
     p.add_argument("--seed", type=int, help="base seed (default 0)")
+    p.add_argument("--relaxed-schedule", action="store_true", default=None,
+                   help="waive the stage schedule's divisibility checks")
+
+
+def _load_config(path) -> dict:
+    """AlgoConfig fields from a JSON object, each checked against its annotation."""
+    with open(path) as fh:
+        data = json.load(fh)
+    if not isinstance(data, dict):
+        raise ValueError("config: expected a JSON object of AlgoConfig fields")
+    kinds = {f.name: f.type for f in fields(AlgoConfig)}
+    for key, value in data.items():
+        if key not in kinds:
+            raise ValueError(f"config: unknown field {key!r}")
+        kind = kinds[key]
+        if isinstance(value, bool) != (kind == "bool") or not isinstance(value, _JSON_KINDS[kind]):
+            raise ValueError(f"config: {key} must be {kind}, got {value!r}")
+    return data
 
 
 def _resolve_config(args, inst, benchmarks) -> AlgoConfig:
-    data = {}
-    if args.config:
-        with open(args.config) as fh:
-            data = json.load(fh)
-    for name in ("epsilon", "gamma", "delta", "tail_cutoff", "eta", "seed"):
-        v = getattr(args, name, None)
+    data = _load_config(args.config) if args.config else {}
+    for name in _CONFIG_FLAGS:
+        v = getattr(args, name)
         if v is not None:
             data[name] = v
     data.setdefault("epsilon", 0.25)
@@ -83,9 +111,7 @@ def _resolve_config(args, inst, benchmarks) -> AlgoConfig:
             [r.survival for r in inst.resources], data["delta"]
         )
     config = AlgoConfig(**data)
-    problems = config.violations(
-        inst.horizon, relaxed_schedule=getattr(args, "relaxed_schedule", False)
-    )
+    problems = config.violations(inst.horizon)
     if problems:
         raise ValueError("config: " + "; ".join(problems))
     return config
@@ -119,7 +145,7 @@ def _cmd_validate(args) -> int:
         f"reward_indices={inst.reward_count} types={inst.n_types} "
         f"actions={inst.actions.size}"
     )
-    if args.config or args.epsilon is not None:
+    if args.config or any(getattr(args, name) is not None for name in _CONFIG_FLAGS):
         bench = solve_benchmarks(inst)
         config = _resolve_config(args, inst, bench)
         print(f"config ok: {config}")
@@ -192,12 +218,14 @@ def _cmd_simulate(args) -> int:
         for msg in problems:
             print(f"invalid: {msg}", file=sys.stderr)
         return 2
+    if args.reps < 1:
+        raise ValueError(f"reps must be >= 1, got {args.reps}")
     bench = solve_benchmarks(inst, delta=args.delta or 0.0)
     config = _resolve_config(args, inst, bench)
     labels = _policy_labels(args)
     if len(labels) != 1:
         raise ValueError("simulate plays exactly one policy")
-    pol = make_policy(labels[0], inst, config, bench, relaxed=args.relaxed_schedule)
+    pol = make_policy(labels[0], inst, config, bench)
     inner = pol.inner if isinstance(pol, StageTailRejector) else pol
     if args.dump_weights:
         if not isinstance(inner, AdaptivePolicy):
@@ -239,7 +267,6 @@ def _cmd_experiment(args) -> int:
         _policy_labels(args),
         reps=args.reps,
         benchmarks=bench,
-        relaxed=args.relaxed_schedule,
     )
     for r in rows:
         print(
@@ -284,7 +311,6 @@ def _parser() -> argparse.ArgumentParser:
     v = sub.add_parser("validate", help="check an instance file (and optional config)")
     v.add_argument("--instance", required=True)
     _add_config_flags(v)
-    v.add_argument("--relaxed-schedule", action="store_true")
     v.set_defaults(func=_cmd_validate)
 
     b = sub.add_parser("solve-benchmark", help="planning LP values and upper bound")
@@ -299,7 +325,6 @@ def _parser() -> argparse.ArgumentParser:
     s.add_argument("--policy", default="static")
     s.add_argument("--reps", type=int, default=1)
     s.add_argument("--saa-sample", type=int)
-    s.add_argument("--relaxed-schedule", action="store_true")
     s.add_argument("--dump-trace", help="write replication 1 as JSON lines")
     s.add_argument("--dump-weights", help="write stage records and final weights as JSON")
     _add_config_flags(s)
@@ -312,7 +337,6 @@ def _parser() -> argparse.ArgumentParser:
     e.add_argument("--out", help="summary CSV path")
     e.add_argument("--timing", action="store_true", help="fill the seconds column")
     e.add_argument("--saa-sample", type=int)
-    e.add_argument("--relaxed-schedule", action="store_true")
     _add_config_flags(e)
     e.set_defaults(func=_cmd_experiment)
 

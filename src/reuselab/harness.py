@@ -110,8 +110,10 @@ class Benchmarks:
     ``upper_bound`` is the steady-state planning total T * lambda_ss; it
     is the reference every summary row's gap is measured against.
     ``lambda_te`` is the exact-occupancy relaxation value, kept as a
-    diagnostic when that LP fits under the size cap (it bounds the true
-    optimum more tightly but is not the reporting baseline).
+    diagnostic when that LP fits under the size cap.  That LP starts with
+    every resource free, so lambda_ss <= lambda_te: T * lambda_te is the
+    looser bound and the one that always holds; T * lambda_ss, the
+    reporting baseline, carries no such guarantee.
     """
 
     lambda_ss: float
@@ -144,13 +146,7 @@ _NAME_RE = re.compile(
 )
 
 
-def make_policy(
-    name: str,
-    inst: Instance,
-    config: AlgoConfig,
-    benchmarks: Benchmarks,
-    relaxed: bool = False,
-):
+def make_policy(name: str, inst: Instance, config: AlgoConfig, benchmarks: Benchmarks):
     """Build a policy from its label.
 
     Labels: static, adaptive, uniform, null, hybrid<s>; any of them may
@@ -174,21 +170,18 @@ def make_policy(
         if saa:
             pol.name = f"static+saa{saa}"
     elif base == "adaptive":
-        pol = AdaptivePolicy(config, relaxed_schedule=relaxed, stage_subsample=saa)
+        pol = AdaptivePolicy(config, stage_subsample=saa)
     elif base == "uniform":
         pol = UniformRandomPolicy()
     elif base == "null":
         pol = AlwaysNullPolicy()
     else:
         rates = saa_rates() if saa else benchmarks.rates
-        pol = HybridPolicy(
-            config, rates, int(m.group("switch")),
-            relaxed_schedule=relaxed, stage_subsample=saa,
-        )
+        pol = HybridPolicy(config, rates, int(m.group("switch")), stage_subsample=saa)
         if saa:
             pol.name = f"{pol.name}+saa{saa}"
     if m.group("tail"):
-        pol = StageTailRejector(pol, config, relaxed_schedule=relaxed)
+        pol = StageTailRejector(pol, config)
     return pol
 
 
@@ -214,14 +207,15 @@ def run_experiment(
     policies,
     reps: int = 10,
     benchmarks: Benchmarks | None = None,
-    relaxed: bool = False,
 ) -> list[SummaryRow]:
     """Replicate each policy over seeds config.seed+1 .. config.seed+reps."""
+    if reps < 1:
+        raise ValueError(f"reps must be >= 1, got {reps}")
     if benchmarks is None:
         benchmarks = solve_benchmarks(inst, delta=config.delta)
     rows = []
     for name in policies:
-        pol = make_policy(name, inst, config, benchmarks, relaxed=relaxed)
+        pol = make_policy(name, inst, config, benchmarks)
         vals, forced = [], []
         t0 = time.perf_counter()
         for i in range(1, reps + 1):
@@ -285,7 +279,8 @@ def run_trend(
     """The scaling experiment: same load profile, growing horizon/capacity.
 
     epsilon shrinks inversely with scale so every run keeps the same
-    exploration-stage length.  Returns (rows, report); rows carry every
+    exploration-stage length; ``relaxed`` sets every config's
+    ``relaxed_schedule``.  Returns (rows, report); rows carry every
     scale's summaries in scale order.
     """
     spec = spec or GeneratorSpec(seed=base_seed)
@@ -303,10 +298,9 @@ def run_trend(
             delta=0.0,
             tail_cutoff=bench.tail_cutoff,
             seed=base_seed,
+            relaxed_schedule=relaxed,
         )
-        got = run_experiment(
-            inst, config, policies, reps=reps, benchmarks=bench, relaxed=relaxed
-        )
+        got = run_experiment(inst, config, policies, reps=reps, benchmarks=bench)
         rows.extend(got)
         per_scale[s] = got
     return rows, trend_report(per_scale)

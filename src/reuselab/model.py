@@ -44,7 +44,6 @@ __all__ = [
     "duration_tail_cutoff",
     "scale_parameter",
     "stage_schedule",
-    "relaxed_stage_schedule",
     "validate_instance",
 ]
 
@@ -192,12 +191,7 @@ class OutcomeModel:
 
     def mean_matrix(self, space):
         """Stacked means over an enumerable action space: (W RxK, A CxK)."""
-        ws, as_ = [], []
-        for k in space.all_actions():
-            w, a = self.means(k)
-            ws.append(w)
-            as_.append(a)
-        return np.column_stack(ws), np.column_stack(as_)
+        raise NotImplementedError
 
 
 class ExplicitOutcomes(OutcomeModel):
@@ -494,56 +488,41 @@ def subsample_distribution(p, m: int, rng) -> np.ndarray:
     return counts / float(m)
 
 
-def stage_schedule(T: int, epsilon: float) -> list[tuple[int, int, int]]:
+def stage_schedule(T: int, epsilon: float, relaxed: bool = False) -> list[tuple[int, int, int]]:
     """Doubling stage plan [(stage, offset, length)] covering 1..T exactly.
 
     Stage -1 (exploration) has length epsilon*T; stage r >= 0 has length
-    epsilon*T*2^r; the lengths sum to T because epsilon*2^l = 1.  Requires
-    1/epsilon to be a power of two and epsilon*T to be a positive integer;
-    raises :class:`BadEpsilon` otherwise.
-    """
-    if not (0.0 < epsilon <= 0.5):
-        raise BadEpsilon(f"epsilon must lie in (0, 1/2], got {epsilon}")
-    l = round(math.log2(1.0 / epsilon))
-    if l < 1 or abs(epsilon * (1 << l) - 1.0) > 1e-12:
-        raise BadEpsilon(f"1/epsilon must be a power of two, got {epsilon}")
-    raw = epsilon * T
-    t0 = round(raw)
-    if t0 < 1 or abs(raw - t0) > 1e-9:
-        raise BadEpsilon(f"epsilon*T must be a positive integer, got {raw}")
-    stages = [(-1, 0, t0)]
-    offset = t0
-    for r in range(l):
-        length = t0 << r
-        stages.append((r, offset, length))
-        offset += length
-    assert offset == T
-    return stages
+    epsilon*T*2^r; the lengths sum to T because epsilon*2^l = 1.  This
+    needs 1/epsilon to be a power of two and epsilon*T to be a positive
+    integer, and raises :class:`BadEpsilon` otherwise.
 
-
-def relaxed_stage_schedule(T: int, epsilon: float) -> list[tuple[int, int, int]]:
-    """Doubling stage plan for epsilons that do not divide T exactly.
-
-    Recipe: l = max(1, round(log2(1/epsilon))); every stage length is
-    round(epsilon*T*2^r) except the last, which absorbs the remainder so the
-    plan ends exactly at T.  Stages that would be empty are dropped from the
-    tail.  Raises :class:`BadEpsilon` if not even two stages fit.
+    ``relaxed`` waives those two checks.  With l = max(1, round(log2(1/eps))),
+    every stage but the last is round(epsilon*T*2^r) long (at least 1); the
+    last absorbs the remainder so the plan ends exactly at T, and stages
+    that would be empty are dropped from the tail.  When the checks hold
+    this is the exact doubling plan.  Raises :class:`BadEpsilon` if not
+    even two stages fit.
     """
     if not (0.0 < epsilon <= 0.5):
         raise BadEpsilon(f"epsilon must lie in (0, 1/2], got {epsilon}")
     l = max(1, round(math.log2(1.0 / epsilon)))
+    if not relaxed:
+        if abs(epsilon * (1 << l) - 1.0) > 1e-12:
+            raise BadEpsilon(f"1/epsilon must be a power of two, got {epsilon}")
+        raw = epsilon * T
+        if round(raw) < 1 or abs(raw - round(raw)) > 1e-9:
+            raise BadEpsilon(f"epsilon*T must be a positive integer, got {raw}")
     lengths = [max(1, round(epsilon * T))]
     for r in range(l - 1):
         lengths.append(max(1, round(epsilon * T * (1 << r))))
-    used = sum(lengths)
-    last = T - used
+    last = T - sum(lengths)
     if last >= 1:
         lengths.append(last)
     else:
         # shrink from the tail until the remainder is positive
         while lengths and T - sum(lengths[:-1]) < 1:
             lengths.pop()
-        if not lengths or len(lengths) < 2:
+        if len(lengths) < 2:
             raise BadEpsilon(f"horizon {T} too short for epsilon {epsilon}")
         lengths[-1] = T - sum(lengths[:-1])
     stages = []
@@ -564,7 +543,9 @@ class AlgoConfig:
     ``delta``/``tail_cutoff`` describe how much duration tail mass is ignored
     after the cutoff (bounded-support curves use delta = 0 and their maximum
     duration).  ``eta`` is the per-stage failure budget; the default is
-    epsilon / (5 * log2(1/epsilon)).
+    epsilon / (5 * log2(1/epsilon)).  ``relaxed_schedule`` picks the stage
+    schedule that every stage walker uses: :func:`stage_schedule` with its
+    divisibility checks waived.
     """
 
     epsilon: float
@@ -573,6 +554,7 @@ class AlgoConfig:
     tail_cutoff: int = 1
     eta: float | None = None
     seed: int = 0
+    relaxed_schedule: bool = False
 
     @property
     def n_stages(self) -> int:
@@ -584,24 +566,20 @@ class AlgoConfig:
             return self.eta
         return self.epsilon / (5.0 * self.n_stages)
 
-    def violations(self, T: int | None = None, relaxed_schedule: bool = False) -> list[str]:
+    def violations(self, T: int | None = None) -> list[str]:
         """Invalid fields as messages; an empty list means valid.
 
-        ``relaxed_schedule`` waives only the two divisibility checks that
-        :func:`relaxed_stage_schedule` exists for (1/epsilon a power of two,
-        epsilon*T an integer); every other check still applies.
+        The epsilon checks are :func:`stage_schedule`'s own.  Without a
+        horizon it is asked for T = 2^n_stages, which every power-of-two
+        epsilon divides, so only the horizon-free checks can fail.
         """
         out = []
-        if not (0.0 < self.epsilon <= 0.5):
-            out.append(f"epsilon must lie in (0, 1/2], got {self.epsilon}")
-        elif not relaxed_schedule:
-            l = round(math.log2(1.0 / self.epsilon))
-            if abs(self.epsilon * (1 << max(l, 0)) - 1.0) > 1e-12:
-                out.append(f"1/epsilon must be a power of two, got {self.epsilon}")
-            elif T is not None:
-                raw = self.epsilon * T
-                if abs(raw - round(raw)) > 1e-9 or round(raw) < 1:
-                    out.append(f"epsilon*T must be a positive integer, got {raw}")
+        eps_ok = 0.0 < self.epsilon <= 0.5
+        probe = T if T is not None else (1 << self.n_stages if eps_ok else 1)
+        try:
+            stage_schedule(probe, self.epsilon, self.relaxed_schedule)
+        except BadEpsilon as exc:
+            out.append(str(exc))
         if not (0.0 <= self.delta < 1.0):
             out.append(f"delta must lie in [0, 1), got {self.delta}")
         if self.tail_cutoff < 1:
@@ -610,9 +588,10 @@ class AlgoConfig:
             out.append(
                 f"epsilon must be >= tail_cutoff/T = {self.tail_cutoff}/{T}"
             )
-        eta = self.eta if self.eta is not None else self.eta_value()
-        if not (0.0 < eta < 1.0):
-            out.append(f"eta must lie in (0, 1), got {eta}")
+        if eps_ok or self.eta is not None:
+            eta = self.eta_value()
+            if not (0.0 < eta < 1.0):
+                out.append(f"eta must lie in (0, 1), got {eta}")
         if self.gamma < 0:
             out.append(f"gamma must be nonnegative, got {self.gamma}")
         if not (-(2**63) <= self.seed < 2**64):

@@ -32,13 +32,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .lp import DegenerateStage, SteadyStateSolution, solve_stage_lambda
-from .model import (
-    AlgoConfig,
-    Instance,
-    relaxed_stage_schedule,
-    stage_schedule,
-    subsample_distribution,
-)
+from .model import AlgoConfig, Instance, stage_schedule, subsample_distribution
 
 __all__ = [
     "estimate_margin",
@@ -125,9 +119,7 @@ class PenaltyWeights:
     """
 
     stage_len: int
-    epsilon: float
     gamma: float
-    delta: float
     lam: float
     eps_z: float
     w_max: float
@@ -185,9 +177,7 @@ def init_penalty_weights(
     )
     return PenaltyWeights(
         stage_len=stage_len,
-        epsilon=eps,
         gamma=gamma,
-        delta=delta,
         lam=lam,
         eps_z=eps_z,
         w_max=inst.w_max,
@@ -369,13 +359,6 @@ class StageRecord:
     choices: list = field(default_factory=list)
 
 
-def _stage_plan(inst: Instance, config: AlgoConfig, relaxed: bool):
-    """[(stage, offset, length)] covering 1..T: the one schedule the stage
-    loop and the tail guard both walk."""
-    build = relaxed_stage_schedule if relaxed else stage_schedule
-    return build(inst.horizon, config.epsilon)
-
-
 class AdaptivePolicy:
     """Multi-stage policy: explore, estimate, then play weighted greedy.
 
@@ -401,13 +384,11 @@ class AdaptivePolicy:
     def __init__(
         self,
         config: AlgoConfig,
-        relaxed_schedule: bool = False,
         include_current: bool = True,
         record_history: bool = False,
         stage_subsample: int | None = None,
     ):
         self.config = config
-        self.relaxed_schedule = relaxed_schedule
         self.include_current = include_current
         self.record_history = record_history
         self.stage_subsample = stage_subsample
@@ -416,7 +397,8 @@ class AdaptivePolicy:
     def reset(self, inst: Instance, rng: np.random.Generator):
         if self.config.gamma <= 0.0:
             raise ValueError("adaptive policy needs a positive scale parameter")
-        self.schedule = _stage_plan(inst, self.config, self.relaxed_schedule)
+        cfg = self.config
+        self.schedule = stage_schedule(inst.horizon, cfg.epsilon, cfg.relaxed_schedule)
         self.inst, self.rng = inst, rng
         self._idx = -1
         self._stage_end = 0
@@ -543,16 +525,15 @@ class StageTailRejector:
     reach ``inner.observe``.
     """
 
-    def __init__(self, inner, config: AlgoConfig, relaxed_schedule: bool = False,
-                 tail: int | None = None):
+    def __init__(self, inner, config: AlgoConfig, tail: int | None = None):
         self.inner = inner
         self.config = config
-        self.relaxed_schedule = relaxed_schedule
         self.tail = config.tail_cutoff if tail is None else int(tail)
         self.name = f"{inner.name}+tailguard"
 
     def reset(self, inst: Instance, rng: np.random.Generator):
-        plan = _stage_plan(inst, self.config, self.relaxed_schedule)
+        cfg = self.config
+        plan = stage_schedule(inst.horizon, cfg.epsilon, cfg.relaxed_schedule)
         self.inst = inst
         self._ends = [off + ln for _r, off, ln in plan]
         self._idx = 0

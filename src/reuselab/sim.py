@@ -85,7 +85,6 @@ class Episode:
         self.step = t
         self.occupied -= self._returns[:, t]
         self._returns[:, t] = 0.0
-        np.maximum(self.occupied, 0.0, out=self.occupied)
 
     def sample_arrival(self, rng: np.random.Generator) -> int:
         j = int(np.searchsorted(self._cum_weights, rng.random(), side="right"))

@@ -44,9 +44,51 @@ class TestValidate:
         assert main(["validate", "--instance", str(path)]) == 2
 
     def test_bad_epsilon(self, inst_file, capsys):
-        rc = main(["validate", "--instance", inst_file, "--epsilon", "0.3"])
-        assert rc == 2
-        assert "error" in capsys.readouterr().err
+        for eps in ("0.3", "0", "-0.1", "nan"):
+            rc = main(["validate", "--instance", inst_file, "--epsilon", eps])
+            assert rc == 2, eps
+            err = capsys.readouterr().err
+            assert err.startswith("error: config: "), eps
+            assert err.count("\n") == 1, eps
+
+    @pytest.mark.parametrize("flag", [
+        ["--eta", "3"], ["--gamma", "-1"], ["--delta", "1.5"],
+        ["--tail-cutoff", "0"], ["--seed", str(2**64)],
+    ])
+    def test_every_config_flag_is_checked(self, inst_file, flag, capsys):
+        assert main(["validate", "--instance", inst_file, *flag]) == 2
+        assert capsys.readouterr().err.startswith("error: config: ")
+
+    def test_relaxed_schedule_flag_sets_the_field(self, inst_file, capsys):
+        rc = main(["validate", "--instance", inst_file, "--relaxed-schedule"])
+        assert rc == 0
+        assert "relaxed_schedule=True)" in capsys.readouterr().out
+
+    def test_config_file_sets_every_field(self, inst_file, tmp_path, capsys):
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps({
+            "epsilon": 0.3, "gamma": 2, "delta": 0.0, "tail_cutoff": 1,
+            "eta": None, "seed": 3, "relaxed_schedule": True,
+        }))
+        assert main(["validate", "--instance", inst_file, "--config", str(path)]) == 0
+        assert (
+            "config ok: AlgoConfig(epsilon=0.3, gamma=2, delta=0.0, tail_cutoff=1, "
+            "eta=None, seed=3, relaxed_schedule=True)"
+        ) in capsys.readouterr().out
+
+    @pytest.mark.parametrize("doc, msg", [
+        ({"epsilon": 0.25, "bogus": 1}, "error: config: unknown field 'bogus'"),
+        ({"epsilon": "x"}, "error: config: epsilon must be float, got 'x'"),
+        ({"relaxed_schedule": 1}, "error: config: relaxed_schedule must be bool, got 1"),
+        ([0.25], "error: config: expected a JSON object"),
+    ])
+    def test_bad_config_file(self, inst_file, tmp_path, doc, msg, capsys):
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(doc))
+        assert main(["validate", "--instance", inst_file, "--config", str(path)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(msg)
+        assert err.count("\n") == 1
 
 
 class TestSolveBenchmark:
@@ -178,8 +220,25 @@ class TestExperiment:
         assert "Traceback" not in err
 
 
+@pytest.mark.parametrize("argv", [
+    ["simulate", "--reps", "0"],
+    ["experiment", "--reps", "0", "--policy", "null", "--out", "rows.csv"],
+    ["experiment", "--reps", "-3", "--policy", "null", "--out", "rows.csv"],
+])
+def test_reps_below_one_rejected(inst_file, tmp_path, monkeypatch, argv, capsys):
+    monkeypatch.chdir(tmp_path)
+    assert main([*argv, "--instance", inst_file]) == 2
+    assert capsys.readouterr().err.startswith("error: reps must be >= 1")
+    assert not (tmp_path / "rows.csv").exists()
+
+
 class TestTrend:
     def test_two_scales_rejected(self, capsys):
         rc = main(["trend", "--scales", "1,2", "--reps", "1", "--policy", "null"])
         assert rc == 2
         assert "3 scales" in capsys.readouterr().err
+
+    def test_reps_below_one_rejected(self, capsys):
+        rc = main(["trend", "--scales", "1,2,3", "--reps", "0", "--policy", "null"])
+        assert rc == 2
+        assert capsys.readouterr().err.startswith("error: reps must be >= 1")

@@ -13,7 +13,6 @@ from reuselab.model import (
     SurvivalCurve,
     duration_tail_cutoff,
     mean_duration,
-    relaxed_stage_schedule,
     scale_parameter,
     stage_schedule,
     subsample_distribution,
@@ -133,13 +132,24 @@ class TestStageSchedule:
     )
     @settings(max_examples=80, deadline=None)
     def test_relaxed_partition_property(self, T, eps):
-        sched = relaxed_stage_schedule(T, eps)
+        sched = stage_schedule(T, eps, relaxed=True)
         assert sum(ln for _r, _o, ln in sched) == T
         assert all(ln >= 1 for _r, _o, ln in sched)
         assert len(sched) >= 2
 
     def test_relaxed_matches_exact_when_divisible(self):
-        assert relaxed_stage_schedule(1024, 0.25) == stage_schedule(1024, 0.25)
+        assert stage_schedule(1024, 0.25, relaxed=True) == stage_schedule(1024, 0.25)
+
+    @given(
+        l=st.integers(min_value=1, max_value=11),
+        mult=st.integers(min_value=1, max_value=40),
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_relaxed_is_exact_doubling_when_divisible(self, l, mult):
+        eps = 1.0 / (1 << l)
+        T = mult * (1 << l)
+        doubling = [(-1, 0, mult)] + [(r, mult << r, mult << r) for r in range(l)]
+        assert stage_schedule(T, eps, relaxed=True) == stage_schedule(T, eps) == doubling
 
 
 class TestAlgoConfig:
@@ -167,13 +177,39 @@ class TestAlgoConfig:
         assert AlgoConfig(epsilon=0.25, gamma=1.0).violations(10)
         # tail cutoff longer than the exploration stage
         assert AlgoConfig(epsilon=0.25, gamma=1.0, tail_cutoff=5).violations(8)
+        for eps in (0.0, -0.1, math.nan):
+            for T in (None, 16):
+                got = AlgoConfig(epsilon=eps, gamma=1.0).violations(T)
+                assert got[0] == f"epsilon must lie in (0, 1/2], got {eps}"
 
     def test_relaxed_schedule_waives_only_divisibility(self):
-        assert AlgoConfig(epsilon=0.3, gamma=1.0).violations(10, relaxed_schedule=True) == []
-        assert AlgoConfig(epsilon=0.25, gamma=1.0).violations(10, relaxed_schedule=True) == []
-        bad = AlgoConfig(epsilon=0.25, gamma=1.0, eta=3.0).violations(10, relaxed_schedule=True)
+        relaxed = dict(gamma=1.0, relaxed_schedule=True)
+        assert AlgoConfig(epsilon=0.3, **relaxed).violations(10) == []
+        assert AlgoConfig(epsilon=0.25, **relaxed).violations(10) == []
+        bad = AlgoConfig(epsilon=0.25, eta=3.0, **relaxed).violations(10)
         assert bad == ["eta must lie in (0, 1), got 3.0"]
-        assert AlgoConfig(epsilon=0.6, gamma=1.0).violations(10, relaxed_schedule=True)
+        assert AlgoConfig(epsilon=0.6, **relaxed).violations(10)
+
+    @given(
+        eps=st.one_of(
+            st.floats(min_value=0.001, max_value=0.6),
+            st.integers(min_value=1, max_value=11).map(lambda l: 1.0 / (1 << l)),
+        ),
+        T=st.one_of(st.none(), st.integers(min_value=1, max_value=5000)),
+    )
+    @settings(max_examples=300, deadline=None)
+    def test_violations_report_exactly_what_the_schedule_rejects(self, eps, T):
+        try:
+            stage_schedule(T if T is not None else 1 << 12, eps)
+        except BadEpsilon as exc:
+            want = [str(exc)]
+        else:
+            want = []
+        schedule_msgs = [
+            m for m in AlgoConfig(epsilon=eps, gamma=1.0, eta=0.5).violations(T)
+            if m.startswith(("epsilon must lie", "1/epsilon", "epsilon*T"))
+        ]
+        assert schedule_msgs == want
 
 
 class TestScaleParameter:

@@ -468,11 +468,12 @@ class TestStageTailRejector:
         inst = generate_instance(spec)
         bench = solve_benchmarks(inst, te_cap=0)
         config = AlgoConfig(
-            epsilon=0.03, gamma=scale_parameter(inst, bench.lambda_ss), tail_cutoff=5
+            epsilon=0.03, gamma=scale_parameter(inst, bench.lambda_ss), tail_cutoff=5,
+            relaxed_schedule=True,
         )
         history = {}
         for label in ("adaptive", "adaptive+tailguard", "hybrid3+tailguard"):
-            pol = make_policy(label, inst, config, bench, relaxed=True)
+            pol = make_policy(label, inst, config, bench)
             inner = pol.inner if isinstance(pol, StageTailRejector) else pol
             inner.record_history = True
             run_episode(inst, pol, seed=7)

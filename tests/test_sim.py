@@ -208,6 +208,34 @@ class TestRunEpisode:
             trace = run_episode(inst, pol, seed=trial)
             assert np.all(trace.peak_occupied <= inst.capacities()), trial
 
+    def test_occupancy_matches_recount_from_trace(self, monkeypatch):
+        # fractional consumption over long horizons: the live occupancy after
+        # every release must equal a recount of the booked allocations, with
+        # no negative residue, so no clamp is needed to keep it at zero
+        seen = []
+        begin_step = Episode.begin_step
+
+        def recording_begin_step(ep, t):
+            begin_step(ep, t)
+            seen.append(ep.occupied.copy())
+
+        monkeypatch.setattr(Episode, "begin_step", recording_begin_step)
+        rng = np.random.default_rng(77)
+        for trial in range(8):
+            inst = random_explicit_instance(rng, horizon=int(rng.integers(1000, 2000)))
+            pol = GreedyPolicy() if trial % 2 else UniformRandomPolicy()
+            seen.clear()
+            trace = run_episode(inst, pol, seed=trial, record_steps=True)
+            # an allocation at tau with duration d is still held at the start
+            # of steps tau+1 .. tau+d-1
+            held = np.zeros((inst.n_resources, inst.horizon + 6))
+            for st in trace.steps:
+                for i, d in st.durations.items():
+                    held[i, st.step + 1 : st.step + d] += st.consumption[i]
+            live = np.array(seen).T
+            np.testing.assert_allclose(live, held[:, 1 : inst.horizon + 1], rtol=0, atol=1e-9)
+            assert live.min() >= -1e-9, trial
+
     def test_record_steps(self):
         inst = greedy_unit_instance(12)
         trace = run_episode(inst, GreedyPolicy(), seed=2, record_steps=True)
