@@ -111,9 +111,7 @@ def _resolve_config(args, inst, benchmarks) -> AlgoConfig:
             [r.survival for r in inst.resources], data["delta"]
         )
     config = AlgoConfig(**data)
-    problems = config.violations(inst.horizon)
-    if problems:
-        raise ValueError("config: " + "; ".join(problems))
+    config.check(inst.horizon)
     return config
 
 
@@ -131,6 +129,15 @@ def _with_saa(label: str, m: int) -> str:
     if base in ("uniform", "null"):
         return label
     return f"{base}+saa{m}{guard}{rest}"
+
+
+def _load_valid_instance(path):
+    """The instance at ``path``, or None once its problems went to stderr."""
+    inst = load_instance(path)
+    problems = validate_instance(inst)
+    for msg in problems:
+        print(f"invalid: {msg}", file=sys.stderr)
+    return None if problems else inst
 
 
 def _cmd_validate(args) -> int:
@@ -153,11 +160,8 @@ def _cmd_validate(args) -> int:
 
 
 def _cmd_solve_benchmark(args) -> int:
-    inst = load_instance(args.instance)
-    problems = validate_instance(inst)
-    if problems:
-        for msg in problems:
-            print(f"invalid: {msg}", file=sys.stderr)
+    inst = _load_valid_instance(args.instance)
+    if inst is None:
         return 2
     bench = solve_benchmarks(inst, delta=args.delta or 0.0, te_cap=args.te_cap)
     print(f"steady-state rate: {bench.lambda_ss!r}")
@@ -212,11 +216,8 @@ def _dump_weights(inner: AdaptivePolicy, path):
 
 
 def _cmd_simulate(args) -> int:
-    inst = load_instance(args.instance)
-    problems = validate_instance(inst)
-    if problems:
-        for msg in problems:
-            print(f"invalid: {msg}", file=sys.stderr)
+    inst = _load_valid_instance(args.instance)
+    if inst is None:
         return 2
     if args.reps < 1:
         raise ValueError(f"reps must be >= 1, got {args.reps}")
@@ -253,11 +254,8 @@ def _cmd_simulate(args) -> int:
 
 
 def _cmd_experiment(args) -> int:
-    inst = load_instance(args.instance)
-    problems = validate_instance(inst)
-    if problems:
-        for msg in problems:
-            print(f"invalid: {msg}", file=sys.stderr)
+    inst = _load_valid_instance(args.instance)
+    if inst is None:
         return 2
     bench = solve_benchmarks(inst, delta=args.delta or 0.0)
     config = _resolve_config(args, inst, bench)

@@ -280,8 +280,10 @@ def run_trend(
 
     epsilon shrinks inversely with scale so every run keeps the same
     exploration-stage length; ``relaxed`` sets every config's
-    ``relaxed_schedule``.  Returns (rows, report); rows carry every
-    scale's summaries in scale order.
+    ``relaxed_schedule``.  Each config is checked against its instance's
+    horizon before that scale runs (``ValueError("config: ...")``).
+    Returns (rows, report); rows carry every scale's summaries in scale
+    order.
     """
     spec = spec or GeneratorSpec(seed=base_seed)
     rows = []
@@ -300,6 +302,7 @@ def run_trend(
             seed=base_seed,
             relaxed_schedule=relaxed,
         )
+        config.check(inst.horizon)
         got = run_experiment(inst, config, policies, reps=reps, benchmarks=bench)
         rows.extend(got)
         per_scale[s] = got

@@ -15,9 +15,14 @@ Column generation prices each type by its own outcome model's
 ``best_action``.
 
 Bland's rule is slow but deterministic and cycle-free, which is what the
-reproducibility contract needs at desk scale.  Dual values of the restricted
-master are recovered internally for column generation but are not part of
-the public solution type.
+reproducibility contract needs at desk scale.  Both phases share one pivot
+routine (:func:`_pivot`) and one objective-row setup; the entering and
+leaving scans are array ops that keep Bland's pivot sequence.  Every
+optimal point is certified primal feasible against the original rows and
+bounds (duals are not checked).  Row duals are read off the reduced cost of
+each row's starting basic column (its slack or artificial); they are used
+internally by column generation but are not part of the public solution
+type.
 """
 
 from __future__ import annotations
@@ -101,6 +106,8 @@ class LinearProgram:
             raise ValueError("A must be (len(b), len(c))")
         if len(self.senses) != self.b.size:
             raise ValueError("one sense per row required")
+        if not all(np.isfinite(v).all() for v in (self.c, self.A, self.b)):
+            raise ValueError("c, A and b must be finite")
         for s in self.senses:
             if s not in ("<=", ">=", "=="):
                 raise ValueError(f"unknown sense {s!r}")
@@ -159,24 +166,40 @@ def _certify(lp: LinearProgram, x: np.ndarray) -> list[str]:
     return bad
 
 
-def _pivot_loop(tab, basis, banned, m):
+def _pivot(tab, basis, row, col):
+    """Gauss-Jordan pivot on (row, col); col becomes basic in row."""
+    piv = tab[row, col]
+    tab[row] /= piv
+    colvals = tab[:, col].copy()
+    colvals[row] = 0.0
+    tab -= np.outer(colvals, tab[row])
+    tab[:, col] = 0.0
+    tab[row, col] = 1.0
+    basis[row] = col
+
+
+def _set_objective(tab, basis, c):
+    """Objective row (z_j - c_j | z) of max c @ x for the current basis."""
+    m = basis.size
+    cb = c[basis]
+    tab[m, :-1] = cb @ tab[:m, :-1] - c
+    tab[m, -1] = cb @ tab[:m, -1]
+
+
+def _pivot_loop(tab, basis, banned):
     """Bland iterations on a canonical tableau; returns a status string.
 
-    tab has m constraint rows plus the objective row (z_j - c_j | z) at the
-    bottom; the rightmost column is the rhs.  Entering: lowest-index column
-    with reduced cost < -tol.  Leaving: min-ratio row, ties by lowest basic
-    variable index.  Columns in ``banned`` never enter.
+    tab has one row per basis entry plus the objective row (z_j - c_j | z)
+    at the bottom; the rightmost column is the rhs.  Entering: lowest-index
+    column with reduced cost < -tol.  Leaving: min-ratio row, ties by lowest
+    basic variable index.  Columns in ``banned`` never enter.
     """
-    ncols = tab.shape[1] - 1
+    m = basis.size
     shaky = 0
     for _ in range(_MAX_PIVOTS):
-        obj = tab[m, :ncols]
-        enter = -1
-        for j in range(ncols):
-            if not banned[j] and obj[j] < -_RC_TOL:
-                enter = j
-                break
-        if enter < 0:
+        eligible = (tab[m, :-1] < -_RC_TOL) & ~banned
+        enter = int(eligible.argmax())
+        if not eligible[enter]:
             return "optimal"
         col = tab[:m, enter]
         good = col > _PIV_TOL
@@ -194,19 +217,8 @@ def _pivot_loop(tab, basis, banned, m):
         ratios = np.full(m, np.inf)
         ratios[good] = rhs[good] / col[good]
         rmin = ratios.min()
-        leave = -1
-        for i in range(m):
-            if ratios[i] <= rmin * (1 + 1e-10) + 1e-15:
-                if leave < 0 or basis[i] < basis[leave]:
-                    leave = i
-        piv = tab[leave, enter]
-        tab[leave] /= piv
-        colvals = tab[:, enter].copy()
-        colvals[leave] = 0.0
-        tab -= np.outer(colvals, tab[leave])
-        tab[:, enter] = 0.0
-        tab[leave, enter] = 1.0
-        basis[leave] = enter
+        tied = np.flatnonzero(ratios <= rmin * (1 + 1e-10) + 1e-15)
+        _pivot(tab, basis, int(tied[basis[tied].argmin()]), enter)
     raise NumericalBreakdown(f"no convergence within {_MAX_PIVOTS} pivots")
 
 
@@ -219,111 +231,61 @@ def _solve_canonical(lp: LinearProgram):
     """
     n = lp.n_vars
     lower = lp.lower if lp.lower is not None else np.zeros(n)
-    lower = np.asarray(lower, dtype=float)
     if not np.all(np.isfinite(lower)):
         raise ValueError("lower bounds must be finite")
     shift = lp.c @ lower
 
-    rows = [lp.A.copy()]
-    senses = list(lp.senses)
-    rhs = list(lp.b - lp.A @ lower)
-    n_user = len(senses)
+    # finite upper bounds become extra "<=" rows after the user's rows
+    A, b, senses = lp.A, lp.b - lp.A @ lower, list(lp.senses)
     if lp.upper is not None:
-        up = np.asarray(lp.upper, dtype=float)
-        for i in range(n):
-            if np.isfinite(up[i]):
-                e = np.zeros(n)
-                e[i] = 1.0
-                rows.append(e[None, :])
-                senses.append("<=")
-                rhs.append(up[i] - lower[i])
-    A = np.vstack(rows)
-    b = np.array(rhs, dtype=float)
+        boxed = np.flatnonzero(np.isfinite(lp.upper))
+        A = np.vstack([A, np.eye(n)[boxed]])
+        b = np.concatenate([b, lp.upper[boxed] - lower[boxed]])
+        senses += ["<="] * boxed.size
     m = b.size
+    senses = np.array(senses, dtype=str)
 
-    # normalize: ">=" rows flip to "<="; then slack; then flip rows with b < 0
-    g = np.ones(m)  # net scaling from original row to tableau row
-    eq = np.zeros(m, dtype=bool)
-    for i in range(m):
-        if senses[i] == ">=":
-            A[i] *= -1.0
-            b[i] *= -1.0
-            g[i] = -g[i]
-        elif senses[i] == "==":
-            eq[i] = True
-    slack_of = np.full(m, -1)
-    slack_sign = np.zeros(m)
-    n_slack = int(np.sum(~eq))
-    S = np.zeros((m, n_slack))
-    sidx = 0
-    for i in range(m):
-        if not eq[i]:
-            S[i, sidx] = 1.0
-            slack_of[i] = n + sidx
-            slack_sign[i] = 1.0
-            sidx += 1
-    full = np.hstack([A, S])
-    for i in range(m):
-        if b[i] < 0:
-            full[i] *= -1.0
-            b[i] *= -1.0
-            g[i] = -g[i]
-            if slack_of[i] >= 0:
-                slack_sign[i] = -1.0
-
-    need_art = [i for i in range(m) if slack_of[i] < 0 or slack_sign[i] < 0]
-    art_of = np.full(m, -1)
-    n_art = len(need_art)
-    Art = np.zeros((m, n_art))
-    for a, i in enumerate(need_art):
-        Art[i, a] = 1.0
-        art_of[i] = n + n_slack + a
-    ncols = n + n_slack + n_art
+    # tableau row i is g_i * (A_i, slack_i | b_i): the slack carries +1 on
+    # "<=" rows and -1 on ">=" rows ("==" rows have none), and g_i = +-1
+    # turns ">=" rows around, then turns the row again if b_i would be < 0
+    sign = np.where(senses == ">=", -1.0, 1.0)
+    g = np.where(sign * b < 0, -sign, sign)
+    has_slack = senses != "=="
+    slacks = sign[:, None] * np.eye(m)[:, has_slack]
+    # a row whose slack ends up at +1 starts with it basic; the rest get an
+    # artificial.  Columns: x, slacks in row order, artificials in row order.
+    need_art = ~has_slack | (g != sign)
+    n_real = n + int(has_slack.sum())
+    ncols = n_real + int(need_art.sum())
     tab = np.zeros((m + 1, ncols + 1))
-    tab[:m, : n + n_slack] = full
-    tab[:m, n + n_slack : ncols] = Art
-    tab[:m, -1] = b
-
-    basis = np.empty(m, dtype=int)
-    for i in range(m):
-        basis[i] = art_of[i] if art_of[i] >= 0 else slack_of[i]
+    tab[:m, :n_real] = g[:, None] * np.hstack([A, slacks])
+    tab[:m, n_real:ncols] = np.eye(m)[:, need_art]
+    tab[:m, -1] = g * b
+    start = np.where(
+        need_art, n_real + np.cumsum(need_art) - 1, n + np.cumsum(has_slack) - 1
+    )
+    basis = start.copy()
     banned = np.zeros(ncols, dtype=bool)
 
-    if n_art:
+    if n_real < ncols:
         # phase 1: maximize -(sum of artificials)
         c1 = np.zeros(ncols)
-        c1[n + n_slack :] = -1.0
-        cb = c1[basis]
-        tab[m, :ncols] = cb @ tab[:m, :ncols] - c1
-        tab[m, -1] = cb @ tab[:m, -1]
-        _pivot_loop(tab, basis, banned, m)
+        c1[n_real:] = -1.0
+        _set_objective(tab, basis, c1)
+        _pivot_loop(tab, basis, banned)
         if tab[m, -1] < -1e-7:
             return "infeasible", math.nan, None, None
         # pivot artificials out of the basis where a real pivot exists
-        for i in range(m):
-            if basis[i] >= n + n_slack:
-                row = tab[i, : n + n_slack]
-                cand = np.where(np.abs(row) > _PIV_TOL)[0]
-                if cand.size:
-                    j = int(cand[0])
-                    piv = tab[i, j]
-                    tab[i] /= piv
-                    colvals = tab[:, j].copy()
-                    colvals[i] = 0.0
-                    tab -= np.outer(colvals, tab[i])
-                    tab[:, j] = 0.0
-                    tab[i, j] = 1.0
-                    basis[i] = j
-        banned[n + n_slack :] = True
+        for i in np.flatnonzero(basis >= n_real):
+            cand = np.flatnonzero(np.abs(tab[i, :n_real]) > _PIV_TOL)
+            if cand.size:
+                _pivot(tab, basis, i, int(cand[0]))
+        banned[n_real:] = True
 
-    # phase 2 objective row for the real costs
     c2 = np.zeros(ncols)
     c2[:n] = lp.c
-    cb = c2[basis]
-    tab[m, :ncols] = cb @ tab[:m, :ncols] - c2
-    tab[m, -1] = cb @ tab[:m, -1]
-    status = _pivot_loop(tab, basis, banned, m)
-    if status == "unbounded":
+    _set_objective(tab, basis, c2)
+    if _pivot_loop(tab, basis, banned) == "unbounded":
         return "unbounded", math.inf, None, None
 
     xfull = np.zeros(ncols)
@@ -333,14 +295,9 @@ def _solve_canonical(lp: LinearProgram):
     if bad:
         raise NumericalBreakdown("optimal basis failed certification: " + "; ".join(bad))
 
-    obj_row = tab[m, :ncols]
-    yhat = np.zeros(m)
-    for i in range(m):
-        if art_of[i] >= 0:
-            yhat[i] = obj_row[art_of[i]]
-        else:
-            yhat[i] = slack_sign[i] * obj_row[slack_of[i]]
-    duals = (g * yhat)[:n_user]
+    # the start column of row i is +1 there and 0 elsewhere, so its reduced
+    # cost is the tableau row's dual; g maps it back to the original row
+    duals = (g * tab[m, start])[: lp.n_rows]
     return "optimal", float(tab[m, -1] + shift), x, duals
 
 

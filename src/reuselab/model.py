@@ -598,6 +598,12 @@ class AlgoConfig:
             out.append("seed must fit in 64 bits")
         return out
 
+    def check(self, T: int | None = None):
+        """Raise ``ValueError("config: ...")`` naming every violation."""
+        problems = self.violations(T)
+        if problems:
+            raise ValueError("config: " + "; ".join(problems))
+
 
 def validate_instance(inst: Instance) -> list[str]:
     """Collect structural violations as data; an empty list means valid."""

@@ -193,17 +193,15 @@ def init_penalty_weights(
     )
 
 
-def select_action(
-    ws: PenaltyWeights, inst: Instance, customer: int, include_current: bool = True
-):
+def select_action(ws: PenaltyWeights, inst: Instance, customer: int):
     """Greedy step of the weighted rule for the arrival at step updates + 1.
 
     Minimizes projected occupancy cost plus (negative) reward credit:
     sum over future slots t of a_i * Pr(D_i >= t - s + 1) * phi_{i,s,t}
     plus sum over reward indices of w_i * psi_{i,s}, using mean outcomes.
-    ``include_current`` controls whether the slot of the current step
-    itself (t = s) enters the occupancy sum; only slots t <= s + d_max - 1
-    carry survival mass, so the sum stops there.  The minimization itself
+    The slot of the current step itself (t = s) enters the occupancy sum;
+    only slots t <= s + d_max - 1 carry survival mass, so the sum stops
+    there (and is empty when d_max = 0).  The minimization itself
     is the customer's own pricing oracle, ``outcomes.best_action``: an
     argmin over mean tables (ties to the lowest action index) for explicit
     types, the sort-and-fixed-point assortment solver for logit customers.
@@ -216,15 +214,11 @@ def select_action(
     L = ws.stage_len
     if s > L:
         raise RuntimeError(f"stage of length {L} already exhausted")
-    start = s if include_current else s + 1
     end = min(L, s + ws.d_max - 1)
-    if start > end:
+    if s > end:
         log_phi_sum = np.full(ws.caps.size, -np.inf)
     else:
-        terms = (
-            ws.log_surv[:, start - s + 1 : end - s + 2]
-            + ws.log_resource[:, start : end + 1]
-        )
+        terms = ws.log_surv[:, 1 : end - s + 2] + ws.log_resource[:, s : end + 1]
         log_phi_sum = _logsumexp(terms, axis=1)
     cand = np.concatenate([log_phi_sum, ws.log_reward_mag])
     finite = cand[np.isfinite(cand)]
@@ -384,12 +378,10 @@ class AdaptivePolicy:
     def __init__(
         self,
         config: AlgoConfig,
-        include_current: bool = True,
         record_history: bool = False,
         stage_subsample: int | None = None,
     ):
         self.config = config
-        self.include_current = include_current
         self.record_history = record_history
         self.stage_subsample = stage_subsample
         self.name = "adaptive" if stage_subsample is None else f"adaptive+saa{stage_subsample}"
@@ -468,7 +460,7 @@ class AdaptivePolicy:
             return self._tables.sample(j, self.rng)
         if self._uniform:
             return self.inst.actions.sample_uniform(self.rng)
-        return select_action(self.ws, self.inst, j, self.include_current)
+        return select_action(self.ws, self.inst, j)
 
     def observe(self, t: int, j: int, action, forced: bool):
         self._advance(t)
@@ -518,17 +510,16 @@ class HybridPolicy(AdaptivePolicy):
 class StageTailRejector:
     """Refuse allocations whose max-cutoff duration could cross a stage end.
 
-    With cutoff d, an allocation at step t occupies through t + d - 1 in
-    the worst (retained) case, so the wrapper forces null on the last
-    d - 1 steps of every stage.  Off by default in experiments; a cutoff
-    of 1 never rejects.  Refused steps skip ``inner.choose`` but still
-    reach ``inner.observe``.
+    With cutoff d = ``config.tail_cutoff``, an allocation at step t
+    occupies through t + d - 1 in the worst (retained) case, so the wrapper
+    forces null on the last d - 1 steps of every stage.  Off by default in
+    experiments; a cutoff of 1 never rejects.  Refused steps skip
+    ``inner.choose`` but still reach ``inner.observe``.
     """
 
-    def __init__(self, inner, config: AlgoConfig, tail: int | None = None):
+    def __init__(self, inner, config: AlgoConfig):
         self.inner = inner
         self.config = config
-        self.tail = config.tail_cutoff if tail is None else int(tail)
         self.name = f"{inner.name}+tailguard"
 
     def reset(self, inst: Instance, rng: np.random.Generator):
@@ -542,7 +533,7 @@ class StageTailRejector:
     def choose(self, t: int, j: int):
         while t > self._ends[self._idx]:
             self._idx += 1
-        if t > self._ends[self._idx] - self.tail + 1:
+        if t > self._ends[self._idx] - self.config.tail_cutoff + 1:
             return self.inst.actions.null_action
         return self.inner.choose(t, j)
 

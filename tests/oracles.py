@@ -127,7 +127,7 @@ def lp_best_assortment(model: MnlModel, customer: int, coef) -> tuple:
     return tuple(int(i) for i in keep[tight])
 
 
-def reference_select(ws, inst, customer: int, include_current: bool = True):
+def reference_select(ws, inst, customer: int):
     """Extended-precision recomputation of the weighted argmin rule.
 
     Walks every action column of the customer's mean tables with explicit
@@ -138,12 +138,11 @@ def reference_select(ws, inst, customer: int, include_current: bool = True):
         return inst.actions.null_action
     s = ws.updates + 1
     L = ws.stage_len
-    start = s if include_current else s + 1
     C = ws.caps.size
     log_phi = np.full(C, -np.inf, dtype=np.longdouble)
     for i in range(C):
         terms = []
-        for t in range(start, L + 1):
+        for t in range(s, L + 1):
             ls = ws.log_surv[i, t - s + 1]
             lr = ws.log_resource[i, t]
             if math.isfinite(ls) and math.isfinite(lr):

@@ -192,9 +192,8 @@ def test_a5_adaptive_mechanics():
         ws = init_penalty_weights(inst, L, lam, 0.1 + 0.5 * rng.random(), config)
         acts = inst.actions.all_actions()
         for s in range(L):
-            inc = bool(rng.integers(0, 2))
             for j in range(inst.n_types):
-                assert select_action(ws, inst, j, inc) == reference_select(ws, inst, j, inc)
+                assert select_action(ws, inst, j) == reference_select(ws, inst, j)
                 states += 1
             update_penalty_weights(
                 ws, inst, int(rng.integers(0, inst.n_types)),

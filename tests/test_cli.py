@@ -242,3 +242,15 @@ class TestTrend:
         rc = main(["trend", "--scales", "1,2,3", "--reps", "0", "--policy", "null"])
         assert rc == 2
         assert capsys.readouterr().err.startswith("error: reps must be >= 1")
+
+    def test_invalid_config_rejected(self, tmp_path, capsys):
+        out = tmp_path / "trend.csv"
+        rc = main([
+            "trend", "--base-epsilon", "0.7", "--reps", "1", "--policy", "static",
+            "--scales", "1,2,3", "--out", str(out),
+        ])
+        assert rc == 2
+        cap = capsys.readouterr()
+        assert cap.err.startswith("error: config: ")
+        assert cap.err.count("\n") == 1
+        assert cap.out == "" and not out.exists()

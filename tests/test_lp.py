@@ -92,6 +92,29 @@ class TestSimplexCore:
             LinearProgram(c=[1.0], A=[[1.0]], senses=["<=", "<="], b=[1.0])
         with pytest.raises(ValueError):
             LinearProgram(c=[1.0], A=[[1.0]], senses=["<="], b=[1.0], upper=[1.0, 2.0])
+        with pytest.raises(ValueError):
+            LinearProgram(c=[1.0], A=[[1.0]], senses=["<="], b=[np.nan])
+        with pytest.raises(ValueError):
+            LinearProgram(c=[1.0], A=[[np.inf]], senses=["<="], b=[1.0])
+
+    def test_bland_tie_breaking_frozen(self):
+        # max x1 + 2 x2 + x3 has optimum 4 at (1, 1, 1) and at (0, 2, 0).  The
+        # first pivot (x1 enters, lowest index) ties rows 0 and 1 at ratio 2;
+        # Bland's lowest basic index sends row 0's slack out, and the path
+        # ends at (1, 1, 1).  Entering on the most negative reduced cost, or
+        # breaking the tie toward the highest basic index, ends at (0, 2, 0).
+        lp = LinearProgram(
+            c=[1.0, 2.0, 1.0],
+            A=[[1.0, 0.0, 1.0], [1.0, 1.0, 0.0], [0.0, 1.0, 1.0]],
+            senses=["<=", "<=", "<="],
+            b=[2.0, 2.0, 2.0],
+        )
+        sol, duals = solve_lp_with_duals(lp)
+        assert sol.status == "optimal"
+        assert sol.objective == 4.0
+        assert sol.x.tolist() == [1.0, 1.0, 1.0]
+        # every x_j basic, every slack nonbasic: row duals of that basis
+        assert duals.tolist() == [0.0, 1.0, 1.0]
 
     def test_fuzz_against_enumeration(self):
         rng = np.random.default_rng(424242)
@@ -109,14 +132,17 @@ class TestSimplexCore:
 
 class TestDuals:
     def test_strong_duality_and_signs(self):
+        # covers "==" rows (no slack; they start on an artificial) and
+        # negative right-hand sides (the row is turned around); "==" duals
+        # are free in sign
         rng = np.random.default_rng(31337)
-        checked = 0
-        while checked < 30:
+        checked = flipped = 0
+        while checked < 60:
             n = int(rng.integers(1, 5))
             m = int(rng.integers(1, 5))
             A = np.round(rng.standard_normal((m, n)), 3)
-            b = np.round(rng.uniform(0.2, 2.0, size=m), 3)
-            senses = ["<=" if rng.random() < 0.7 else ">=" for _ in range(m)]
+            b = np.round(rng.uniform(-1.0, 2.0, size=m), 3)
+            senses = [str(s) for s in rng.choice(["<=", ">=", "=="], size=m, p=[0.5, 0.3, 0.2])]
             # bounding row keeps the problem finite without variable uppers
             A = np.vstack([A, np.ones(n)])
             b = np.concatenate([b, [4.0]])
@@ -127,6 +153,7 @@ class TestDuals:
             if sol.status != "optimal":
                 continue
             checked += 1
+            flipped += "==" in senses or bool(np.any(b < 0))
             assert duals @ lp.b == pytest.approx(sol.objective, abs=1e-7)
             for s, y in zip(lp.senses, duals):
                 if s == "<=":
@@ -135,6 +162,7 @@ class TestDuals:
                     assert y <= 1e-9
             # dual feasibility: reduced costs of a max problem stay nonpositive
             assert np.all(lp.c - duals @ lp.A <= 1e-7)
+        assert flipped >= 20
 
 
 class TestSteadyStateLp:

@@ -233,10 +233,8 @@ class TestWeightWindow:
         assert ws.d_max == d_max
         acts = inst.actions.all_actions()
         for s in range(1, L + 1):
-            # the last step with include_current=False has an empty window
-            for inc in (True, False):
-                for j in range(inst.n_types):
-                    assert select_action(ws, inst, j, inc) == reference_select(ref, inst, j, inc)
+            for j in range(inst.n_types):
+                assert select_action(ws, inst, j) == reference_select(ref, inst, j)
             j = int(rng.integers(0, inst.n_types))
             k = acts[int(rng.integers(0, len(acts)))]
             update_penalty_weights(ws, inst, j, k)
@@ -258,9 +256,8 @@ class TestSelectAction:
         ws = init_penalty_weights(inst, 4, 0.2, 0.2, config)
         assert select_action(ws, inst, 0) == inst.actions.null_action
 
-    @pytest.mark.parametrize("include_current", [True, False])
-    def test_matches_reference_on_explicit_fuzz(self, include_current):
-        rng = np.random.default_rng(99 + include_current)
+    def test_matches_reference_on_explicit_fuzz(self):
+        rng = np.random.default_rng(100)
         for trial in range(25):
             inst = random_explicit_instance(rng, horizon=40)
             if inst.w_max <= 0.0:
@@ -278,8 +275,8 @@ class TestSelectAction:
             if ws.updates + 1 > L:
                 continue
             for j in range(inst.n_types):
-                got = select_action(ws, inst, j, include_current)
-                want = reference_select(ws, inst, j, include_current)
+                got = select_action(ws, inst, j)
+                want = reference_select(ws, inst, j)
                 assert got == want, (trial, j)
 
     def test_matches_reference_on_logit_customers(self):
