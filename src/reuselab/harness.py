@@ -280,29 +280,33 @@ def run_trend(
 
     epsilon shrinks inversely with scale so every run keeps the same
     exploration-stage length; ``relaxed`` sets every config's
-    ``relaxed_schedule``.  Each config is checked against its instance's
-    horizon before that scale runs (``ValueError("config: ...")``).
-    Returns (rows, report); rows carry every scale's summaries in scale
-    order.
+    ``relaxed_schedule``.  Every scale is generated, solved and its config
+    checked against its instance's horizon (``ValueError("config: ...")``)
+    before any experiment runs.  Returns (rows, report); rows carry every
+    scale's summaries in scale order.
     """
+    if reps < 1:
+        raise ValueError(f"reps must be >= 1, got {reps}")
+    if len(set(scales)) < 3:
+        raise ValueError(f"trend needs at least 3 scales, got {len(set(scales))}")
     spec = spec or GeneratorSpec(seed=base_seed)
-    rows = []
-    per_scale = {}
+    plans = []
     for s in scales:
-        sp = replace(spec, scale=s)
-        inst = generate_instance(sp)
-        eps = base_epsilon * scales[0] / s
+        inst = generate_instance(replace(spec, scale=s))
         bench = solve_benchmarks(inst)
-        gamma = scale_parameter(inst, bench.lambda_ss)
         config = AlgoConfig(
-            epsilon=eps,
-            gamma=gamma,
+            epsilon=base_epsilon * scales[0] / s,
+            gamma=scale_parameter(inst, bench.lambda_ss),
             delta=0.0,
             tail_cutoff=bench.tail_cutoff,
             seed=base_seed,
             relaxed_schedule=relaxed,
         )
         config.check(inst.horizon)
+        plans.append((s, inst, config, bench))
+    rows = []
+    per_scale = {}
+    for s, inst, config, bench in plans:
         got = run_experiment(inst, config, policies, reps=reps, benchmarks=bench)
         rows.extend(got)
         per_scale[s] = got

@@ -67,12 +67,15 @@ class MnlModel:
         if prices is None:
             prices = np.ones(n)
         self.prices = np.asarray(prices, dtype=float)
-        if self.prices.shape != (n,) or np.any(self.prices < 0):
-            raise ValueError("prices must be a nonnegative length-N vector")
+        if self.prices.shape != (n,) or not ((0 <= self.prices) & (self.prices < np.inf)).all():
+            raise ValueError("prices must be a finite nonnegative length-N vector")
         # attraction v_ij = exp(b_ij @ f_i), strictly positive
-        self.attractions = np.exp(
-            np.einsum("jnf,nf->jn", self.cust_features, self.features)
-        )
+        with np.errstate(over="ignore", invalid="ignore"):
+            self.attractions = np.exp(
+                np.einsum("jnf,nf->jn", self.cust_features, self.features)
+            )
+        if not np.isfinite(self.attractions).all():
+            raise ValueError("features and cust_features must give finite attractions exp(b @ f)")
 
     @property
     def n_products(self) -> int:
@@ -202,11 +205,12 @@ class MnlOutcomes(OutcomeModel):
         a = np.zeros(n)
         if self.customer is None or len(action) == 0:
             return w, a
-        idx = np.fromiter(action, dtype=int)
-        q = self.model.choice_probability(self.customer, action)[idx]
-        pick = int(np.searchsorted(np.cumsum(q), rng.random(), side="right"))
-        if pick < idx.size:
-            i = idx[pick]
+        # choice_probability restricted to the offered products, in order
+        v = self.model.attractions[self.customer, list(action)]
+        cum = (v / (1.0 + v.sum())).cumsum()
+        pick = int(cum.searchsorted(rng.random(), side="right"))
+        if pick < len(action):
+            i = action[pick]
             a[i] = 1.0
             w[i] = self.model.prices[i]
         return w, a

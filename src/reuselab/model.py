@@ -99,12 +99,14 @@ class SurvivalCurve:
         """Draw durations by inverse transform: D = #{u : Pr(D >= u) > U}."""
         u = rng.random(size)
         asc = self.surv[::-1]
-        d = self.surv.size - np.searchsorted(asc, u, side="right")
+        d = self.surv.size - asc.searchsorted(u, side="right")
         return d if size is not None else int(d)
 
     def violations(self, path: str = "survival") -> list[str]:
         out = []
         s = self.surv
+        if not np.isfinite(s).all():
+            return [f"{path}: entries must be finite"]
         if np.any(s < -1e-12) or np.any(s > 1.0 + 1e-12):
             out.append(f"{path}: entries must lie in [0, 1]")
         if np.any(np.diff(s) > 1e-12):
@@ -161,7 +163,9 @@ class OutcomeModel:
     reward index) and expected consumption vector (one entry per resource).
     ``sample(action, rng)`` draws one joint realization.  The realized
     consumption never exceeds ``consumption_bound(action)`` entrywise, which
-    is what the simulator's hard feasibility pre-check uses.
+    is what the simulator's hard feasibility pre-check uses.  The bound
+    must depend on the action alone (not on any state or draw): an episode
+    computes it once per (type, action) and reuses it.
     """
 
     is_null = False
@@ -231,6 +235,16 @@ class ExplicitOutcomes(OutcomeModel):
 
     def violations(self, path: str) -> list[str]:
         out = []
+        for name, table, cap in (
+            ("reward", self.rewards, self.reward_cap),
+            ("consumption", self.consumption, self.consumption_cap),
+        ):
+            if not np.isfinite(table).all():
+                out.append(f"{path}: {name} table must be finite")
+            elif not math.isfinite(cap):
+                out.append(f"{path}: {name} cap must be finite, got {cap}")
+        if out:
+            return out
         if np.any(self.rewards < 0) or np.any(self.consumption < 0):
             out.append(f"{path}: outcome means must be nonnegative")
         if np.any(self.rewards > self.reward_cap + 1e-12):
@@ -345,6 +359,7 @@ class AssortmentActions:
         self.null_action = ()
         self._actions = None
         self._membership = None
+        self._size_probs = None
 
     @property
     def size(self):
@@ -372,11 +387,13 @@ class AssortmentActions:
 
     def sample_uniform(self, rng):
         # size-weighted draw keeps the distribution uniform over all actions
-        weights = np.array(
-            [math.comb(self.n_products, sz) for sz in range(self.max_size + 1)],
-            dtype=float,
-        )
-        sz = int(rng.choice(self.max_size + 1, p=weights / weights.sum()))
+        if self._size_probs is None:
+            weights = np.array(
+                [math.comb(self.n_products, sz) for sz in range(self.max_size + 1)],
+                dtype=float,
+            )
+            self._size_probs = weights / weights.sum()
+        sz = int(rng.choice(self.max_size + 1, p=self._size_probs))
         if sz == 0:
             return ()
         return tuple(sorted(rng.choice(self.n_products, size=sz, replace=False).tolist()))
@@ -615,17 +632,21 @@ def validate_instance(inst: Instance) -> list[str]:
     if not inst.resources:
         out.append("at least one resource is required")
     for i, r in enumerate(inst.resources):
-        if not (r.capacity > 0):
-            out.append(f"resources[{i}].capacity must be positive, got {r.capacity}")
-        if r.unit_price < 0:
-            out.append(f"resources[{i}].unit_price must be nonnegative")
+        if not (0 < r.capacity < math.inf):
+            out.append(f"resources[{i}].capacity must be positive and finite, got {r.capacity}")
+        if not (0 <= r.unit_price < math.inf):
+            out.append(f"resources[{i}].unit_price must be nonnegative and finite, got {r.unit_price}")
         out.extend(r.survival.violations(f"resources[{i}].survival"))
 
     weights = inst.arrival_weights() if inst.customers else np.zeros(0)
-    if np.any(weights < -1e-12):
-        out.append("customer weights must be nonnegative")
-    if weights.size and abs(weights.sum() - 1.0) > 1e-9:
-        out.append(f"customer weights must sum to 1, got {weights.sum()!r}")
+    bad = np.flatnonzero(~np.isfinite(weights))
+    for j in bad.tolist():
+        out.append(f"customers[{j}].weight must be finite, got {weights[j]}")
+    if not bad.size:
+        if np.any(weights < -1e-12):
+            out.append("customer weights must be nonnegative")
+        if weights.size and abs(weights.sum() - 1.0) > 1e-9:
+            out.append(f"customer weights must sum to 1, got {weights.sum()!r}")
     if not (0 <= inst.null_type < len(inst.customers)):
         out.append(f"null_type index {inst.null_type} out of range")
     elif not inst.customers[inst.null_type].outcomes.is_null:

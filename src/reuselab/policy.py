@@ -282,7 +282,7 @@ class _RateTables:
 
     def sample(self, j: int, rng: np.random.Generator):
         u = rng.random()
-        idx = int(np.searchsorted(self.cum[j], u, side="right"))
+        idx = int(self.cum[j].searchsorted(u, side="right"))
         if idx >= len(self.actions[j]):
             return self.null
         return self.actions[j][idx]

@@ -19,6 +19,13 @@ outcomes, durations, policy), so paired runs over the same seed see the
 same arrival sequence no matter which policy is playing.  Outcome and
 duration draws are consumed per allocation, so those streams stay aligned
 across policies only while the policies act identically.
+
+Per-episode cache: an :class:`Episode` computes its capacity thresholds
+once and keeps each (type, action)'s ``consumption_bound`` in a dict that
+dies with the episode, since a bound depends only on the action.  The
+cache changes no draw: every step consumes the same draws in the same
+order and runs the same float arithmetic as rebuilding everything per
+step would.
 """
 
 from __future__ import annotations
@@ -69,11 +76,15 @@ class Episode:
     def __init__(self, inst: Instance):
         self.inst = inst
         self.caps = inst.capacities()
+        self._fit_caps = self.caps + 1e-9     # feasibility threshold
+        self._hard_caps = self.caps + 1e-7    # violation threshold
         self._cum_weights = np.cumsum(inst.arrival_weights())
         self.occupied = np.zeros(inst.n_resources)
         self.peak_occupied = np.zeros(inst.n_resources)
         d_max = max(r.survival.d_max for r in inst.resources)
-        self._returns = np.zeros((inst.n_resources, inst.horizon + d_max + 2))
+        # row t holds what returns at the start of step t
+        self._returns = np.zeros((inst.horizon + d_max + 2, inst.n_resources))
+        self._bounds: dict = {}
         self.step = 0
 
     def begin_step(self, t: int):
@@ -83,17 +94,22 @@ class Episode:
         if t != self.step + 1:
             raise RuntimeError(f"steps must advance by one, got {self.step} -> {t}")
         self.step = t
-        self.occupied -= self._returns[:, t]
-        self._returns[:, t] = 0.0
+        row = self._returns[t]
+        self.occupied -= row
+        row[:] = 0.0
 
     def sample_arrival(self, rng: np.random.Generator) -> int:
-        j = int(np.searchsorted(self._cum_weights, rng.random(), side="right"))
+        j = int(self._cum_weights.searchsorted(rng.random(), side="right"))
         return min(j, self.inst.n_types - 1)
 
     def feasible(self, customer: int, action) -> bool:
         """True when the action's worst-case consumption fits all capacities."""
-        bound = self.inst.customers[customer].outcomes.consumption_bound(action)
-        return bool(np.all(self.occupied + bound <= self.caps + 1e-9))
+        key = (customer, action)
+        bound = self._bounds.get(key)
+        if bound is None:
+            bound = self.inst.customers[customer].outcomes.consumption_bound(action)
+            self._bounds[key] = bound
+        return bool((self.occupied + bound <= self._fit_caps).all())
 
     def apply_action(self, customer: int, action, streams: Streams, forced: bool):
         """Sample outcomes, book durations; returns (reward, consumption, durs).
@@ -108,13 +124,13 @@ class Episode:
         w, a = om.sample(action, streams.outcomes)
         durs = {}
         t = self.step
-        for i in np.nonzero(a > 0.0)[0]:
+        for i in (a > 0.0).nonzero()[0].tolist():
             d = int(inst.resources[i].survival.sample(streams.durations))
-            durs[int(i)] = d
+            durs[i] = d
             if d > 0:
                 self.occupied[i] += a[i]
-                self._returns[i, t + d] += a[i]
-        if np.any(self.occupied > self.caps + 1e-7):
+                self._returns[t + d, i] += a[i]
+        if (self.occupied > self._hard_caps).any():
             bad = int(np.argmax(self.occupied - self.caps))
             raise CapacityViolation(
                 f"resource {bad}: occupied {self.occupied[bad]!r} "

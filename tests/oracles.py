@@ -1,8 +1,9 @@
 """Independent reference implementations used to freeze expected values.
 
 Everything here is deliberately written the slow, obvious way (enumeration,
-plain loops, extended precision) and shares no code with the package beyond
-the public data types it checks.  The one exception is
+plain loops, extended precision, every per-step quantity rebuilt per step)
+and shares no code with the package beyond the public data types it checks
+and the policies whose episodes it replays.  The one exception is
 :func:`lp_best_assortment`, a second, independent formulation of the
 assortment problem that runs on the package's simplex; A1 checks that
 simplex against :func:`lp_enumerate`.
@@ -10,13 +11,16 @@ simplex against :func:`lp_enumerate`.
 
 from __future__ import annotations
 
+import dataclasses
 import itertools
 import math
 
 import numpy as np
 
 from reuselab.lp import LinearProgram, solve_lp
-from reuselab.mnl import MnlModel
+from reuselab.mnl import MnlModel, MnlOutcomes
+from reuselab.model import AssortmentActions
+from reuselab.sim import EpisodeTrace, StepOutcome
 
 
 def lp_enumerate(lp: LinearProgram, feas_tol: float = 1e-7):
@@ -212,3 +216,114 @@ def weights_closed_form(inst, config, stage_len: int, lam: float, eps_z: float, 
     for tau in range(s):
         log_mag += (means[tau][0] / inst.w_max) * log_shrink - log_drift
     return log_res, log_mag
+
+
+def reference_duration(curve, rng) -> int:
+    """One inverse-transform duration draw, reversing the curve per call."""
+    asc = np.asarray(curve.surv, dtype=float)[::-1]
+    return int(asc.size - np.searchsorted(asc, rng.random(), side="right"))
+
+
+def reference_mnl_sample(om: MnlOutcomes, action, rng):
+    """One logit purchase, read off the full N-vector of choice probabilities."""
+    n = om.model.n_products
+    w = np.zeros(n)
+    a = np.zeros(n)
+    if om.customer is None or len(action) == 0:
+        return w, a
+    idx = np.fromiter(action, dtype=int)
+    q = om.model.choice_probability(om.customer, action)[idx]
+    pick = int(np.searchsorted(np.cumsum(q), rng.random(), side="right"))
+    if pick < idx.size:
+        i = idx[pick]
+        a[i] = 1.0
+        w[i] = om.model.prices[i]
+    return w, a
+
+
+def reference_sample_uniform(space: AssortmentActions, rng):
+    """Uniform assortment draw, rebuilding the size weights per call."""
+    weights = np.array(
+        [math.comb(space.n_products, sz) for sz in range(space.max_size + 1)],
+        dtype=float,
+    )
+    sz = int(rng.choice(space.max_size + 1, p=weights / weights.sum()))
+    if sz == 0:
+        return ()
+    return tuple(sorted(rng.choice(space.n_products, size=sz, replace=False).tolist()))
+
+
+class _RebuildingAssortments(AssortmentActions):
+    def sample_uniform(self, rng):
+        return reference_sample_uniform(self, rng)
+
+
+def reference_run_episode(inst, policy, seed: int) -> EpisodeTrace:
+    """One episode by the simulator's step protocol, with per-step records.
+
+    The same four seed substreams as the simulator (arrivals, outcomes,
+    durations, policy), a (resources x steps) return ring, and every
+    per-step quantity rebuilt on every step: the cumulative arrival
+    weights, the capacity thresholds, the chosen action's consumption
+    bound, the logit choice vector and the uniform-size weights.  A
+    policy playing an assortment space sees an equal space whose
+    uniform draw is :func:`reference_sample_uniform`.
+    """
+    arrivals, outcomes, durations, pol_rng = (
+        np.random.default_rng(c) for c in np.random.SeedSequence(seed).spawn(4)
+    )
+    if isinstance(inst.actions, AssortmentActions):
+        space = _RebuildingAssortments(inst.actions.n_products, inst.actions.max_size)
+        inst = dataclasses.replace(inst, actions=space, _mean_tables={})
+    policy.reset(inst, pol_rng)
+    C, R = inst.n_resources, inst.reward_count
+    d_max = max(r.survival.d_max for r in inst.resources)
+    returns = np.zeros((C, inst.horizon + d_max + 2))
+    occupied = np.zeros(C)
+    peak = np.zeros(C)
+    reward_total = np.zeros(R)
+    consumption_total = np.zeros(C)
+    arrival_counts = np.zeros(inst.n_types, dtype=int)
+    forced_rejects = 0
+    steps = []
+    null = inst.actions.null_action
+    for t in range(1, inst.horizon + 1):
+        occupied -= returns[:, t]
+        returns[:, t] = 0.0
+        cum = np.cumsum(inst.arrival_weights())
+        j = min(int(np.searchsorted(cum, arrivals.random(), side="right")), inst.n_types - 1)
+        arrival_counts[j] += 1
+        k = policy.choose(t, j)
+        om = inst.customers[j].outcomes
+        bound = om.consumption_bound(k)
+        forced = not bool(np.all(occupied + bound <= inst.capacities() + 1e-9))
+        executed = null if forced else k
+        durs = {}
+        if forced:
+            w, a = np.zeros(R), np.zeros(C)
+        else:
+            if isinstance(om, MnlOutcomes):
+                w, a = reference_mnl_sample(om, executed, outcomes)
+            else:
+                w, a = om.sample(executed, outcomes)
+            for i in np.nonzero(a > 0.0)[0]:
+                d = reference_duration(inst.resources[i].survival, durations)
+                durs[int(i)] = d
+                if d > 0:
+                    occupied[i] += a[i]
+                    returns[i, t + d] += a[i]
+            assert not np.any(occupied > inst.capacities() + 1e-7)
+            np.maximum(peak, occupied, out=peak)
+        policy.observe(t, j, k, forced)
+        reward_total += w
+        consumption_total += a
+        forced_rejects += int(forced)
+        steps.append(StepOutcome(t, j, k, executed, forced, w, a, durs))
+    return EpisodeTrace(
+        reward_total=reward_total,
+        consumption_total=consumption_total,
+        arrival_counts=arrival_counts,
+        forced_rejects=forced_rejects,
+        peak_occupied=peak,
+        steps=steps,
+    )

@@ -3,6 +3,7 @@ import json
 import pytest
 
 from helpers import hand_instance
+from reuselab import harness
 from reuselab.cli import main
 from reuselab.serialize import save_instance
 
@@ -32,6 +33,28 @@ class TestValidate:
             json.dump(doc, fh)
         assert main(["validate", "--instance", inst_file]) == 2
         assert "invalid" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("path, value, field", [
+        (("resources", 0, "capacity"), float("inf"), "resources[0].capacity"),
+        (("resources", 0, "unit_price"), float("nan"), "resources[0].unit_price"),
+        (("resources", 0, "survival", 1), float("nan"), "resources[0].survival"),
+        (("customers", 1, "weight"), float("nan"), "customers[1].weight"),
+        (("customers", 1, "outcomes", "rewards", 0, 1), float("nan"), "customers[1].outcomes: reward table"),
+        (("customers", 1, "outcomes", "consumption", 0, 1), float("inf"), "customers[1].outcomes: consumption table"),
+    ])
+    @pytest.mark.parametrize("command", ["validate", "solve-benchmark"])
+    def test_non_finite_field_named(self, inst_file, path, value, field, command, capsys):
+        doc = json.loads(open(inst_file).read())
+        node = doc
+        for key in path[:-1]:
+            node = node[key]
+        node[path[-1]] = value
+        with open(inst_file, "w") as fh:
+            json.dump(doc, fh)
+        assert main([command, "--instance", inst_file]) == 2
+        cap = capsys.readouterr()
+        lines = (cap.out if command == "validate" else cap.err).splitlines()
+        assert any(ln.startswith(f"invalid: {field}") and "finite" in ln for ln in lines), lines
 
     def test_missing_file(self, tmp_path, capsys):
         rc = main(["validate", "--instance", str(tmp_path / "nope.json")])
@@ -242,6 +265,19 @@ class TestTrend:
         rc = main(["trend", "--scales", "1,2,3", "--reps", "0", "--policy", "null"])
         assert rc == 2
         assert capsys.readouterr().err.startswith("error: reps must be >= 1")
+
+    @pytest.mark.parametrize("scales, err", [
+        # scale 3's 1/epsilon = 12 is no power of two; scales 1 and 2 are fine
+        ("1,2,3", "error: config: "),
+        ("1,2,2", "error: trend needs at least 3 scales"),
+    ])
+    def test_every_scale_checked_before_any_runs(self, scales, err, monkeypatch, capsys):
+        calls = []
+        monkeypatch.setattr(harness, "run_experiment", lambda *a, **k: calls.append(a))
+        rc = main(["trend", "--scales", scales, "--reps", "1", "--policy", "null"])
+        assert rc == 2
+        assert capsys.readouterr().err.startswith(err)
+        assert calls == []
 
     def test_invalid_config_rejected(self, tmp_path, capsys):
         out = tmp_path / "trend.csv"

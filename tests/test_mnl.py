@@ -5,7 +5,12 @@ import numpy as np
 import pytest
 
 from helpers import random_mnl_model, small_mnl_instance
-from oracles import enumerate_best_assortment, lp_best_assortment
+from oracles import (
+    enumerate_best_assortment,
+    lp_best_assortment,
+    reference_mnl_sample,
+    reference_sample_uniform,
+)
 from reuselab.lp import solve_steady_state, solve_steady_state_colgen
 from reuselab.mnl import (
     AssortmentTooLarge,
@@ -63,6 +68,24 @@ class TestModel:
             MnlModel(np.ones((2, 2)), np.ones((1, 2, 2)), 0)
         with pytest.raises(ValueError):
             MnlModel(np.ones((2, 2)), np.ones((1, 2, 2)), 1, prices=[-1.0, 1.0])
+
+    @pytest.mark.parametrize("field, value", [
+        ("prices", [np.nan, 1.0]),
+        ("prices", [np.inf, 1.0]),
+        ("features", [[np.nan, 1.0], [1.0, 1.0]]),
+        ("cust_features", [[[1.0, 1.0], [np.inf, 1.0]]]),
+        ("features", [[800.0, 0.0], [1.0, 1.0]]),  # exp overflows
+    ])
+    def test_rejects_non_finite_inputs(self, field, value):
+        args = {
+            "features": np.ones((2, 2)),
+            "cust_features": np.ones((1, 2, 2)),
+            "max_size": 1,
+            "prices": [1.0, 1.0],
+        }
+        args[field] = value
+        with pytest.raises(ValueError, match="finite"):
+            MnlModel(**args)
 
     def test_max_size_clipped_to_product_count(self):
         m = MnlModel(np.ones((2, 1)), np.zeros((1, 2, 1)), 5)
@@ -166,6 +189,45 @@ class TestOutcomes:
                 assert w[i] == m.prices[i]
         assert np.allclose(buys / n, q, atol=0.02)
 
+    def test_sample_is_draw_for_draw_the_full_vector_formula(self):
+        # one stream through the live sampler, a copy through the formula
+        # rebuilt per call (full N-vector, fancy index), over random
+        # assortments of every size and every customer, null included
+        model = random_mnl_model(np.random.default_rng(8), max_products=7, n_customers=3)
+        oms = [MnlOutcomes(model, c) for c in (0, 1, 2, None)]
+        pick = np.random.default_rng(9)
+        rng, ref = np.random.default_rng(10), np.random.default_rng(10)
+        for _ in range(10_000):
+            om = oms[int(pick.integers(len(oms)))]
+            size = int(pick.integers(model.max_size + 1))
+            S = tuple(sorted(pick.choice(model.n_products, size=size, replace=False).tolist()))
+            w, a = om.sample(S, rng)
+            w_ref, a_ref = reference_mnl_sample(om, S, ref)
+            assert w.tobytes() == w_ref.tobytes() and a.tobytes() == a_ref.tobytes()
+        assert rng.bit_generator.state == ref.bit_generator.state
+
+    def test_sample_picks_agree_on_the_breakpoints(self):
+        # uniforms placed exactly on the formula's cumulative probabilities
+        # (and one ulp below): any float difference flips a pick
+        class Fixed:
+            def __init__(self, u):
+                self.u = u
+
+            def random(self):
+                return self.u
+
+        model = random_mnl_model(np.random.default_rng(12), max_products=8, n_customers=2)
+        pick = np.random.default_rng(13)
+        for _ in range(300):
+            om = MnlOutcomes(model, int(pick.integers(2)))
+            size = int(pick.integers(1, model.max_size + 1))
+            S = tuple(sorted(pick.choice(model.n_products, size=size, replace=False).tolist()))
+            cum = np.cumsum(model.choice_probability(om.customer, S)[list(S)])
+            for u in np.concatenate([cum, np.nextafter(cum, 0.0)]).tolist():
+                _w, a = om.sample(S, Fixed(u))
+                _w_ref, a_ref = reference_mnl_sample(om, S, Fixed(u))
+                assert a.tobytes() == a_ref.tobytes(), (S, u)
+
     def test_sample_empty_assortment_never_buys(self):
         om = MnlOutcomes(tiny_model(), 0)
         rng = np.random.default_rng(1)
@@ -241,6 +303,14 @@ class TestAssortmentActions:
         expect = n / space.size
         for a, cnt in counts.items():
             assert abs(cnt - expect) < 5 * math.sqrt(expect), a
+
+    def test_uniform_sampling_is_draw_for_draw_the_rebuilt_weights(self):
+        for n, m in ((4, 2), (7, 3), (5, 5)):
+            space = AssortmentActions(n, m)
+            rng, ref = np.random.default_rng(n), np.random.default_rng(n)
+            for _ in range(10_000):
+                assert space.sample_uniform(rng) == reference_sample_uniform(space, ref)
+            assert rng.bit_generator.state == ref.bit_generator.state
 
     def test_membership_matrix(self):
         space = AssortmentActions(3, 2)

@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from helpers import hand_instance, random_explicit_instance, two_resource_instance
+from oracles import reference_duration
 from reuselab.model import (
     AlgoConfig,
     BadEpsilon,
@@ -50,6 +51,21 @@ class TestSurvivalCurve:
         for u in (1, 2, 3):
             assert abs(np.mean(draws >= u) - c.tail(u)) < 0.02
         assert draws.max() <= 3
+
+    def test_sample_is_draw_for_draw_the_per_call_reversal(self):
+        curves = [
+            SurvivalCurve([1.0, 0.6, 0.2]),
+            SurvivalCurve([0.5]),
+            SurvivalCurve(0.8 ** np.arange(12)),
+            SurvivalCurve([1.0, 1.0, 0.0, 0.0]),
+        ]
+        pick = np.random.default_rng(4)
+        rng, ref = np.random.default_rng(5), np.random.default_rng(5)
+        for _ in range(10_000):
+            c = curves[int(pick.integers(len(curves)))]
+            d = c.sample(rng)
+            assert type(d) is int and d == reference_duration(c, ref)
+        assert rng.bit_generator.state == ref.bit_generator.state
 
     def test_violations(self):
         assert SurvivalCurve([1.0, 0.5]).violations() == []
@@ -271,6 +287,47 @@ class TestValidateInstance:
         inst = hand_instance()
         inst.resources[0].capacity = 0.0
         assert any("capacity" in m for m in validate_instance(inst))
+
+    @pytest.mark.parametrize("field, value, where", [
+        ("capacity", math.inf, "resources[0].capacity"),
+        ("capacity", math.nan, "resources[0].capacity"),
+        ("unit_price", math.nan, "resources[0].unit_price"),
+        ("unit_price", math.inf, "resources[0].unit_price"),
+    ])
+    def test_catches_non_finite_resource_fields(self, field, value, where):
+        inst = hand_instance()
+        setattr(inst.resources[0], field, value)
+        problems = validate_instance(inst)
+        assert any(m.startswith(where) and "finite" in m for m in problems), problems
+
+    def test_catches_non_finite_survival(self):
+        inst = hand_instance()
+        inst.resources[0].survival = SurvivalCurve([1.0, math.nan])
+        assert validate_instance(inst) == ["resources[0].survival: entries must be finite"]
+
+    @pytest.mark.parametrize("value", [math.nan, math.inf])
+    def test_catches_non_finite_weight(self, value):
+        inst = hand_instance()
+        inst.customers[1].weight = value
+        assert validate_instance(inst) == [f"customers[1].weight must be finite, got {value}"]
+
+    @pytest.mark.parametrize("table, value", [
+        ("rewards", math.nan), ("rewards", math.inf),
+        ("consumption", math.nan), ("consumption", math.inf),
+    ])
+    def test_catches_non_finite_outcome_tables(self, table, value):
+        inst = hand_instance()
+        om = inst.customers[1].outcomes
+        getattr(om, table)[0, 1] = value
+        name = "reward" if table == "rewards" else "consumption"
+        problems = validate_instance(inst)
+        assert f"customers[1].outcomes: {name} table must be finite" in problems, problems
+
+    def test_catches_non_finite_outcome_cap(self):
+        inst = hand_instance()
+        inst.customers[1].outcomes.consumption_cap = math.inf
+        problems = validate_instance(inst)
+        assert "customers[1].outcomes: consumption cap must be finite, got inf" in problems
 
     def test_catches_nonzero_null_action(self):
         inst = hand_instance()

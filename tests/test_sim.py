@@ -1,8 +1,13 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
 from helpers import hand_instance, random_explicit_instance, two_resource_instance
+from oracles import reference_run_episode
+from reuselab.harness import GeneratorSpec, generate_instance, make_policy, solve_benchmarks
 from reuselab.model import (
+    AlgoConfig,
     CustomerType,
     ExplicitActions,
     ExplicitOutcomes,
@@ -10,6 +15,8 @@ from reuselab.model import (
     OutcomeModel,
     ResourceSpec,
     SurvivalCurve,
+    scale_parameter,
+    validate_instance,
     zero_outcomes,
 )
 from reuselab.policy import AlwaysNullPolicy, UniformRandomPolicy
@@ -252,3 +259,75 @@ class TestRunEpisode:
     def test_min_reward_is_worst_index(self, two_res):
         trace = run_episode(two_res, UniformRandomPolicy(), seed=3)
         assert trace.min_reward == trace.reward_total.min()
+
+
+def _trace_bytes(trace):
+    """Every StepOutcome field and every episode total, as exact bytes."""
+
+    def enc(x):
+        if isinstance(x, np.ndarray):
+            return x.dtype.str.encode() + x.tobytes()
+        return repr(x).encode()
+
+    steps = [
+        b"|".join(enc(f) for f in (
+            st.step, st.customer, st.chosen, st.executed, st.forced,
+            st.reward, st.consumption, sorted(st.durations.items()),
+        ))
+        for st in trace.steps
+    ]
+    totals = [enc(f) for f in (
+        trace.reward_total, trace.consumption_total, trace.arrival_counts,
+        trace.forced_rejects, trace.peak_occupied,
+    )]
+    return steps, totals
+
+
+def _bernoulli(inst):
+    for c in inst.customers[1:]:
+        om = c.outcomes
+        c.outcomes = ExplicitOutcomes(om.rewards, om.consumption, noise="bernoulli")
+    return replace(inst, w_max=None, a_max=None)  # re-derive the support bounds
+
+
+class TestReferenceLoop:
+    """The episode engine against the oracle loop that rebuilds every
+    per-step quantity: same draws, same floats, byte for byte."""
+
+    LABELS = ("static", "uniform", "adaptive", "hybrid5", "static+tailguard", "adaptive+tailguard")
+
+    @staticmethod
+    def instances():
+        out = [
+            generate_instance(GeneratorSpec(seed=4, base_horizon=96, n_customers=4)),
+            # capacity 3 against ~12-step durations: forced rejections
+            generate_instance(GeneratorSpec(seed=5, base_horizon=96, base_capacity=3, n_customers=3)),
+            generate_instance(GeneratorSpec(
+                seed=6, base_horizon=64, base_capacity=3, n_products=5, max_size=3, n_customers=3,
+            )),
+        ]
+        rng = np.random.default_rng(2024)
+        for k in range(4):
+            inst = random_explicit_instance(rng, horizon=48)
+            out.append(_bernoulli(inst) if k % 2 else inst)
+        return out
+
+    def test_matches_reference_byte_for_byte(self):
+        forced = {"mnl": 0, "explicit": 0}
+        for n, inst in enumerate(self.instances()):
+            bench = solve_benchmarks(inst, te_cap=0)
+            config = AlgoConfig(
+                epsilon=0.125,
+                gamma=max(scale_parameter(inst, bench.lambda_ss), 1e-3),
+                tail_cutoff=bench.tail_cutoff,
+                relaxed_schedule=True,
+            )
+            for label in self.LABELS:
+                pol = make_policy(label, inst, config, bench)
+                for seed in (1, 2):
+                    got = run_episode(inst, pol, seed, record_steps=True)
+                    want = reference_run_episode(inst, pol, seed)
+                    assert _trace_bytes(got) == _trace_bytes(want), (n, label, seed)
+                    forced["mnl" if n < 3 else "explicit"] += got.forced_rejects
+            assert validate_instance(inst) == [], n
+        assert forced["mnl"] > 0 and forced["explicit"] > 0, forced
