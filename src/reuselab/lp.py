@@ -12,17 +12,20 @@ two planning relaxations used as benchmarks and inside the adaptive policy:
 :func:`plan_rates` is the one planner: the benchmarks, the ``+saa`` rates
 and every adaptive stage LP (:func:`solve_stage_lambda`) plan through it.
 Column generation prices each type by its own outcome model's
-``best_action``.
+``best_action``; its restricted master keeps one tableau across rounds,
+appending each round's priced columns to the optimal tableau and resuming
+Bland's rule from its basis.
 
 Bland's rule is slow but deterministic and cycle-free, which is what the
 reproducibility contract needs at desk scale.  Both phases share one pivot
 routine (:func:`_pivot`) and one objective-row setup; the entering and
 leaving scans are array ops that keep Bland's pivot sequence.  Every
-optimal point is certified primal feasible against the original rows and
-bounds (duals are not checked).  Row duals are read off the reduced cost of
-each row's starting basic column (its slack or artificial); they are used
-internally by column generation but are not part of the public solution
-type.
+optimal point is certified: primal feasible against the original rows and
+bounds, and optimal by its row duals, which carry the right signs, leave
+no column a positive reduced cost and match the objective.  Row duals are
+read off the reduced cost of each row's starting basic column (its slack
+or artificial); column generation prices with them, but they are not part
+of the public solution type.
 """
 
 from __future__ import annotations
@@ -61,6 +64,7 @@ _PIV_FLOOR = 1e-12    # below this a column counts as zero
 _MAX_PIVOTS = 200_000
 
 ENUMERATION_CAP = 4096  # largest action space the dense builders will expand
+TE_TABLEAU_CAP_MB = 64  # largest dense tableau the time-expanded LP may need
 
 
 class NumericalBreakdown(RuntimeError):
@@ -72,7 +76,7 @@ class DegenerateStage(RuntimeError):
 
 
 class TooLarge(ValueError):
-    """The requested dense LP exceeds the configured variable cap."""
+    """The requested dense LP exceeds a size cap."""
 
 
 class IterationLimit(RuntimeError):
@@ -222,12 +226,112 @@ def _pivot_loop(tab, basis, banned):
     raise NumericalBreakdown(f"no convergence within {_MAX_PIVOTS} pivots")
 
 
+def _certify_optimal(A, b, senses, c, x, y, obj) -> list[str]:
+    """Optimality check of max c @ x over rows (A, senses, b), x >= 0.
+
+    ``x`` is a primal point already certified feasible, ``y`` its row duals
+    and ``obj`` the objective reported for it.  Each dual must carry its
+    row's sign ("<=" rows y >= 0, ">=" rows y <= 0, "==" rows free), every
+    column's reduced cost c - y @ A must be nonpositive, and c @ x, y @ b
+    and ``obj`` must agree: a dual-feasible y with no gap proves x optimal.
+    """
+    bad = []
+    senses = np.asarray(senses)
+    wrong = ((senses == "<=") & (y < -_RC_TOL)) | ((senses == ">=") & (y > _RC_TOL))
+    for i in np.flatnonzero(wrong):
+        bad.append(f"row {i}: dual {y[i]!r} has the wrong sign for {senses[i]!r}")
+    absy = np.abs(y)
+    rc = c - y @ A
+    over = rc > 1e-9 * (1.0 + np.abs(c) + absy @ np.abs(A))
+    for j in np.flatnonzero(over):
+        bad.append(f"column {j}: reduced cost {rc[j]!r} > 0")
+    scale = 1.0 + abs(obj)
+    for name, value, size in (
+        ("primal", c @ x, np.abs(c) @ np.abs(x)),
+        ("dual", y @ b, absy @ np.abs(b)),
+    ):
+        if abs(value - obj) > 1e-9 * (scale + size):
+            bad.append(f"{name} objective {value!r} != {obj!r}")
+    return bad
+
+
+def _canonical_tableau(A, b, senses):
+    """Starting tableau of max over rows (A, senses, b), x >= 0.
+
+    Returns (tab, basis, start, g, n_real).  Tableau row i is
+    g_i * (A_i, slack_i | b_i): the slack carries +1 on "<=" rows and -1 on
+    ">=" rows ("==" rows have none), and g_i = +-1 turns ">=" rows around,
+    then turns the row again if b_i would be < 0.  Columns: x, slacks in
+    row order (``n_real`` columns so far), then artificials in row order;
+    the objective row is left for :func:`_optimize`.  ``start[i]`` is row
+    i's starting basic column, a unit column, so ``tab[:m, start]`` is the
+    inverse of the current basis (in the g-scaled rows) after any pivots.
+    """
+    n, m = A.shape[1], b.size
+    senses = np.array(senses, dtype=str)
+    sign = np.where(senses == ">=", -1.0, 1.0)
+    g = np.where(sign * b < 0, -sign, sign)
+    has_slack = senses != "=="
+    slacks = sign[:, None] * np.eye(m)[:, has_slack]
+    # a row whose slack ends up at +1 starts with it basic; the rest get an
+    # artificial
+    need_art = ~has_slack | (g != sign)
+    n_real = n + int(has_slack.sum())
+    ncols = n_real + int(need_art.sum())
+    tab = np.zeros((m + 1, ncols + 1))
+    tab[:m, :n_real] = g[:, None] * np.hstack([A, slacks])
+    tab[:m, n_real:ncols] = np.eye(m)[:, need_art]
+    tab[:m, -1] = g * b
+    start = np.where(
+        need_art, n_real + np.cumsum(need_art) - 1, n + np.cumsum(has_slack) - 1
+    )
+    return tab, start.copy(), start, g, n_real
+
+
+def _optimize(tab, basis, banned, n_real, c):
+    """Both simplex phases of max c @ x on a canonical tableau, in place.
+
+    Returns "optimal", "infeasible" or "unbounded".  After phase 1 the
+    artificials are banned from entering again.
+    """
+    m = basis.size
+    ncols = tab.shape[1] - 1
+    if n_real < ncols:
+        # phase 1: maximize -(sum of artificials)
+        c1 = np.zeros(ncols)
+        c1[n_real:] = -1.0
+        _set_objective(tab, basis, c1)
+        _pivot_loop(tab, basis, banned)
+        if tab[m, -1] < -1e-7:
+            return "infeasible"
+        # pivot artificials out of the basis where a real pivot exists
+        for i in np.flatnonzero(basis >= n_real):
+            cand = np.flatnonzero(np.abs(tab[i, :n_real]) > _PIV_TOL)
+            if cand.size:
+                _pivot(tab, basis, i, int(cand[0]))
+        banned[n_real:] = True
+
+    c2 = np.zeros(ncols)
+    c2[: c.size] = c
+    _set_objective(tab, basis, c2)
+    return _pivot_loop(tab, basis, banned)
+
+
+def _basic_point(tab, basis):
+    """Values of every tableau column at the current basis."""
+    xfull = np.zeros(tab.shape[1] - 1)
+    xfull[basis] = tab[: basis.size, -1]
+    return xfull
+
+
 def _solve_canonical(lp: LinearProgram):
     """Two-phase simplex; returns (status, objective, x, row_duals).
 
     Row duals are with respect to the original rows (sign convention: at an
     optimum, duals y satisfy y @ b == objective and c - y @ A <= 0, so "<="
-    rows carry y >= 0 and ">=" rows carry y <= 0 for a max problem).
+    rows carry y >= 0 and ">=" rows carry y <= 0 for a max problem).  An
+    optimum is certified primal feasible against the original rows and
+    bounds, and dual feasible with zero gap on the bound-augmented system.
     """
     n = lp.n_vars
     lower = lp.lower if lp.lower is not None else np.zeros(n)
@@ -242,63 +346,27 @@ def _solve_canonical(lp: LinearProgram):
         A = np.vstack([A, np.eye(n)[boxed]])
         b = np.concatenate([b, lp.upper[boxed] - lower[boxed]])
         senses += ["<="] * boxed.size
-    m = b.size
-    senses = np.array(senses, dtype=str)
-
-    # tableau row i is g_i * (A_i, slack_i | b_i): the slack carries +1 on
-    # "<=" rows and -1 on ">=" rows ("==" rows have none), and g_i = +-1
-    # turns ">=" rows around, then turns the row again if b_i would be < 0
-    sign = np.where(senses == ">=", -1.0, 1.0)
-    g = np.where(sign * b < 0, -sign, sign)
-    has_slack = senses != "=="
-    slacks = sign[:, None] * np.eye(m)[:, has_slack]
-    # a row whose slack ends up at +1 starts with it basic; the rest get an
-    # artificial.  Columns: x, slacks in row order, artificials in row order.
-    need_art = ~has_slack | (g != sign)
-    n_real = n + int(has_slack.sum())
-    ncols = n_real + int(need_art.sum())
-    tab = np.zeros((m + 1, ncols + 1))
-    tab[:m, :n_real] = g[:, None] * np.hstack([A, slacks])
-    tab[:m, n_real:ncols] = np.eye(m)[:, need_art]
-    tab[:m, -1] = g * b
-    start = np.where(
-        need_art, n_real + np.cumsum(need_art) - 1, n + np.cumsum(has_slack) - 1
-    )
-    basis = start.copy()
-    banned = np.zeros(ncols, dtype=bool)
-
-    if n_real < ncols:
-        # phase 1: maximize -(sum of artificials)
-        c1 = np.zeros(ncols)
-        c1[n_real:] = -1.0
-        _set_objective(tab, basis, c1)
-        _pivot_loop(tab, basis, banned)
-        if tab[m, -1] < -1e-7:
-            return "infeasible", math.nan, None, None
-        # pivot artificials out of the basis where a real pivot exists
-        for i in np.flatnonzero(basis >= n_real):
-            cand = np.flatnonzero(np.abs(tab[i, :n_real]) > _PIV_TOL)
-            if cand.size:
-                _pivot(tab, basis, i, int(cand[0]))
-        banned[n_real:] = True
-
-    c2 = np.zeros(ncols)
-    c2[:n] = lp.c
-    _set_objective(tab, basis, c2)
-    if _pivot_loop(tab, basis, banned) == "unbounded":
+    tab, basis, start, g, n_real = _canonical_tableau(A, b, senses)
+    banned = np.zeros(tab.shape[1] - 1, dtype=bool)
+    status = _optimize(tab, basis, banned, n_real, lp.c)
+    if status == "infeasible":
+        return "infeasible", math.nan, None, None
+    if status == "unbounded":
         return "unbounded", math.inf, None, None
 
-    xfull = np.zeros(ncols)
-    xfull[basis] = tab[:m, -1]
-    x = xfull[:n] + lower
+    xs = _basic_point(tab, basis)[:n]
+    x = xs + lower
     bad = _certify(lp, x)
     if bad:
         raise NumericalBreakdown("optimal basis failed certification: " + "; ".join(bad))
-
     # the start column of row i is +1 there and 0 elsewhere, so its reduced
     # cost is the tableau row's dual; g maps it back to the original row
-    duals = (g * tab[m, start])[: lp.n_rows]
-    return "optimal", float(tab[m, -1] + shift), x, duals
+    m = b.size
+    duals = g * tab[m, start]
+    bad = _certify_optimal(A, b, senses, lp.c, xs, duals, tab[m, -1])
+    if bad:
+        raise NumericalBreakdown("optimal duals failed certification: " + "; ".join(bad))
+    return "optimal", float(tab[m, -1] + shift), x, duals[: lp.n_rows]
 
 
 def solve_lp(lp: LinearProgram) -> LpSolution:
@@ -442,8 +510,10 @@ def build_time_expanded_lp(inst: Instance, p, cap: int = 20_000):
     """LP over per-step rates y_{jk}(t) with exact in-flight occupancy rows.
 
     Variable order is (t, j, k) with t outermost and the worst-total
-    variable last.  Size T*J*K must not exceed ``cap`` (raises
-    :class:`TooLarge`).  Returns (LinearProgram, actions list).
+    variable last.  Size T*J*K must not exceed ``cap``, and the simplex
+    tableau it needs must not exceed ``TE_TABLEAU_CAP_MB`` (either raises
+    :class:`TooLarge` before anything is allocated).  Returns
+    (LinearProgram, actions list).
     """
     p = np.asarray(p, dtype=float)
     T, J = inst.horizon, inst.n_types
@@ -455,6 +525,13 @@ def build_time_expanded_lp(inst: Instance, p, cap: int = 20_000):
     if nvar > cap:
         raise TooLarge(f"time-expanded LP has {nvar} rate variables, cap is {cap}")
     R, C = inst.reward_count, inst.n_resources
+    m = R + C * T + J * T
+    # every row is an inequality with rhs >= 0: one slack each, no artificial
+    mb = (m + 1) * (nvar + 1 + m + 1) * 8 / 1e6
+    if mb > TE_TABLEAU_CAP_MB:
+        raise TooLarge(
+            f"time-expanded LP needs a {mb:.0f} MB tableau, cap is {TE_TABLEAU_CAP_MB} MB"
+        )
 
     W = np.zeros((J, R, K))
     Acons = np.zeros((J, C, K))
@@ -464,7 +541,6 @@ def build_time_expanded_lp(inst: Instance, p, cap: int = 20_000):
     pa = (p[:, None, None] * Acons).transpose(1, 0, 2).reshape(C, J * K)
     surv = inst.survival_matrix(T)
 
-    m = R + C * T + J * T
     A = np.zeros((m, nvar + 1))
     b = np.zeros(m)
     senses = [">="] * R + ["<="] * (C * T) + ["<="] * (J * T)
@@ -541,15 +617,25 @@ def solve_steady_state_colgen(
     """Steady-state LP by column generation.
 
     The restricted master starts with one null column per type.  Each round
-    solves the master, prices one candidate column per type against the
-    master duals, and adds those with reduced cost above ``rc_tol``.  Stops
-    when no column improves; raises :class:`IterationLimit` (carrying the
-    incumbent) after ``max_rounds``.  ``pricing(j, alpha, rho)`` returns
-    (action, mean rewards, mean consumption); by default each type's own
-    outcome model prices it through ``best_action``.
+    prices one candidate column per type against the master duals and adds
+    those with reduced cost above ``rc_tol``.  Stops when no column
+    improves; raises :class:`IterationLimit` (carrying the incumbent) after
+    ``max_rounds`` masters.  ``pricing(j, alpha, rho)`` returns (action,
+    mean rewards, mean consumption); by default each type's own outcome
+    model prices it through ``best_action``.
+
+    The master keeps one simplex tableau for the whole run: the first
+    master is solved from scratch, and each later round appends its priced
+    columns to the optimal tableau and resumes Bland's rule from the
+    current basis.  The answer, and the incumbent of an
+    :class:`IterationLimit`, is certified primal and dual against the
+    master LP rebuilt over its columns.
     """
+    if max_rounds < 1:
+        raise ValueError("max_rounds must be at least 1")
     p = np.asarray(p, dtype=float)
     R, C, J = inst.reward_count, inst.n_resources, inst.n_types
+    m = R + C + J
     d = inst.durations()
     if pricing is None:
         def pricing(j, alpha, rho):
@@ -560,30 +646,57 @@ def solve_steady_state_colgen(
     null = inst.actions.null_action
     columns = [(j, null) for j in range(J)]
     colset = set(columns)
-    sol = None
-    for _ in range(max_rounds):
-        lp, cols = build_steady_state_lp(inst, p, columns=columns)
-        lpsol, duals = solve_lp_with_duals(lp)
-        if lpsol.status != "optimal":
-            raise NumericalBreakdown(f"restricted master came back {lpsol.status}")
-        x = {c: float(v) for c, v in zip(cols, lpsol.x[:-1]) if v > 1e-12}
-        sol = SteadyStateSolution(float(lpsol.objective), x)
+    lp, _ = build_steady_state_lp(inst, p, columns=columns)
+    tab, basis, start, g, n_real = _canonical_tableau(lp.A, lp.b, lp.senses)
+    banned = np.zeros(tab.shape[1] - 1, dtype=bool)
+    status = _optimize(tab, basis, banned, n_real, lp.c)
+    # tableau columns: null columns, the worst-rate variable, slacks and
+    # artificials, then every added column in the order it was priced
+    n_start = banned.size
+    for rnd in range(max_rounds):
+        if status != "optimal":
+            raise NumericalBreakdown(f"restricted master came back {status}")
+        duals = g * tab[m, start]
         rho = np.maximum(-duals[:R], 0.0)        # ">=" rows carry y <= 0
         alpha = np.maximum(duals[R : R + C], 0.0)
-        beta = duals[R + C : R + C + J]
-        improved = False
+        beta = duals[R + C :]
+        new = []
         for j in range(J):
             if p[j] <= 1e-15:
                 continue
             action, wcol, acol = pricing(j, alpha, rho)
             rc = p[j] * (rho @ wcol - (alpha * d) @ acol) - beta[j]
             if rc > rc_tol and (j, action) not in colset:
-                columns.append((j, action))
+                col = np.zeros(m)
+                col[:R] = p[j] * wcol
+                col[R : R + C] = p[j] * acol * d
+                col[R + C + j] = 1.0
+                new.append(((j, action), col))
                 colset.add((j, action))
-                improved = True
-        if not improved:
-            return sol
-    raise IterationLimit(f"no convergence in {max_rounds} rounds", incumbent=sol)
+        if not new or rnd == max_rounds - 1:
+            break
+        # tab[:, start] maps a column of the g-scaled rows to its tableau
+        # column, objective entry included (the added columns cost nothing)
+        cols = g[:, None] * np.column_stack([col for _key, col in new])
+        tab = np.hstack([tab[:, :-1], tab[:, start] @ cols, tab[:, -1:]])
+        banned = np.concatenate([banned, np.zeros(len(new), dtype=bool)])
+        columns += [key for key, _col in new]
+        status = _pivot_loop(tab, basis, banned)
+
+    xfull = _basic_point(tab, basis)
+    x = np.concatenate([xfull[:J], xfull[n_start:], xfull[J : J + 1]])
+    lp, _ = build_steady_state_lp(inst, p, columns=columns)
+    bad = _certify(lp, x) or _certify_optimal(
+        lp.A, lp.b, lp.senses, lp.c, x, duals, tab[m, -1]
+    )
+    if bad:
+        raise NumericalBreakdown("restricted master failed certification: " + "; ".join(bad))
+    rates = {c: float(v) for c, v in zip(columns, x[:-1]) if v > 1e-12}
+    # + 0.0 reports a -0.0 optimum as 0.0, as solve_lp does
+    sol = SteadyStateSolution(float(tab[m, -1] + 0.0), rates)
+    if new:
+        raise IterationLimit(f"no convergence in {max_rounds} rounds", incumbent=sol)
+    return sol
 
 
 def dump_lp(lp: LinearProgram) -> str:

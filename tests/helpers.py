@@ -167,3 +167,19 @@ def small_mnl_instance(horizon: int = 48, seed: int = 7) -> Instance:
         horizon=horizon,
         arrival_weights=[0.4, 0.35, 0.25],
     )
+
+
+def wide_logit_instance(n_products: int, max_size: int = 5, seed: int = 3) -> Instance:
+    """Two logit customers plus null over every assortment of up to
+    ``max_size`` of ``n_products`` products: with 15 products and size 5
+    that is 4944 actions, past the enumeration cap."""
+    rng = np.random.default_rng(seed)
+    n, J = n_products, 2
+    model = MnlModel(
+        rng.standard_normal((n, 2)), rng.standard_normal((J, n, 2)), max_size,
+        rng.uniform(1.0, 2.0, n),
+    )
+    weights = np.concatenate([rng.dirichlet(np.ones(J)) * 0.8, [0.2]])
+    return build_mnl_instance(
+        model, np.full(n, 3.0), [SurvivalCurve([1.0, 0.5])] * n, 40, weights
+    )

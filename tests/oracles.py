@@ -3,10 +3,12 @@
 Everything here is deliberately written the slow, obvious way (enumeration,
 plain loops, extended precision, every per-step quantity rebuilt per step)
 and shares no code with the package beyond the public data types it checks
-and the policies whose episodes it replays.  The one exception is
+and the policies whose episodes it replays.  The exceptions are
 :func:`lp_best_assortment`, a second, independent formulation of the
-assortment problem that runs on the package's simplex; A1 checks that
-simplex against :func:`lp_enumerate`.
+assortment problem that runs on the package's simplex, and
+:func:`cold_colgen`, column generation that re-solves every restricted
+master from scratch on it; A1 checks that simplex against
+:func:`lp_enumerate`.
 """
 
 from __future__ import annotations
@@ -17,7 +19,15 @@ import math
 
 import numpy as np
 
-from reuselab.lp import LinearProgram, solve_lp
+from reuselab.lp import (
+    IterationLimit,
+    LinearProgram,
+    NumericalBreakdown,
+    SteadyStateSolution,
+    build_steady_state_lp,
+    solve_lp,
+    solve_lp_with_duals,
+)
 from reuselab.mnl import MnlModel, MnlOutcomes
 from reuselab.model import AssortmentActions
 from reuselab.sim import EpisodeTrace, StepOutcome
@@ -129,6 +139,51 @@ def lp_best_assortment(model: MnlModel, customer: int, coef) -> tuple:
         tight = np.zeros(m, dtype=bool)
         tight[np.argsort(-ratio)[: model.max_size]] = True
     return tuple(int(i) for i in keep[tight])
+
+
+def cold_colgen(inst, p, pricing=None, max_rounds: int = 500, rc_tol: float = 1e-7):
+    """Column generation that rebuilds and re-solves every restricted master.
+
+    Same rounds, pricing and stopping rule as
+    :func:`reuselab.lp.solve_steady_state_colgen`, but each round builds the
+    master LP over the columns so far and solves it from the all-slack basis.
+    """
+    p = np.asarray(p, dtype=float)
+    R, C, J = inst.reward_count, inst.n_resources, inst.n_types
+    d = inst.durations()
+    if pricing is None:
+        def pricing(j, alpha, rho):
+            om = inst.customers[j].outcomes
+            k = om.best_action(inst.actions, alpha * d, rho)
+            return (k, *om.means(k))
+
+    null = inst.actions.null_action
+    columns = [(j, null) for j in range(J)]
+    colset = set(columns)
+    sol = None
+    for _ in range(max_rounds):
+        lp, cols = build_steady_state_lp(inst, p, columns=columns)
+        lpsol, duals = solve_lp_with_duals(lp)
+        if lpsol.status != "optimal":
+            raise NumericalBreakdown(f"restricted master came back {lpsol.status}")
+        x = {c: float(v) for c, v in zip(cols, lpsol.x[:-1]) if v > 1e-12}
+        sol = SteadyStateSolution(float(lpsol.objective), x)
+        rho = np.maximum(-duals[:R], 0.0)
+        alpha = np.maximum(duals[R : R + C], 0.0)
+        beta = duals[R + C : R + C + J]
+        improved = False
+        for j in range(J):
+            if p[j] <= 1e-15:
+                continue
+            action, wcol, acol = pricing(j, alpha, rho)
+            rc = p[j] * (rho @ wcol - (alpha * d) @ acol) - beta[j]
+            if rc > rc_tol and (j, action) not in colset:
+                columns.append((j, action))
+                colset.add((j, action))
+                improved = True
+        if not improved:
+            return sol
+    raise IterationLimit(f"no convergence in {max_rounds} rounds", incumbent=sol)
 
 
 def reference_select(ws, inst, customer: int):

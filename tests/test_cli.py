@@ -5,6 +5,7 @@ import pytest
 from helpers import hand_instance
 from reuselab import harness
 from reuselab.cli import main
+from reuselab.harness import GeneratorSpec, generate_instance
 from reuselab.serialize import save_instance
 
 
@@ -139,6 +140,13 @@ class TestSolveBenchmark:
         rc = main(["solve-benchmark", "--instance", inst_file, "--te-cap", "3"])
         assert rc == 0
         assert "skipped" in capsys.readouterr().out
+
+    def test_tableau_cap_skips(self, tmp_path, capsys):
+        # under the default variable cap, over the tableau cap (244 MB)
+        path = tmp_path / "long.json"
+        save_instance(path, generate_instance(GeneratorSpec(base_horizon=200, n_customers=5)))
+        assert main(["solve-benchmark", "--instance", str(path)]) == 0
+        assert "time-expanded rate: skipped (over the size cap)" in capsys.readouterr().out
 
 
 class TestSimulate:

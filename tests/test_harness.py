@@ -1,4 +1,5 @@
 import math
+import time
 
 import numpy as np
 import pytest
@@ -73,6 +74,16 @@ class TestBenchmarks:
         bench = solve_benchmarks(hand, te_cap=3)
         assert bench.lambda_te is None
         assert bench.upper_bound == pytest.approx(hand.horizon * bench.lambda_ss)
+
+    def test_time_expanded_skipped_over_tableau_cap(self):
+        # 13,201 variables pass the variable cap, but with 2,004 rows the
+        # dense tableau would take 244 MB and the solve minutes
+        inst = generate_instance(GeneratorSpec(base_horizon=200, n_customers=5))
+        start = time.perf_counter()
+        bench = solve_benchmarks(inst)
+        assert time.perf_counter() - start < 20.0
+        assert bench.lambda_te is None
+        assert bench.lambda_ss > 0.0
 
     def test_explicit_arrival_override(self, hand):
         bench = solve_benchmarks(hand, p=[0.5, 0.5])

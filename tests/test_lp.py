@@ -1,12 +1,20 @@
 import numpy as np
 import pytest
 
-from helpers import hand_instance, random_boxed_lp, random_explicit_instance
-from oracles import lp_enumerate
+from helpers import (
+    hand_instance,
+    random_boxed_lp,
+    random_explicit_instance,
+    small_mnl_instance,
+    wide_logit_instance,
+)
+from oracles import cold_colgen, lp_enumerate
+from reuselab import lp as lp_module
 from reuselab.lp import (
     DegenerateStage,
     IterationLimit,
     LinearProgram,
+    NumericalBreakdown,
     TooLarge,
     build_steady_state_lp,
     build_time_expanded_lp,
@@ -18,7 +26,8 @@ from reuselab.lp import (
     solve_steady_state_colgen,
     solve_time_expanded,
 )
-from reuselab.lp import solve_lp_with_duals
+from reuselab.lp import _certify_optimal, solve_lp_with_duals
+from reuselab.mnl import make_assortment_pricing
 
 
 class TestSimplexCore:
@@ -164,6 +173,39 @@ class TestDuals:
             assert np.all(lp.c - duals @ lp.A <= 1e-7)
         assert flipped >= 20
 
+    def test_optimality_check_names_each_fault(self):
+        # max x1 + x2 s.t. x1 + x2 <= 1, x1 >= 0.25: optimum 1 at (1, 0),
+        # duals (1, 0)
+        A = np.array([[1.0, 1.0], [1.0, 0.0]])
+        b = np.array([1.0, 0.25])
+        senses = ["<=", ">="]
+        c = np.array([1.0, 1.0])
+        x = np.array([1.0, 0.0])
+
+        def faults(x, y, obj):
+            return _certify_optimal(A, b, senses, c, x, np.array(y), obj)
+
+        assert faults(x, [1.0, 0.0], 1.0) == []
+        sign, gap = faults(x, [1.0, 0.5], 1.0)
+        assert "wrong sign" in sign and "dual objective" in gap
+        *rcs, gap = faults(x, [0.5, 0.0], 1.0)
+        assert len(rcs) == 2 and all("reduced cost" in f for f in rcs)
+        assert "dual objective" in gap
+        (gap,) = faults(np.array([0.25, 0.0]), [1.0, 0.0], 1.0)
+        assert "primal objective" in gap
+        assert len(faults(x, [1.0, 0.0], 1.5)) == 2
+
+    def test_premature_optimum_is_refused(self, monkeypatch):
+        # a pivot loop that stops at once leaves a feasible but suboptimal
+        # vertex: primal certification passes, the dual check must not
+        monkeypatch.setattr(lp_module, "_pivot_loop", lambda tab, basis, banned: "optimal")
+        lp = LinearProgram(c=[1.0, 1.0], A=[[1.0, 1.0]], senses=["<="], b=[1.0])
+        with pytest.raises(NumericalBreakdown, match="reduced cost"):
+            solve_lp(lp)
+        hand = hand_instance()
+        with pytest.raises(NumericalBreakdown, match="reduced cost"):
+            solve_steady_state_colgen(hand, hand.arrival_weights())
+
 
 class TestSteadyStateLp:
     def test_hand_value(self, hand):
@@ -229,6 +271,16 @@ class TestTimeExpandedLp:
         with pytest.raises(TooLarge):
             build_time_expanded_lp(hand, hand.arrival_weights(), cap=3)
 
+    def test_tableau_cap(self):
+        # at T = 1000 the 4000 rate variables pass the variable cap, but
+        # 3001 rows make a 3002 x 7003 tableau: 168 MB
+        inst = hand_instance(200)
+        p = inst.arrival_weights()
+        build_time_expanded_lp(inst, p)
+        inst = hand_instance(1000)
+        with pytest.raises(TooLarge, match="168 MB tableau"):
+            build_time_expanded_lp(inst, p)
+
 
 class TestColumnGeneration:
     def test_matches_dense_on_fixtures(self, hand, two_res):
@@ -246,6 +298,53 @@ class TestColumnGeneration:
             dense = solve_steady_state(inst, p)
             cg = solve_steady_state_colgen(inst, p, pricing=enumeration_pricing(inst))
             assert cg.lambda_ == pytest.approx(dense.lambda_, abs=1e-8)
+
+    def test_warm_master_matches_cold_reference(self):
+        # the warm master pivots in another order than a cold re-solve, so
+        # the optimum agrees to rounding, not bit for bit
+        def check(inst, p, pricing=None):
+            warm = solve_steady_state_colgen(inst, p, pricing=pricing)
+            cold = cold_colgen(inst, p, pricing=pricing)
+            assert warm.lambda_ == pytest.approx(cold.lambda_, rel=1e-12, abs=1e-300)
+            assert warm.violations(inst, p) == []
+            return warm
+
+        rng = np.random.default_rng(77)
+        for _ in range(8):
+            inst = random_explicit_instance(rng)
+            check(inst, inst.arrival_weights(), enumeration_pricing(inst))
+            # a type that never arrives is never priced
+            p = inst.arrival_weights().copy()
+            p[0] = 0.0
+            p /= p.sum()
+            sol = check(inst, p, enumeration_pricing(inst))
+            assert all(j != 0 or k == inst.actions.null_action for j, k in sol.x)
+        mnl = small_mnl_instance()
+        model = next(c.outcomes.model for c in mnl.customers if not c.outcomes.is_null)
+        check(mnl, mnl.arrival_weights())
+        check(mnl, mnl.arrival_weights(), make_assortment_pricing(model, mnl.durations()))
+        wide = wide_logit_instance(15)
+        assert wide.actions.size == 4944
+        assert check(wide, wide.arrival_weights()).lambda_ > 0.0
+
+    def test_matches_highs_over_every_column(self):
+        optimize = pytest.importorskip("scipy.optimize")
+        inst = wide_logit_instance(16)  # 6885 assortments of up to 5 products
+        p = inst.arrival_weights()
+        cg = solve_steady_state_colgen(inst, p)
+        every = [(j, k) for j in range(inst.n_types) for k in inst.actions.all_actions()]
+        full, _ = build_steady_state_lp(inst, p, columns=every)
+        flip = np.where(np.asarray(full.senses) == ">=", -1.0, 1.0)
+        ref = optimize.linprog(
+            -full.c, A_ub=flip[:, None] * full.A, b_ub=flip * full.b,
+            bounds=(0, None), method="highs",
+        )
+        assert ref.status == 0
+        assert cg.lambda_ == pytest.approx(-ref.fun, abs=1e-7)
+
+    def test_round_cap_must_allow_a_master(self, two_res):
+        with pytest.raises(ValueError):
+            solve_steady_state_colgen(two_res, two_res.arrival_weights(), max_rounds=0)
 
     def test_round_cap_carries_incumbent(self, two_res):
         with pytest.raises(IterationLimit) as exc:
