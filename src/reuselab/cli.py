@@ -118,7 +118,9 @@ def _resolve_config(args, inst, benchmarks) -> AlgoConfig:
 def _policy_labels(args) -> list[str]:
     labels = [s.strip() for s in args.policy.split(",") if s.strip()]
     m = getattr(args, "saa_sample", None)
-    if m:
+    if m is not None:
+        if m < 1:
+            raise ValueError(f"--saa-sample must be >= 1, got {m}")
         labels = [_with_saa(n, m) for n in labels]
     return labels
 

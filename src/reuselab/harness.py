@@ -158,6 +158,8 @@ def make_policy(name: str, inst: Instance, config: AlgoConfig, benchmarks: Bench
         raise ValueError(f"unknown policy label {name!r}")
     base = m.group("base")
     saa = int(m.group("saa")) if m.group("saa") else None
+    if saa is not None and saa < 1:
+        raise ValueError(f"policy label {name!r}: +saa needs at least one draw")
 
     def saa_rates():
         rng = np.random.default_rng(np.random.SeedSequence([config.seed, 101]))

@@ -19,7 +19,21 @@ Bland's rule from its basis.
 Bland's rule is slow but deterministic and cycle-free, which is what the
 reproducibility contract needs at desk scale.  Both phases share one pivot
 routine (:func:`_pivot`) and one objective-row setup; the entering and
-leaving scans are array ops that keep Bland's pivot sequence.  Every
+leaving scans are array ops that keep Bland's pivot sequence, and a pivot
+loop allocates its scratch (including the rank-one update buffer) once.
+
+Only an LP's live block goes on the tableau (:func:`_live_block`, a
+standard presolve step): the rows and columns reachable over the nonzero
+pattern of A from the columns of nonzero cost and the rows that need an
+artificial.  The rest, zero-cost columns confined to rows whose slack
+starts basic at a value >= 0 (the null customer type in every generated
+instance), is never touched by a pivot: an entering column is live, hence
+zero on inert rows, and the pivot row is live.  So inert columns keep
+reduced cost exactly 0 and never enter, live columns keep their relative
+order, and Bland's rule takes the same pivots with the same floats; they
+come back as x = 0 with row duals 0.  Only a phase 1 sees a difference:
+its objective row is a BLAS product, which may round differently on the
+smaller matrix (no LP built here needs a phase 1).  Every
 optimal point is certified: primal feasible against the original rows and
 bounds, and optimal by its row duals, which carry the right signs, leave
 no column a positive reduced cost and match the objective.  Row duals are
@@ -170,13 +184,19 @@ def _certify(lp: LinearProgram, x: np.ndarray) -> list[str]:
     return bad
 
 
-def _pivot(tab, basis, row, col):
-    """Gauss-Jordan pivot on (row, col); col becomes basic in row."""
+def _pivot(tab, basis, row, col, buf):
+    """Gauss-Jordan pivot on (row, col); col becomes basic in row.
+
+    ``buf`` is caller-owned scratch of the tableau's shape: the rank-one
+    update is written there and subtracted, so a pivot allocates nothing
+    tableau-sized.
+    """
     piv = tab[row, col]
     tab[row] /= piv
     colvals = tab[:, col].copy()
     colvals[row] = 0.0
-    tab -= np.outer(colvals, tab[row])
+    np.multiply(colvals[:, None], tab[row], out=buf)
+    tab -= buf
     tab[:, col] = 0.0
     tab[row, col] = 1.0
     basis[row] = col
@@ -196,33 +216,42 @@ def _pivot_loop(tab, basis, banned):
     tab has one row per basis entry plus the objective row (z_j - c_j | z)
     at the bottom; the rightmost column is the rhs.  Entering: lowest-index
     column with reduced cost < -tol.  Leaving: min-ratio row, ties by lowest
-    basic variable index.  Columns in ``banned`` never enter.
+    basic variable index.  Columns in ``banned`` never enter.  The scratch
+    arrays (eligibility mask, ratios, pivot buffer) are allocated once per
+    call.
     """
     m = basis.size
+    if not banned.size:
+        return "optimal"
+    allowed = ~banned
+    eligible = np.empty(banned.size, dtype=bool)
+    good = np.empty(m, dtype=bool)
+    ratios = np.empty(m)
+    buf = np.empty_like(tab)
+    reduced, rhs = tab[m, :-1], tab[:m, -1]
     shaky = 0
     for _ in range(_MAX_PIVOTS):
-        eligible = (tab[m, :-1] < -_RC_TOL) & ~banned
+        np.less(reduced, -_RC_TOL, out=eligible)
+        eligible &= allowed
         enter = int(eligible.argmax())
         if not eligible[enter]:
             return "optimal"
         col = tab[:m, enter]
-        good = col > _PIV_TOL
+        np.greater(col, _PIV_TOL, out=good)
         if not good.any():
-            weak = col > _PIV_FLOOR
-            if not weak.any():
+            np.greater(col, _PIV_FLOOR, out=good)
+            if not good.any():
                 return "unbounded"
             shaky += 1
             if shaky > 50:
                 raise NumericalBreakdown(
                     "repeated pivots below magnitude 1e-9; tableau unreliable"
                 )
-            good = weak
-        rhs = tab[:m, -1]
-        ratios = np.full(m, np.inf)
-        ratios[good] = rhs[good] / col[good]
+        ratios.fill(np.inf)
+        np.divide(rhs, col, out=ratios, where=good)
         rmin = ratios.min()
         tied = np.flatnonzero(ratios <= rmin * (1 + 1e-10) + 1e-15)
-        _pivot(tab, basis, int(tied[basis[tied].argmin()]), enter)
+        _pivot(tab, basis, int(tied[basis[tied].argmin()]), enter, buf)
     raise NumericalBreakdown(f"no convergence within {_MAX_PIVOTS} pivots")
 
 
@@ -255,27 +284,63 @@ def _certify_optimal(A, b, senses, c, x, y, obj) -> list[str]:
     return bad
 
 
+def _row_signs(b, senses):
+    """(sign, g, need_art) of rows (senses, b).
+
+    ``sign`` is -1 on ">=" rows and +1 elsewhere, the sign of the row's
+    slack; ``g = +-1`` turns ">=" rows around, then turns the row again if
+    its rhs would be < 0.  A row needs an artificial unless its slack ends
+    up at +1 with a rhs >= 0: "==" rows and rows whose rhs was turned.
+    """
+    sign = np.where(senses == ">=", -1.0, 1.0)
+    g = np.where(sign * b < 0, -sign, sign)
+    need_art = (senses == "==") | (g != sign)
+    return sign, g, need_art
+
+
+def _live_block(A, c, need_art):
+    """Row and column masks of the block a Bland path can touch.
+
+    The block is seeded with every column of nonzero cost and every row
+    that needs an artificial, then closed over the nonzero pattern of A: a
+    row touching a live column is live, and so is a column touching a live
+    row.  The rest is inert: zero-cost columns confined to rows whose slack
+    starts basic at a value >= 0.  An entering live column is zero on every
+    inert row and the pivot row is live, so no pivot changes an inert row or
+    column; inert columns keep reduced cost exactly 0 and never enter, and
+    live columns keep their relative order, so Bland's rule takes the same
+    pivots on the live block alone.
+    """
+    nz = A != 0.0
+    rows, cols = need_art.copy(), c != 0.0
+    new_rows, new_cols = rows.copy(), cols.copy()
+    while new_rows.any() or new_cols.any():
+        new_rows, new_cols = (
+            nz[:, new_cols].any(axis=1) & ~rows,
+            nz[new_rows].any(axis=0) & ~cols,
+        )
+        rows |= new_rows
+        cols |= new_cols
+    return rows, cols
+
+
 def _canonical_tableau(A, b, senses):
     """Starting tableau of max over rows (A, senses, b), x >= 0.
 
     Returns (tab, basis, start, g, n_real).  Tableau row i is
-    g_i * (A_i, slack_i | b_i): the slack carries +1 on "<=" rows and -1 on
-    ">=" rows ("==" rows have none), and g_i = +-1 turns ">=" rows around,
-    then turns the row again if b_i would be < 0.  Columns: x, slacks in
-    row order (``n_real`` columns so far), then artificials in row order;
-    the objective row is left for :func:`_optimize`.  ``start[i]`` is row
-    i's starting basic column, a unit column, so ``tab[:m, start]`` is the
-    inverse of the current basis (in the g-scaled rows) after any pivots.
+    g_i * (A_i, slack_i | b_i) with ``g`` from :func:`_row_signs`: the slack
+    carries +1 on "<=" rows and -1 on ">=" rows ("==" rows have none).
+    Columns: x, slacks in row order (``n_real`` columns so far), then
+    artificials in row order; the objective row is left for
+    :func:`_optimize`.  ``start[i]`` is row i's starting basic column, a
+    unit column, so ``tab[:m, start]`` is the inverse of the current basis
+    (in the g-scaled rows) after any pivots.
     """
     n, m = A.shape[1], b.size
-    senses = np.array(senses, dtype=str)
-    sign = np.where(senses == ">=", -1.0, 1.0)
-    g = np.where(sign * b < 0, -sign, sign)
+    senses = np.asarray(senses, dtype=str)
+    sign, g, need_art = _row_signs(b, senses)
     has_slack = senses != "=="
     slacks = sign[:, None] * np.eye(m)[:, has_slack]
-    # a row whose slack ends up at +1 starts with it basic; the rest get an
-    # artificial
-    need_art = ~has_slack | (g != sign)
     n_real = n + int(has_slack.sum())
     ncols = n_real + int(need_art.sum())
     tab = np.zeros((m + 1, ncols + 1))
@@ -305,10 +370,11 @@ def _optimize(tab, basis, banned, n_real, c):
         if tab[m, -1] < -1e-7:
             return "infeasible"
         # pivot artificials out of the basis where a real pivot exists
+        buf = np.empty_like(tab)
         for i in np.flatnonzero(basis >= n_real):
             cand = np.flatnonzero(np.abs(tab[i, :n_real]) > _PIV_TOL)
             if cand.size:
-                _pivot(tab, basis, i, int(cand[0]))
+                _pivot(tab, basis, i, int(cand[0]), buf)
         banned[n_real:] = True
 
     c2 = np.zeros(ncols)
@@ -329,9 +395,11 @@ def _solve_canonical(lp: LinearProgram):
 
     Row duals are with respect to the original rows (sign convention: at an
     optimum, duals y satisfy y @ b == objective and c - y @ A <= 0, so "<="
-    rows carry y >= 0 and ">=" rows carry y <= 0 for a max problem).  An
-    optimum is certified primal feasible against the original rows and
-    bounds, and dual feasible with zero gap on the bound-augmented system.
+    rows carry y >= 0 and ">=" rows carry y <= 0 for a max problem).  Only
+    the live block (:func:`_live_block`) is put on the tableau; inert
+    columns come back 0 and inert rows get dual 0.  An optimum is certified
+    primal feasible against the original rows and bounds, and dual
+    feasible with zero gap on the whole bound-augmented system.
     """
     n = lp.n_vars
     lower = lp.lower if lp.lower is not None else np.zeros(n)
@@ -346,27 +414,37 @@ def _solve_canonical(lp: LinearProgram):
         A = np.vstack([A, np.eye(n)[boxed]])
         b = np.concatenate([b, lp.upper[boxed] - lower[boxed]])
         senses += ["<="] * boxed.size
-    tab, basis, start, g, n_real = _canonical_tableau(A, b, senses)
+    senses = np.array(senses, dtype=str)
+    _sign, g, need_art = _row_signs(b, senses)
+    rows, cols = _live_block(A, lp.c, need_art)
+    tab, basis, start, _g, n_real = _canonical_tableau(
+        A[np.ix_(rows, cols)], b[rows], senses[rows]
+    )
     banned = np.zeros(tab.shape[1] - 1, dtype=bool)
-    status = _optimize(tab, basis, banned, n_real, lp.c)
+    status = _optimize(tab, basis, banned, n_real, lp.c[cols])
     if status == "infeasible":
         return "infeasible", math.nan, None, None
     if status == "unbounded":
         return "unbounded", math.inf, None, None
 
-    xs = _basic_point(tab, basis)[:n]
+    xs = np.zeros(n)
+    xs[cols] = _basic_point(tab, basis)[: int(cols.sum())]
     x = xs + lower
     bad = _certify(lp, x)
     if bad:
         raise NumericalBreakdown("optimal basis failed certification: " + "; ".join(bad))
     # the start column of row i is +1 there and 0 elsewhere, so its reduced
-    # cost is the tableau row's dual; g maps it back to the original row
-    m = b.size
-    duals = g * tab[m, start]
-    bad = _certify_optimal(A, b, senses, lp.c, xs, duals, tab[m, -1])
+    # cost is the tableau row's dual; g maps it back to the original row (an
+    # inert row's start column stays basic at reduced cost 0.0, and g * 0.0
+    # is the signed zero the whole tableau would give)
+    reduced = np.zeros(b.size)
+    reduced[rows] = tab[-1, start]
+    duals = g * reduced
+    obj = tab[-1, -1]
+    bad = _certify_optimal(A, b, senses, lp.c, xs, duals, obj)
     if bad:
         raise NumericalBreakdown("optimal duals failed certification: " + "; ".join(bad))
-    return "optimal", float(tab[m, -1] + shift), x, duals[: lp.n_rows]
+    return "optimal", float(obj + shift), x, duals[: lp.n_rows]
 
 
 def solve_lp(lp: LinearProgram) -> LpSolution:

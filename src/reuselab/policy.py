@@ -81,17 +81,23 @@ def reward_margin(
     Clamped to 0.99 (with a warning) when the stage is too short for the
     target: the weight updates stay well defined, the guarantee does not.
     """
+    return _reward_margin(w_max, epsilon, n_indices, n_stages, eta, stage_len, lam)[0]
+
+
+def _reward_margin(w_max, epsilon, n_indices, n_stages, eta, stage_len, lam):
+    """(margin, clamped): :func:`reward_margin` and whether it was clamped."""
     ez = math.sqrt(
         2.0 * w_max * (1.0 + epsilon) * math.log(2.0 * n_indices * n_stages / eta)
         / (stage_len * lam)
     )
-    if ez >= 1.0:
+    clamped = ez >= 1.0
+    if clamped:
         logger.warning(
             "reward margin %.3f >= 1 (stage too short for its target); clamping to 0.99",
             ez,
         )
         ez = 0.99
-    return ez
+    return ez, clamped
 
 
 def _logsumexp(a: np.ndarray, axis: int) -> np.ndarray:
@@ -340,7 +346,9 @@ class AlwaysNullPolicy:
 @dataclass
 class StageRecord:
     """What one stage did: its plan, its estimates, and (on request) every
-    (customer, chosen action) pair in order."""
+    (customer, chosen action) pair in order.  ``margin_clamped`` says that
+    the stage was too short for its target, so its reward margin ``eps_z``
+    was clamped to 0.99 (:func:`reward_margin` logs a warning then)."""
 
     stage: int
     start: int
@@ -350,6 +358,7 @@ class StageRecord:
     lam: float | None
     eps_x: float | None
     eps_z: float | None
+    margin_clamped: bool = False
     choices: list = field(default_factory=list)
 
 
@@ -412,7 +421,7 @@ class AdaptivePolicy:
         self._switch_at = offset + 1 + self.s_switch  # first step on static rates
         self._uniform = True
         self.ws = None
-        mode, p_hat, lam, eps_x, eps_z = "uniform", None, None, None, None
+        mode, p_hat, lam, eps_x, eps_z, clamped = "uniform", None, None, None, None, False
         if r >= 0:
             prev_len = self.schedule[idx - 1][2]
             p_hat = prev_counts / prev_len
@@ -431,7 +440,7 @@ class AdaptivePolicy:
                 )
             else:
                 lam = est.lambda_r
-                eps_z = reward_margin(
+                eps_z, clamped = _reward_margin(
                     self.inst.w_max,
                     self.config.epsilon,
                     self._n_indices,
@@ -445,7 +454,7 @@ class AdaptivePolicy:
                 mode = "weighted"
         self._record = StageRecord(
             stage=r, start=offset + 1, length=length, mode=mode,
-            p_hat=p_hat, lam=lam, eps_x=eps_x, eps_z=eps_z,
+            p_hat=p_hat, lam=lam, eps_x=eps_x, eps_z=eps_z, margin_clamped=clamped,
         )
         if self.record_history:
             self.history.append(self._record)

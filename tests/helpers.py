@@ -151,6 +151,57 @@ def random_boxed_lp(rng: np.random.Generator, max_vars: int = 5, max_rows: int =
     return LinearProgram(c, A, senses, b, lower=lower, upper=upper)
 
 
+def random_planted_lp(rng: np.random.Generator, phase_one: bool) -> LinearProgram:
+    """Random LP with an inert block, zero rows and zero columns mixed in.
+
+    The inert block has zero cost and sits only in its own rows, whose
+    slacks start basic at a rhs >= 0 ("<=" rows with b >= 0, ">=" rows
+    with b <= 0).  Without ``phase_one`` every other row starts on its
+    slack too and there are no lower bounds, so no phase 1 runs; with it
+    the live rows may be "==" or carry a negative rhs, and lower bounds
+    may shift the rhs.  Rows and columns are shuffled.
+    """
+
+    def block(m, n):
+        A = np.round(rng.standard_normal((m, n)), 3)
+        A[rng.random((m, n)) < 0.3] = 0.0
+        return A
+
+    def slack_rows(m):
+        senses = [str(s) for s in rng.choice(["<=", ">="], size=m)]
+        b = np.round(rng.uniform(0.0, 2.0, size=m), 3)
+        b[rng.random(m) < 0.2] = 0.0
+        return senses, np.where(np.asarray(senses) == ">=", -b, b)
+
+    n1, m1 = int(rng.integers(1, 6)), int(rng.integers(1, 5))
+    n2, m2 = int(rng.integers(1, 5)), int(rng.integers(1, 4))
+    n0, m0 = int(rng.integers(0, 3)), int(rng.integers(0, 3))
+    n, m = n1 + n2 + n0, m1 + m2 + m0
+    A = np.zeros((m, n))
+    A[:m1, :n1] = block(m1, n1)
+    A[m1 : m1 + m2, n1 : n1 + n2] = block(m2, n2)
+    if phase_one:
+        senses = [str(s) for s in rng.choice(["<=", ">=", "=="], size=m1, p=[0.4, 0.3, 0.3])]
+        b = np.round(rng.uniform(-1.0, 2.0, size=m1), 3)
+    else:
+        senses, b = slack_rows(m1)
+    inert_senses, inert_b = slack_rows(m2 + m0)
+    senses += inert_senses
+    b = np.concatenate([b, inert_b])
+    c = np.zeros(n)
+    c[:n1] = np.round(rng.standard_normal(n1), 3)
+    c[n1 + n2 :] = np.where(rng.random(n0) < 0.5, 0.0, np.round(rng.uniform(-1.0, 0.0, n0), 3))
+    upper = np.where(rng.random(n) < 0.5, np.round(rng.uniform(0.5, 3.0, size=n), 3), np.inf)
+    lower = None
+    if phase_one:
+        lower = np.where(rng.random(n) < 0.25, -1.0, 0.0)
+    rows, cols = rng.permutation(m), rng.permutation(n)
+    return LinearProgram(
+        c[cols], A[rows][:, cols], [senses[i] for i in rows], b[rows],
+        lower=None if lower is None else lower[cols], upper=upper[cols],
+    )
+
+
 def small_mnl_instance(horizon: int = 48, seed: int = 7) -> Instance:
     rng = np.random.default_rng(seed)
     model = MnlModel(

@@ -8,7 +8,10 @@ and the policies whose episodes it replays.  The exceptions are
 assortment problem that runs on the package's simplex, and
 :func:`cold_colgen`, column generation that re-solves every restricted
 master from scratch on it; A1 checks that simplex against
-:func:`lp_enumerate`.
+:func:`lp_enumerate`.  :func:`reference_solve_canonical` is the simplex
+kernel itself in its full-tableau form (the package's tolerances and
+certification checks, every row and column on the tableau), against which
+the live-block kernel is checked bit for bit.
 """
 
 from __future__ import annotations
@@ -20,10 +23,16 @@ import math
 import numpy as np
 
 from reuselab.lp import (
+    _MAX_PIVOTS,
+    _PIV_FLOOR,
+    _PIV_TOL,
+    _RC_TOL,
     IterationLimit,
     LinearProgram,
     NumericalBreakdown,
     SteadyStateSolution,
+    _certify,
+    _certify_optimal,
     build_steady_state_lp,
     solve_lp,
     solve_lp_with_duals,
@@ -184,6 +193,182 @@ def cold_colgen(inst, p, pricing=None, max_rounds: int = 500, rc_tol: float = 1e
         if not improved:
             return sol
     raise IterationLimit(f"no convergence in {max_rounds} rounds", incumbent=sol)
+
+
+# ---------------------------------------------------------------------------
+# the full-tableau simplex kernel, as it stood before the live-block presolve:
+# every row and column of the LP goes on the tableau, and every pivot
+# allocates its rank-one update
+
+
+def _pivot(tab, basis, row, col):
+    """Gauss-Jordan pivot on (row, col); col becomes basic in row."""
+    piv = tab[row, col]
+    tab[row] /= piv
+    colvals = tab[:, col].copy()
+    colvals[row] = 0.0
+    tab -= np.outer(colvals, tab[row])
+    tab[:, col] = 0.0
+    tab[row, col] = 1.0
+    basis[row] = col
+
+
+def _set_objective(tab, basis, c):
+    """Objective row (z_j - c_j | z) of max c @ x for the current basis."""
+    m = basis.size
+    cb = c[basis]
+    tab[m, :-1] = cb @ tab[:m, :-1] - c
+    tab[m, -1] = cb @ tab[:m, -1]
+
+
+def _pivot_loop(tab, basis, banned):
+    """Bland iterations on a canonical tableau; returns a status string.
+
+    tab has one row per basis entry plus the objective row (z_j - c_j | z)
+    at the bottom; the rightmost column is the rhs.  Entering: lowest-index
+    column with reduced cost < -tol.  Leaving: min-ratio row, ties by lowest
+    basic variable index.  Columns in ``banned`` never enter.
+    """
+    m = basis.size
+    shaky = 0
+    for _ in range(_MAX_PIVOTS):
+        eligible = (tab[m, :-1] < -_RC_TOL) & ~banned
+        enter = int(eligible.argmax())
+        if not eligible[enter]:
+            return "optimal"
+        col = tab[:m, enter]
+        good = col > _PIV_TOL
+        if not good.any():
+            weak = col > _PIV_FLOOR
+            if not weak.any():
+                return "unbounded"
+            shaky += 1
+            if shaky > 50:
+                raise NumericalBreakdown(
+                    "repeated pivots below magnitude 1e-9; tableau unreliable"
+                )
+            good = weak
+        rhs = tab[:m, -1]
+        ratios = np.full(m, np.inf)
+        ratios[good] = rhs[good] / col[good]
+        rmin = ratios.min()
+        tied = np.flatnonzero(ratios <= rmin * (1 + 1e-10) + 1e-15)
+        _pivot(tab, basis, int(tied[basis[tied].argmin()]), enter)
+    raise NumericalBreakdown(f"no convergence within {_MAX_PIVOTS} pivots")
+
+
+def _canonical_tableau(A, b, senses):
+    """Starting tableau of max over rows (A, senses, b), x >= 0.
+
+    Returns (tab, basis, start, g, n_real).  Tableau row i is
+    g_i * (A_i, slack_i | b_i): the slack carries +1 on "<=" rows and -1 on
+    ">=" rows ("==" rows have none), and g_i = +-1 turns ">=" rows around,
+    then turns the row again if b_i would be < 0.  Columns: x, slacks in
+    row order (``n_real`` columns so far), then artificials in row order;
+    the objective row is left for :func:`_optimize`.  ``start[i]`` is row
+    i's starting basic column, a unit column, so ``tab[:m, start]`` is the
+    inverse of the current basis (in the g-scaled rows) after any pivots.
+    """
+    n, m = A.shape[1], b.size
+    senses = np.array(senses, dtype=str)
+    sign = np.where(senses == ">=", -1.0, 1.0)
+    g = np.where(sign * b < 0, -sign, sign)
+    has_slack = senses != "=="
+    slacks = sign[:, None] * np.eye(m)[:, has_slack]
+    # a row whose slack ends up at +1 starts with it basic; the rest get an
+    # artificial
+    need_art = ~has_slack | (g != sign)
+    n_real = n + int(has_slack.sum())
+    ncols = n_real + int(need_art.sum())
+    tab = np.zeros((m + 1, ncols + 1))
+    tab[:m, :n_real] = g[:, None] * np.hstack([A, slacks])
+    tab[:m, n_real:ncols] = np.eye(m)[:, need_art]
+    tab[:m, -1] = g * b
+    start = np.where(
+        need_art, n_real + np.cumsum(need_art) - 1, n + np.cumsum(has_slack) - 1
+    )
+    return tab, start.copy(), start, g, n_real
+
+
+def _optimize(tab, basis, banned, n_real, c):
+    """Both simplex phases of max c @ x on a canonical tableau, in place.
+
+    Returns "optimal", "infeasible" or "unbounded".  After phase 1 the
+    artificials are banned from entering again.
+    """
+    m = basis.size
+    ncols = tab.shape[1] - 1
+    if n_real < ncols:
+        # phase 1: maximize -(sum of artificials)
+        c1 = np.zeros(ncols)
+        c1[n_real:] = -1.0
+        _set_objective(tab, basis, c1)
+        _pivot_loop(tab, basis, banned)
+        if tab[m, -1] < -1e-7:
+            return "infeasible"
+        # pivot artificials out of the basis where a real pivot exists
+        for i in np.flatnonzero(basis >= n_real):
+            cand = np.flatnonzero(np.abs(tab[i, :n_real]) > _PIV_TOL)
+            if cand.size:
+                _pivot(tab, basis, i, int(cand[0]))
+        banned[n_real:] = True
+
+    c2 = np.zeros(ncols)
+    c2[: c.size] = c
+    _set_objective(tab, basis, c2)
+    return _pivot_loop(tab, basis, banned)
+
+
+def _basic_point(tab, basis):
+    """Values of every tableau column at the current basis."""
+    xfull = np.zeros(tab.shape[1] - 1)
+    xfull[basis] = tab[: basis.size, -1]
+    return xfull
+
+
+def reference_solve_canonical(lp: LinearProgram):
+    """Two-phase simplex; returns (status, objective, x, row_duals).
+
+    Row duals are with respect to the original rows (sign convention: at an
+    optimum, duals y satisfy y @ b == objective and c - y @ A <= 0, so "<="
+    rows carry y >= 0 and ">=" rows carry y <= 0 for a max problem).  An
+    optimum is certified primal feasible against the original rows and
+    bounds, and dual feasible with zero gap on the bound-augmented system.
+    """
+    n = lp.n_vars
+    lower = lp.lower if lp.lower is not None else np.zeros(n)
+    if not np.all(np.isfinite(lower)):
+        raise ValueError("lower bounds must be finite")
+    shift = lp.c @ lower
+
+    # finite upper bounds become extra "<=" rows after the user's rows
+    A, b, senses = lp.A, lp.b - lp.A @ lower, list(lp.senses)
+    if lp.upper is not None:
+        boxed = np.flatnonzero(np.isfinite(lp.upper))
+        A = np.vstack([A, np.eye(n)[boxed]])
+        b = np.concatenate([b, lp.upper[boxed] - lower[boxed]])
+        senses += ["<="] * boxed.size
+    tab, basis, start, g, n_real = _canonical_tableau(A, b, senses)
+    banned = np.zeros(tab.shape[1] - 1, dtype=bool)
+    status = _optimize(tab, basis, banned, n_real, lp.c)
+    if status == "infeasible":
+        return "infeasible", math.nan, None, None
+    if status == "unbounded":
+        return "unbounded", math.inf, None, None
+
+    xs = _basic_point(tab, basis)[:n]
+    x = xs + lower
+    bad = _certify(lp, x)
+    if bad:
+        raise NumericalBreakdown("optimal basis failed certification: " + "; ".join(bad))
+    # the start column of row i is +1 there and 0 elsewhere, so its reduced
+    # cost is the tableau row's dual; g maps it back to the original row
+    m = b.size
+    duals = g * tab[m, start]
+    bad = _certify_optimal(A, b, senses, lp.c, xs, duals, tab[m, -1])
+    if bad:
+        raise NumericalBreakdown("optimal duals failed certification: " + "; ".join(bad))
+    return "optimal", float(tab[m, -1] + shift), x, duals[: lp.n_rows]
 
 
 def reference_select(ws, inst, customer: int):

@@ -232,6 +232,22 @@ class TestExperiment:
         header, row = path.read_text().strip().split("\n")
         assert row.split(",")[header.split(",").index("policy")] == "static+saa10+tailguard"
 
+    @pytest.mark.parametrize("argv, err", [
+        (["--policy", "static", "--saa-sample", "0"], "error: --saa-sample must be >= 1"),
+        (["--policy", "adaptive", "--saa-sample", "-2"], "error: --saa-sample must be >= 1"),
+        (["--policy", "hybrid2+saa0"], "error: policy label 'hybrid2+saa0'"),
+    ])
+    def test_empty_subsample_rejected(self, inst_file, tmp_path, argv, err, capsys):
+        path = tmp_path / "saa.csv"
+        rc = main([
+            "experiment", "--instance", inst_file, *argv, "--reps", "1", "--out", str(path),
+        ])
+        assert rc == 2
+        cap = capsys.readouterr()
+        assert cap.err.startswith(err)
+        assert cap.err.count("\n") == 1
+        assert not path.exists()
+
     def test_relaxed_schedule_waives_divisibility(self, inst_file, capsys):
         rc = main([
             "experiment", "--instance", inst_file, "--policy", "adaptive",
@@ -268,6 +284,16 @@ class TestTrend:
         rc = main(["trend", "--scales", "1,2", "--reps", "1", "--policy", "null"])
         assert rc == 2
         assert "3 scales" in capsys.readouterr().err
+
+    def test_empty_subsample_rejected(self, tmp_path, capsys):
+        out = tmp_path / "trend.csv"
+        rc = main([
+            "trend", "--reps", "1", "--policy", "static", "--saa-sample", "0",
+            "--out", str(out),
+        ])
+        assert rc == 2
+        assert capsys.readouterr().err.startswith("error: --saa-sample must be >= 1")
+        assert not out.exists()
 
     def test_reps_below_one_rejected(self, capsys):
         rc = main(["trend", "--scales", "1,2,3", "--reps", "0", "--policy", "null"])

@@ -157,6 +157,14 @@ class TestMakePolicy:
         with pytest.raises(ValueError, match="policy label"):
             self.build(label)
 
+    @pytest.mark.parametrize(
+        "label", ["static+saa0", "adaptive+saa0", "hybrid2+saa0", "static+saa00+tailguard"]
+    )
+    def test_empty_subsample_rejected(self, label):
+        # +saa0 used to play full-information rates under the plain name
+        with pytest.raises(ValueError, match="at least one draw"):
+            self.build(label)
+
 
 class TestRunExperiment:
     def rows(self, reps=4, policies=("null", "static", "adaptive")):

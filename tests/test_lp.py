@@ -5,11 +5,14 @@ from helpers import (
     hand_instance,
     random_boxed_lp,
     random_explicit_instance,
+    random_planted_lp,
     small_mnl_instance,
+    two_resource_instance,
     wide_logit_instance,
 )
-from oracles import cold_colgen, lp_enumerate
+from oracles import cold_colgen, lp_enumerate, reference_solve_canonical
 from reuselab import lp as lp_module
+from reuselab.harness import GeneratorSpec, generate_instance
 from reuselab.lp import (
     DegenerateStage,
     IterationLimit,
@@ -26,7 +29,7 @@ from reuselab.lp import (
     solve_steady_state_colgen,
     solve_time_expanded,
 )
-from reuselab.lp import _certify_optimal, solve_lp_with_duals
+from reuselab.lp import _certify_optimal, _live_block, _row_signs, solve_lp_with_duals
 from reuselab.mnl import make_assortment_pricing
 
 
@@ -207,6 +210,118 @@ class TestDuals:
             solve_steady_state_colgen(hand, hand.arrival_weights())
 
 
+def answer_bytes(answer):
+    """Raw bytes of a (status, objective, x, duals) answer."""
+    status, obj, x, duals = answer
+    parts = [status.encode(), np.float64(obj).tobytes()]
+    if x is not None:
+        parts += [x.tobytes(), duals.tobytes()]
+    return b"".join(parts)
+
+
+def live_block(lp):
+    """Live row and column masks of an LP without bounds."""
+    _sign, _g, need_art = _row_signs(lp.b, np.asarray(lp.senses))
+    return _live_block(lp.A, lp.c, need_art)
+
+
+class TestLiveBlock:
+    """The live-block kernel against the full-tableau reference kernel."""
+
+    def assert_identical(self, lp):
+        got = lp_module._solve_canonical(lp)
+        assert answer_bytes(got) == answer_bytes(reference_solve_canonical(lp)), dump_lp(lp)
+        return got
+
+    def test_generated_lps_bit_identical(self):
+        for seed in (1, 2):
+            te = generate_instance(GeneratorSpec(seed=seed, base_horizon=6, n_customers=3))
+            lp, _ = build_time_expanded_lp(te, te.arrival_weights())
+            rows, cols = live_block(lp)
+            # the null type's per-step rows and columns are dropped
+            assert not rows.all() and not cols.all()
+            assert self.assert_identical(lp)[0] == "optimal"
+        for seed in (1, 2, 3):
+            inst = generate_instance(
+                GeneratorSpec(seed=seed, n_products=5, max_size=2, n_customers=4)
+            )
+            lp, _ = build_steady_state_lp(inst, inst.arrival_weights())
+            rows, cols = live_block(lp)
+            assert rows.sum() == lp.n_rows - 1 and not cols.all()
+            assert self.assert_identical(lp)[0] == "optimal"
+
+    def test_null_and_absent_types_bit_identical(self):
+        # a null type and a type that never arrives (p_j = 0) are inert
+        rng = np.random.default_rng(515)
+        for inst in [two_resource_instance(), *(random_explicit_instance(rng) for _ in range(8))]:
+            p = inst.arrival_weights()
+            self.assert_identical(build_steady_state_lp(inst, p)[0])
+            p = p.copy()
+            p[1] = 0.0
+            lp, _ = build_steady_state_lp(inst, p / p.sum())
+            _rows, cols = live_block(lp)
+            K = inst.actions.size
+            assert not cols[:2 * K].any()  # type 0 (null) and type 1 (absent)
+            self.assert_identical(lp)
+
+    def test_random_planted_lps_bit_identical(self):
+        rng = np.random.default_rng(8080)
+        optimal = dropped = 0
+        for _ in range(400):
+            lp = random_planted_lp(rng, phase_one=False)
+            status = self.assert_identical(lp)[0]
+            optimal += status == "optimal"
+            dropped += not live_block(lp)[1].all()
+        assert optimal >= 200 and dropped >= 300
+
+    def test_random_phase_one_lps_agree(self):
+        # a phase-1 objective row is a BLAS product over the tableau, which
+        # may round differently on the smaller matrix; the pivots, and so
+        # the status and x, stay the same
+        rng = np.random.default_rng(9090)
+        optimal = 0
+        for _ in range(400):
+            lp = random_planted_lp(rng, phase_one=True)
+            status, obj, x, duals = lp_module._solve_canonical(lp)
+            ref_status, ref_obj, ref_x, ref_duals = reference_solve_canonical(lp)
+            assert status == ref_status, dump_lp(lp)
+            if status != "optimal":
+                continue
+            optimal += 1
+            assert x.tobytes() == ref_x.tobytes(), dump_lp(lp)
+            assert obj == pytest.approx(ref_obj, rel=1e-12, abs=1e-12)
+            scale = max(1.0, float(np.abs(ref_duals).max()))
+            np.testing.assert_allclose(duals, ref_duals, rtol=1e-12, atol=1e-12 * scale)
+        assert optimal >= 100
+
+    def test_nothing_live(self):
+        # no cost and no artificial: an empty tableau, optimal at x = 0
+        lp = LinearProgram(
+            c=[0.0, 0.0], A=[[1.0, 1.0], [0.0, 2.0]], senses=["<=", ">="], b=[1.0, 0.0]
+        )
+        assert not live_block(lp)[0].any()
+        status, obj, x, duals = self.assert_identical(lp)
+        assert (status, obj, x.tolist()) == ("optimal", 0.0, [0.0, 0.0])
+
+    def test_seeds_are_never_dropped(self):
+        # a row that needs an artificial and a column with nonzero cost are
+        # always live, and no nonzero links the live block to the rest
+        rng = np.random.default_rng(4242)
+        for _ in range(500):
+            m, n = int(rng.integers(1, 12)), int(rng.integers(1, 12))
+            dense = rng.random((m, n)) < rng.uniform(0.05, 0.5)
+            A = np.where(dense, rng.standard_normal((m, n)), 0.0)
+            c = np.where(rng.random(n) < 0.2, rng.standard_normal(n), 0.0)
+            senses = rng.choice(["<=", ">=", "=="], size=m, p=[0.5, 0.35, 0.15]).astype(str)
+            b = np.where(rng.random(m) < 0.3, 0.0, rng.uniform(-1.0, 2.0, size=m))
+            _sign, _g, need_art = _row_signs(b, senses)
+            rows, cols = _live_block(A, c, need_art)
+            assert rows[need_art].all() and cols[c != 0.0].all()
+            nz = A != 0.0
+            assert not nz[np.ix_(rows, ~cols)].any()
+            assert not nz[np.ix_(~rows, cols)].any()
+
+
 class TestSteadyStateLp:
     def test_hand_value(self, hand):
         sol = solve_steady_state(hand, hand.arrival_weights())
@@ -266,6 +381,20 @@ class TestTimeExpandedLp:
             lam_ss = solve_steady_state(inst, p).lambda_
             lam_te, _ = solve_time_expanded(inst, p)
             assert lam_te >= lam_ss - 1e-7 * (1.0 + abs(lam_ss))
+
+    def test_matches_highs(self):
+        optimize = pytest.importorskip("scipy.optimize")
+        inst = generate_instance(GeneratorSpec(seed=3, base_horizon=8, n_customers=4))
+        p = inst.arrival_weights()
+        lam, _y = solve_time_expanded(inst, p)
+        lp, _ = build_time_expanded_lp(inst, p)
+        flip = np.where(np.asarray(lp.senses) == ">=", -1.0, 1.0)
+        ref = optimize.linprog(
+            -lp.c, A_ub=flip[:, None] * lp.A, b_ub=flip * lp.b,
+            bounds=(0, None), method="highs",
+        )
+        assert ref.status == 0
+        assert lam == pytest.approx(-ref.fun, abs=1e-7)
 
     def test_size_cap(self, hand):
         with pytest.raises(TooLarge):

@@ -378,6 +378,32 @@ class TestAdaptivePolicy:
         assert all(rec.mode == "uniform" for rec in pol.history)
         assert any("degenerate" in r.message for r in caplog.records)
 
+    @pytest.mark.parametrize("horizon, clamps", [(64, 2), (256, 0)])
+    def test_margin_clamp_is_recorded(self, horizon, clamps, caplog):
+        # the adaptive_stages demo's instance: at T = 64 both weighted stages
+        # are too short for their targets, at T = 256 (capacity scaled
+        # along) neither is
+        real = ExplicitOutcomes(rewards=[[0, 1.0]], consumption=[[0, 1.0]])
+        inst = Instance(
+            resources=[ResourceSpec(horizon / 8, SurvivalCurve([1.0, 0.5]))],
+            reward_count=1,
+            customers=[CustomerType(0.25, zero_outcomes(1, 1, 2)), CustomerType(0.75, real)],
+            actions=ExplicitActions(2),
+            horizon=horizon,
+            null_type=0,
+        )
+        lam = solve_steady_state(inst, inst.arrival_weights()).lambda_
+        config = AlgoConfig(epsilon=0.25, gamma=scale_parameter(inst, lam), seed=0)
+        pol = AdaptivePolicy(config, record_history=True)
+        with caplog.at_level(logging.WARNING, logger="reuselab.policy"):
+            run_episode(inst, pol, seed=3)
+        warned = [r for r in caplog.records if r.message.startswith("reward margin")]
+        assert [rec.mode for rec in pol.history] == ["uniform", "weighted", "weighted"]
+        assert [rec.margin_clamped for rec in pol.history] == [False] + [clamps > 0] * 2
+        assert len(warned) == clamps
+        for rec in pol.history[1:]:
+            assert (rec.eps_z == 0.99) == rec.margin_clamped
+
     def test_nonpositive_gamma_rejected(self):
         inst, _config = self.adaptive_setup()
         pol = AdaptivePolicy(AlgoConfig(epsilon=0.25, gamma=0.0))
