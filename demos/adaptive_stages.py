@@ -9,6 +9,8 @@ reward shortfall. The potential function below is the quantity whose expected
 one-step decrease drives the guarantee.
 """
 
+import math
+
 import numpy as np
 
 from reuselab.lp import solve_steady_state
@@ -24,7 +26,7 @@ from reuselab.model import (
     stage_schedule,
     zero_outcomes,
 )
-from reuselab.policy import AdaptivePolicy, violation_potential
+from reuselab.policy import AdaptivePolicy
 from reuselab.sim import run_episode
 
 inst = Instance(
@@ -42,6 +44,38 @@ inst = Instance(
 lam = solve_steady_state(inst, inst.arrival_weights()).lambda_
 gamma = scale_parameter(inst, lam)
 config = AlgoConfig(epsilon=0.25, gamma=gamma, seed=0)
+
+
+def potential(rec, s):
+    """Stage potential after s steps, rebuilt from the recorded choices alone.
+
+    Projected occupancy mass of the slots still ahead (each weighted by the
+    realized commitments so far and the static growth of the remaining gap)
+    plus the reward-deficit mass.  Every duration here has a positive mean.
+    """
+    eps, delta, L = config.epsilon, config.delta, rec.length
+    caps, d = inst.capacities(), inst.durations()
+    surv = np.hstack([np.zeros((inst.n_resources, 1)), inst.survival_matrix(L + 1)])
+    with np.errstate(divide="ignore"):
+        occ = np.log1p(eps * gamma * surv / (d * (1.0 + eps))[:, None])
+    occ_cum = np.cumsum(occ, axis=1)
+    means = [inst.customers[j].outcomes.means(k) for j, k in rec.choices[:s]]
+    lg = math.log1p(eps)
+    res = 0.0
+    for t in range(s + 1, L + 1):
+        cum = sum((a * surv[:, t - tau] for tau, (_w, a) in enumerate(means)), 0.0)
+        log_mass = (gamma / caps) * cum * lg + occ_cum[:, t - s] + (delta - gamma) * lg
+        res += np.exp(log_mass).sum()
+    cum_z = sum((w for w, _a in means), 0.0)
+    shrink = math.log1p(-rec.eps_z)
+    drift = math.log1p(-rec.eps_z * rec.lam / (inst.w_max * (1.0 + eps)))
+    rew = np.exp(
+        (cum_z / inst.w_max) * shrink
+        + (L - s) * drift
+        - (1.0 - rec.eps_z) * L * rec.lam / inst.w_max * shrink
+    )
+    return float(res) + float(np.sum(rew))
+
 
 print("stage schedule (index, offset, length):")
 for r, off, ln in stage_schedule(inst.horizon, config.epsilon):
@@ -64,7 +98,7 @@ for rec in pol.history:
     )
     # potential trajectory, recomputed from the recorded choices alone
     values = [
-        violation_potential(rec, inst, config, upto=s)
+        potential(rec, s)
         for s in range(0, len(rec.choices) + 1, max(1, rec.length // 8))
     ]
     print("   potential: " + " -> ".join(f"{v:.3f}" for v in values))

@@ -82,8 +82,6 @@ from .policy import (
     reward_margin,
     select_action,
     update_penalty_weights,
-    violation_potential,
-    violation_potential_terms,
 )
 from .serialize import (
     instance_from_json,

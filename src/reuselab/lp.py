@@ -1,7 +1,8 @@
 """Linear programming for the allocation benchmarks.
 
-A small dense primal simplex (two-phase, Bland's rule) plus builders for the
-two planning relaxations used as benchmarks and inside the adaptive policy:
+A small dense primal simplex (two-phase, Dantzig's entering rule with a
+Bland anti-cycling fallback) plus builders for the two planning relaxations
+used as benchmarks and inside the adaptive policy:
 
 * the steady-state LP: fractional per-type action rates x_{jk} with resource
   usage charged at mean duration, maximizing the worst reward rate;
@@ -14,13 +15,18 @@ and every adaptive stage LP (:func:`solve_stage_lambda`) plan through it.
 Column generation prices each type by its own outcome model's
 ``best_action``; its restricted master keeps one tableau across rounds,
 appending each round's priced columns to the optimal tableau and resuming
-Bland's rule from its basis.
+the pivot loop from its basis.
 
-Bland's rule is slow but deterministic and cycle-free, which is what the
-reproducibility contract needs at desk scale.  Both phases share one pivot
-routine (:func:`_pivot`) and one objective-row setup; the entering and
-leaving scans are array ops that keep Bland's pivot sequence, and a pivot
-loop allocates its scratch (including the rank-one update buffer) once.
+The entering column is the one with the most negative reduced cost, ties
+to the lowest index (Dantzig's rule), which takes several times fewer
+pivots than Bland's lowest-index rule on the planning LPs.  After a run of
+``_BLAND_AFTER`` consecutive degenerate pivots the loop enters by Bland's
+rule until the next nondegenerate pivot, so it cannot cycle (see
+:func:`_pivot_loop`); the leaving row is the min-ratio row, ties to the
+lowest basic index, under both.  The path is deterministic.  Both phases
+share one pivot routine (:func:`_pivot`) and one objective-row setup; the
+entering and leaving scans are array ops, and a pivot loop allocates its
+scratch (including the rank-one update buffer) once.
 
 Only an LP's live block goes on the tableau (:func:`_live_block`, a
 standard presolve step): the rows and columns reachable over the nonzero
@@ -29,17 +35,19 @@ artificial.  The rest, zero-cost columns confined to rows whose slack
 starts basic at a value >= 0 (the null customer type in every generated
 instance), is never touched by a pivot: an entering column is live, hence
 zero on inert rows, and the pivot row is live.  So inert columns keep
-reduced cost exactly 0 and never enter, live columns keep their relative
-order, and Bland's rule takes the same pivots with the same floats; they
-come back as x = 0 with row duals 0.  Only a phase 1 sees a difference:
-its objective row is a BLAS product, which may round differently on the
-smaller matrix (no LP built here needs a phase 1).  Every
-optimal point is certified: primal feasible against the original rows and
-bounds, and optimal by its row duals, which carry the right signs, leave
-no column a positive reduced cost and match the objective.  Row duals are
-read off the reduced cost of each row's starting basic column (its slack
-or artificial); column generation prices with them, but they are not part
-of the public solution type.
+reduced cost exactly 0 and never enter (a reduced cost of 0 is never
+eligible), live columns keep their relative order, the ratios and so the
+degeneracy count are those of the full tableau, and the pivot loop takes
+the same pivots with the same floats; inert columns come back as x = 0
+with row duals 0.  Only a phase 1 sees a difference: its objective row is
+a BLAS product, which may round differently on the smaller matrix (no LP
+built here needs a phase 1).  Every optimal point is certified: primal
+feasible against the original rows and bounds, and optimal by its row
+duals, which carry the right signs, leave no column a positive reduced
+cost and match the objective.  Row duals are read off the reduced cost of
+each row's starting basic column (its slack or artificial); column
+generation prices with them, but they are not part of the public
+solution type.
 """
 
 from __future__ import annotations
@@ -75,6 +83,8 @@ __all__ = [
 _RC_TOL = 1e-9        # reduced-cost optimality tolerance
 _PIV_TOL = 1e-9       # healthy pivot magnitude
 _PIV_FLOOR = 1e-12    # below this a column counts as zero
+_DEGENERATE = 1e-12   # a pivot whose min ratio is at most this is degenerate
+_BLAND_AFTER = 50     # consecutive degenerate pivots before Bland's rule
 _MAX_PIVOTS = 200_000
 
 ENUMERATION_CAP = 4096  # largest action space the dense builders will expand
@@ -211,13 +221,24 @@ def _set_objective(tab, basis, c):
 
 
 def _pivot_loop(tab, basis, banned):
-    """Bland iterations on a canonical tableau; returns a status string.
+    """Primal simplex iterations on a canonical tableau; returns a status.
 
     tab has one row per basis entry plus the objective row (z_j - c_j | z)
-    at the bottom; the rightmost column is the rhs.  Entering: lowest-index
-    column with reduced cost < -tol.  Leaving: min-ratio row, ties by lowest
-    basic variable index.  Columns in ``banned`` never enter.  The scratch
-    arrays (eligibility mask, ratios, pivot buffer) are allocated once per
+    at the bottom; the rightmost column is the rhs.  Entering: the column
+    with the most negative reduced cost < -tol, ties to the lowest index
+    (Dantzig's rule); after ``_BLAND_AFTER`` consecutive degenerate pivots
+    (min ratio <= ``_DEGENERATE``), the lowest-index column with reduced
+    cost < -tol (Bland's rule), until the next nondegenerate pivot.
+    Leaving, under either rule: min-ratio row, ties by lowest basic
+    variable index.  Columns in ``banned`` never enter.
+
+    It cannot cycle (in exact arithmetic): a cycle returns to a basis, so
+    the objective never rises along it and every pivot in it is
+    degenerate.  A run of ``_BLAND_AFTER`` degenerate pivots hands over to
+    Bland's rule, which does not cycle from any basis (Bland, Math. OR 2,
+    1977), and only a nondegenerate pivot, which raises the objective past
+    every basis seen before, hands back.  The scratch arrays (eligibility
+    mask, pricing scores, ratios, pivot buffer) are allocated once per
     call.
     """
     m = basis.size
@@ -225,15 +246,21 @@ def _pivot_loop(tab, basis, banned):
         return "optimal"
     allowed = ~banned
     eligible = np.empty(banned.size, dtype=bool)
+    scores = np.empty(banned.size)
     good = np.empty(m, dtype=bool)
     ratios = np.empty(m)
     buf = np.empty_like(tab)
     reduced, rhs = tab[m, :-1], tab[:m, -1]
-    shaky = 0
+    shaky = degenerate = 0
     for _ in range(_MAX_PIVOTS):
         np.less(reduced, -_RC_TOL, out=eligible)
         eligible &= allowed
-        enter = int(eligible.argmax())
+        if degenerate < _BLAND_AFTER:
+            # ineligible columns score 0, above every eligible one
+            np.multiply(reduced, eligible, out=scores)
+            enter = int(scores.argmin())
+        else:
+            enter = int(eligible.argmax())
         if not eligible[enter]:
             return "optimal"
         col = tab[:m, enter]
@@ -250,6 +277,7 @@ def _pivot_loop(tab, basis, banned):
         ratios.fill(np.inf)
         np.divide(rhs, col, out=ratios, where=good)
         rmin = ratios.min()
+        degenerate = degenerate + 1 if rmin <= _DEGENERATE else 0
         tied = np.flatnonzero(ratios <= rmin * (1 + 1e-10) + 1e-15)
         _pivot(tab, basis, int(tied[basis[tied].argmin()]), enter, buf)
     raise NumericalBreakdown(f"no convergence within {_MAX_PIVOTS} pivots")
@@ -299,7 +327,7 @@ def _row_signs(b, senses):
 
 
 def _live_block(A, c, need_art):
-    """Row and column masks of the block a Bland path can touch.
+    """Row and column masks of the block a simplex path can touch.
 
     The block is seeded with every column of nonzero cost and every row
     that needs an artificial, then closed over the nonzero pattern of A: a
@@ -307,9 +335,10 @@ def _live_block(A, c, need_art):
     row.  The rest is inert: zero-cost columns confined to rows whose slack
     starts basic at a value >= 0.  An entering live column is zero on every
     inert row and the pivot row is live, so no pivot changes an inert row or
-    column; inert columns keep reduced cost exactly 0 and never enter, and
-    live columns keep their relative order, so Bland's rule takes the same
-    pivots on the live block alone.
+    column; inert columns keep reduced cost exactly 0 and never enter,
+    live columns keep their relative order, and every ratio (so every
+    degeneracy count) is the full tableau's, so the pivot loop takes the
+    same pivots on the live block alone.
     """
     nz = A != 0.0
     rows, cols = need_art.copy(), c != 0.0
@@ -448,7 +477,8 @@ def _solve_canonical(lp: LinearProgram):
 
 
 def solve_lp(lp: LinearProgram) -> LpSolution:
-    """Primal simplex with Bland's rule on a dense tableau."""
+    """Two-phase primal simplex on a dense tableau: most negative reduced
+    cost enters, with Bland's rule after a run of degenerate pivots."""
     status, obj, x, _ = _solve_canonical(lp)
     return LpSolution(status, obj, x)
 
@@ -704,10 +734,10 @@ def solve_steady_state_colgen(
 
     The master keeps one simplex tableau for the whole run: the first
     master is solved from scratch, and each later round appends its priced
-    columns to the optimal tableau and resumes Bland's rule from the
-    current basis.  The answer, and the incumbent of an
-    :class:`IterationLimit`, is certified primal and dual against the
-    master LP rebuilt over its columns.
+    columns to the optimal tableau and resumes the pivot loop (same
+    entering and leaving rules) from the current basis.  The answer, and
+    the incumbent of an :class:`IterationLimit`, is certified primal and
+    dual against the master LP rebuilt over its columns.
     """
     if max_rounds < 1:
         raise ValueError("max_rounds must be at least 1")

@@ -48,8 +48,6 @@ __all__ = [
     "HybridPolicy",
     "StageTailRejector",
     "StageRecord",
-    "violation_potential",
-    "violation_potential_terms",
     "DegenerateStage",
 ]
 
@@ -548,64 +546,3 @@ class StageTailRejector:
 
     def observe(self, t: int, j: int, action, forced: bool):
         self.inner.observe(t, j, action, forced)
-
-
-def violation_potential_terms(
-    record: StageRecord, inst: Instance, config: AlgoConfig, upto: int | None = None
-) -> tuple[float, float]:
-    """Recompute the stage potential after ``upto`` steps from first principles.
-
-    The potential is the quantity whose expected one-step decrease makes
-    the weighted rule safe: projected future occupancy mass (each future
-    slot weighted by realized commitments so far and by the static growth
-    of the remaining gap) plus the reward-deficit mass.  Everything is
-    rebuilt from the recorded (customer, action) choices and mean outcome
-    tables; the live weights are not consulted, so this doubles as an
-    independent check on them.  Quadratic in the stage length.
-    """
-    if record.mode != "weighted":
-        raise ValueError("potential is only defined for weighted stages")
-    s = len(record.choices) if upto is None else int(upto)
-    if not 0 <= s <= len(record.choices):
-        raise ValueError(f"upto must lie in 0..{len(record.choices)}")
-    L = record.length
-    eps, gamma, delta = config.epsilon, config.gamma, config.delta
-    lam, ez = record.lam, record.eps_z
-    w_max = inst.w_max
-    caps = inst.capacities()
-    d = inst.durations()
-    d_safe = np.where(d > 0, d, 1.0)
-    C = inst.n_resources
-    base = inst.survival_matrix(L + 1)
-    surv = np.hstack([np.zeros((C, 1)), base])  # surv[:, u] = Pr(D >= u)
-    with np.errstate(divide="ignore"):
-        occ = np.log1p(eps * gamma * surv[:, : L + 1] / (d_safe * (1.0 + eps))[:, None])
-    occ_cum = np.cumsum(occ, axis=1)  # occ_cum[:, m] = sum of factors for gaps 1..m
-    means = [inst.customers[j].outcomes.means(k) for j, k in record.choices[:s]]
-    log1p = math.log1p(eps)
-    res = 0.0
-    for t in range(s + 1, L + 1):
-        cum = np.zeros(C)
-        for tau in range(1, s + 1):
-            cum += means[tau - 1][1] * surv[:, t - tau + 1]
-        logterm = (gamma / caps) * cum * log1p + occ_cum[:, t - s] + (delta - gamma) * log1p
-        res += float(np.exp(logterm).sum())
-    cum_z = np.zeros(inst.reward_count)
-    for tau in range(1, s + 1):
-        cum_z += means[tau - 1][0]
-    log_shrink = math.log1p(-ez)
-    log_drift = math.log1p(-ez * lam / (w_max * (1.0 + eps)))
-    logrew = (
-        (cum_z / w_max) * log_shrink
-        + (L - s) * log_drift
-        - (1.0 - ez) * L * lam / w_max * log_shrink
-    )
-    rew = float(np.exp(logrew).sum())
-    return res, rew
-
-
-def violation_potential(
-    record: StageRecord, inst: Instance, config: AlgoConfig, upto: int | None = None
-) -> float:
-    res, rew = violation_potential_terms(record, inst, config, upto)
-    return res + rew

@@ -9,9 +9,13 @@ assortment problem that runs on the package's simplex, and
 :func:`cold_colgen`, column generation that re-solves every restricted
 master from scratch on it; A1 checks that simplex against
 :func:`lp_enumerate`.  :func:`reference_solve_canonical` is the simplex
-kernel itself in its full-tableau form (the package's tolerances and
-certification checks, every row and column on the tableau), against which
-the live-block kernel is checked bit for bit.
+kernel itself in its full-tableau form (the package's entering rule,
+tolerances and certification checks, every row and column on the
+tableau), against which the live-block kernel is checked bit for bit;
+under Bland's rule throughout it is a second pivot path, whose optima the
+package's must match.
+:func:`violation_potential` rebuilds the adaptive policy's stage potential
+from its recorded choices alone, without the live weights.
 """
 
 from __future__ import annotations
@@ -23,6 +27,7 @@ import math
 import numpy as np
 
 from reuselab.lp import (
+    _BLAND_AFTER,
     _MAX_PIVOTS,
     _PIV_FLOOR,
     _PIV_TOL,
@@ -198,7 +203,8 @@ def cold_colgen(inst, p, pricing=None, max_rounds: int = 500, rc_tol: float = 1e
 # ---------------------------------------------------------------------------
 # the full-tableau simplex kernel, as it stood before the live-block presolve:
 # every row and column of the LP goes on the tableau, and every pivot
-# allocates its rank-one update
+# allocates its rank-one update; its entering rule is the package's, or
+# Bland's rule throughout
 
 
 def _pivot(tab, basis, row, col):
@@ -221,19 +227,27 @@ def _set_objective(tab, basis, c):
     tab[m, -1] = cb @ tab[:m, -1]
 
 
-def _pivot_loop(tab, basis, banned):
-    """Bland iterations on a canonical tableau; returns a status string.
+def _pivot_loop(tab, basis, banned, bland_after):
+    """Simplex iterations on a canonical tableau; returns a status string.
 
     tab has one row per basis entry plus the objective row (z_j - c_j | z)
-    at the bottom; the rightmost column is the rhs.  Entering: lowest-index
-    column with reduced cost < -tol.  Leaving: min-ratio row, ties by lowest
-    basic variable index.  Columns in ``banned`` never enter.
+    at the bottom; the rightmost column is the rhs.  Entering: the most
+    negative reduced cost < -tol, ties to the lowest index, until
+    ``bland_after`` consecutive pivots have had a min ratio <= 1e-12; then
+    the lowest-index column with reduced cost < -tol (Bland's rule) until
+    the next pivot with a larger ratio.  ``bland_after=0`` is Bland's rule
+    throughout.  Leaving: min-ratio row, ties by lowest basic variable
+    index.  Columns in ``banned`` never enter.
     """
     m = basis.size
-    shaky = 0
+    shaky = degenerate = 0
     for _ in range(_MAX_PIVOTS):
-        eligible = (tab[m, :-1] < -_RC_TOL) & ~banned
-        enter = int(eligible.argmax())
+        reduced = tab[m, :-1]
+        eligible = (reduced < -_RC_TOL) & ~banned
+        if degenerate < bland_after:
+            enter = int(np.where(eligible, reduced, np.inf).argmin())
+        else:
+            enter = int(eligible.argmax())
         if not eligible[enter]:
             return "optimal"
         col = tab[:m, enter]
@@ -252,6 +266,7 @@ def _pivot_loop(tab, basis, banned):
         ratios = np.full(m, np.inf)
         ratios[good] = rhs[good] / col[good]
         rmin = ratios.min()
+        degenerate = degenerate + 1 if rmin <= 1e-12 else 0
         tied = np.flatnonzero(ratios <= rmin * (1 + 1e-10) + 1e-15)
         _pivot(tab, basis, int(tied[basis[tied].argmin()]), enter)
     raise NumericalBreakdown(f"no convergence within {_MAX_PIVOTS} pivots")
@@ -290,7 +305,7 @@ def _canonical_tableau(A, b, senses):
     return tab, start.copy(), start, g, n_real
 
 
-def _optimize(tab, basis, banned, n_real, c):
+def _optimize(tab, basis, banned, n_real, c, bland_after):
     """Both simplex phases of max c @ x on a canonical tableau, in place.
 
     Returns "optimal", "infeasible" or "unbounded".  After phase 1 the
@@ -303,7 +318,7 @@ def _optimize(tab, basis, banned, n_real, c):
         c1 = np.zeros(ncols)
         c1[n_real:] = -1.0
         _set_objective(tab, basis, c1)
-        _pivot_loop(tab, basis, banned)
+        _pivot_loop(tab, basis, banned, bland_after)
         if tab[m, -1] < -1e-7:
             return "infeasible"
         # pivot artificials out of the basis where a real pivot exists
@@ -316,7 +331,7 @@ def _optimize(tab, basis, banned, n_real, c):
     c2 = np.zeros(ncols)
     c2[: c.size] = c
     _set_objective(tab, basis, c2)
-    return _pivot_loop(tab, basis, banned)
+    return _pivot_loop(tab, basis, banned, bland_after)
 
 
 def _basic_point(tab, basis):
@@ -326,8 +341,13 @@ def _basic_point(tab, basis):
     return xfull
 
 
-def reference_solve_canonical(lp: LinearProgram):
+def reference_solve_canonical(lp: LinearProgram, bland_after: int = _BLAND_AFTER):
     """Two-phase simplex; returns (status, objective, x, row_duals).
+
+    The entering rule is the package's (``bland_after`` as in
+    :func:`_pivot_loop`); ``bland_after=0`` is Bland's rule throughout, the
+    kernel as it stood before the package priced by the most negative
+    reduced cost.
 
     Row duals are with respect to the original rows (sign convention: at an
     optimum, duals y satisfy y @ b == objective and c - y @ A <= 0, so "<="
@@ -350,7 +370,7 @@ def reference_solve_canonical(lp: LinearProgram):
         senses += ["<="] * boxed.size
     tab, basis, start, g, n_real = _canonical_tableau(A, b, senses)
     banned = np.zeros(tab.shape[1] - 1, dtype=bool)
-    status = _optimize(tab, basis, banned, n_real, lp.c)
+    status = _optimize(tab, basis, banned, n_real, lp.c, bland_after)
     if status == "infeasible":
         return "infeasible", math.nan, None, None
     if status == "unbounded":
@@ -456,6 +476,64 @@ def weights_closed_form(inst, config, stage_len: int, lam: float, eps_z: float, 
     for tau in range(s):
         log_mag += (means[tau][0] / inst.w_max) * log_shrink - log_drift
     return log_res, log_mag
+
+
+def violation_potential_terms(record, inst, config, upto: int | None = None):
+    """Recompute the stage potential after ``upto`` steps from first principles.
+
+    The potential is the quantity whose expected one-step decrease makes
+    the weighted rule safe: projected future occupancy mass (each future
+    slot weighted by realized commitments so far and by the static growth
+    of the remaining gap) plus the reward-deficit mass.  Everything is
+    rebuilt from the recorded (customer, action) choices and mean outcome
+    tables; the live weights are not consulted, so this doubles as an
+    independent check on them.  Quadratic in the stage length.
+    """
+    if record.mode != "weighted":
+        raise ValueError("potential is only defined for weighted stages")
+    s = len(record.choices) if upto is None else int(upto)
+    if not 0 <= s <= len(record.choices):
+        raise ValueError(f"upto must lie in 0..{len(record.choices)}")
+    L = record.length
+    eps, gamma, delta = config.epsilon, config.gamma, config.delta
+    lam, ez = record.lam, record.eps_z
+    w_max = inst.w_max
+    caps = inst.capacities()
+    d = inst.durations()
+    d_safe = np.where(d > 0, d, 1.0)
+    C = inst.n_resources
+    base = inst.survival_matrix(L + 1)
+    surv = np.hstack([np.zeros((C, 1)), base])  # surv[:, u] = Pr(D >= u)
+    with np.errstate(divide="ignore"):
+        occ = np.log1p(eps * gamma * surv[:, : L + 1] / (d_safe * (1.0 + eps))[:, None])
+    occ_cum = np.cumsum(occ, axis=1)  # occ_cum[:, m] = sum of factors for gaps 1..m
+    means = [inst.customers[j].outcomes.means(k) for j, k in record.choices[:s]]
+    log1p = math.log1p(eps)
+    res = 0.0
+    for t in range(s + 1, L + 1):
+        cum = np.zeros(C)
+        for tau in range(1, s + 1):
+            cum += means[tau - 1][1] * surv[:, t - tau + 1]
+        logterm = (gamma / caps) * cum * log1p + occ_cum[:, t - s] + (delta - gamma) * log1p
+        res += float(np.exp(logterm).sum())
+    cum_z = np.zeros(inst.reward_count)
+    for tau in range(1, s + 1):
+        cum_z += means[tau - 1][0]
+    log_shrink = math.log1p(-ez)
+    log_drift = math.log1p(-ez * lam / (w_max * (1.0 + eps)))
+    logrew = (
+        (cum_z / w_max) * log_shrink
+        + (L - s) * log_drift
+        - (1.0 - ez) * L * lam / w_max * log_shrink
+    )
+    rew = float(np.exp(logrew).sum())
+    return res, rew
+
+
+def violation_potential(record, inst, config, upto: int | None = None) -> float:
+    """Total stage potential: occupancy mass plus reward-deficit mass."""
+    res, rew = violation_potential_terms(record, inst, config, upto)
+    return res + rew
 
 
 def reference_duration(curve, rng) -> int:

@@ -24,6 +24,7 @@ from oracles import (
     lp_best_assortment,
     lp_enumerate,
     reference_select,
+    violation_potential,
     weights_closed_form,
 )
 from reuselab.harness import run_trend
@@ -48,7 +49,6 @@ from reuselab.policy import (
     init_penalty_weights,
     select_action,
     update_penalty_weights,
-    violation_potential,
 )
 from reuselab.sim import run_episode
 

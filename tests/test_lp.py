@@ -10,6 +10,7 @@ from helpers import (
     two_resource_instance,
     wide_logit_instance,
 )
+import oracles
 from oracles import cold_colgen, lp_enumerate, reference_solve_canonical
 from reuselab import lp as lp_module
 from reuselab.harness import GeneratorSpec, generate_instance
@@ -111,10 +112,10 @@ class TestSimplexCore:
 
     def test_bland_tie_breaking_frozen(self):
         # max x1 + 2 x2 + x3 has optimum 4 at (1, 1, 1) and at (0, 2, 0).  The
-        # first pivot (x1 enters, lowest index) ties rows 0 and 1 at ratio 2;
-        # Bland's lowest basic index sends row 0's slack out, and the path
-        # ends at (1, 1, 1).  Entering on the most negative reduced cost, or
-        # breaking the tie toward the highest basic index, ends at (0, 2, 0).
+        # most negative reduced cost enters x2 first, which ties rows 1 and 2
+        # at ratio 2; the lowest basic index sends row 1's slack out, and the
+        # path ends at (0, 2, 0).  Bland's entering rule (x1 first) ends at
+        # (1, 1, 1).
         lp = LinearProgram(
             c=[1.0, 2.0, 1.0],
             A=[[1.0, 0.0, 1.0], [1.0, 1.0, 0.0], [0.0, 1.0, 1.0]],
@@ -124,9 +125,9 @@ class TestSimplexCore:
         sol, duals = solve_lp_with_duals(lp)
         assert sol.status == "optimal"
         assert sol.objective == 4.0
-        assert sol.x.tolist() == [1.0, 1.0, 1.0]
-        # every x_j basic, every slack nonbasic: row duals of that basis
+        assert sol.x.tolist() == [0.0, 2.0, 0.0]
         assert duals.tolist() == [0.0, 1.0, 1.0]
+        assert reference_solve_canonical(lp, bland_after=0)[2].tolist() == [1.0, 1.0, 1.0]
 
     def test_fuzz_against_enumeration(self):
         rng = np.random.default_rng(424242)
@@ -208,6 +209,103 @@ class TestDuals:
         hand = hand_instance()
         with pytest.raises(NumericalBreakdown, match="reduced cost"):
             solve_steady_state_colgen(hand, hand.arrival_weights())
+
+
+def count_pivots(monkeypatch, module):
+    """Count the calls a module makes to its ``_pivot``; returns a 1-list."""
+    count = [0]
+    pivot = module._pivot
+
+    def counting(*args):
+        count[0] += 1
+        return pivot(*args)
+
+    monkeypatch.setattr(module, "_pivot", counting)
+    return count
+
+
+class TestPricing:
+    """Most-negative entering with a Bland fallback, against Bland's rule."""
+
+    def test_agrees_with_bland(self):
+        # another pivot path may end at another optimal vertex; the status
+        # and objective must agree, and both answers are certified primal
+        # and dual (each solve raises NumericalBreakdown otherwise)
+        def check(lp):
+            status, obj, _x, _duals = lp_module._solve_canonical(lp)
+            ref_status, ref_obj, _x, _duals = reference_solve_canonical(lp, bland_after=0)
+            assert status == ref_status, dump_lp(lp)
+            if status == "optimal":
+                assert obj == pytest.approx(ref_obj, rel=1e-12, abs=1e-12), dump_lp(lp)
+            return status
+
+        for seed in (1, 2):
+            te = generate_instance(GeneratorSpec(seed=seed, base_horizon=6, n_customers=3))
+            assert check(build_time_expanded_lp(te, te.arrival_weights())[0]) == "optimal"
+        for seed in (1, 2, 3):
+            inst = generate_instance(
+                GeneratorSpec(seed=seed, n_products=5, max_size=2, n_customers=4)
+            )
+            assert check(build_steady_state_lp(inst, inst.arrival_weights())[0]) == "optimal"
+        rng = np.random.default_rng(6060)
+        statuses = [check(random_planted_lp(rng, phase_one=bool(i % 2))) for i in range(400)]
+        assert statuses.count("optimal") >= 200
+
+    def test_fewer_pivots_than_bland(self, monkeypatch):
+        # a silent return to Bland's entering rule fails here
+        te = generate_instance(GeneratorSpec(seed=1, base_horizon=8, n_customers=4))
+        ss = generate_instance(
+            GeneratorSpec(seed=1, n_products=7, max_size=3, n_customers=6)
+        )
+        ours = count_pivots(monkeypatch, lp_module)
+        bland = count_pivots(monkeypatch, oracles)
+        for lp in (
+            build_time_expanded_lp(te, te.arrival_weights())[0],
+            build_steady_state_lp(ss, ss.arrival_weights())[0],
+        ):
+            ours[0] = bland[0] = 0
+            assert lp_module._solve_canonical(lp)[0] == "optimal"
+            assert reference_solve_canonical(lp, bland_after=0)[0] == "optimal"
+            assert 0 < 2 * ours[0] <= bland[0], (ours, bland)
+
+    def test_beale_cycling_lp(self, monkeypatch):
+        # Beale's LP cycles under the most-negative rule with lowest-index
+        # ties; the Bland fallback breaks the cycle
+        lp = LinearProgram(
+            c=[0.75, -20.0, 0.5, -6.0],
+            A=[[0.25, -8.0, -1.0, 9.0], [0.5, -12.0, -0.5, 3.0], [0.0, 0.0, 1.0, 0.0]],
+            senses=["<=", "<=", "<="],
+            b=[0.0, 0.0, 1.0],
+        )
+        sol = solve_lp(lp)
+        assert sol.status == "optimal"
+        assert sol.objective == pytest.approx(1.25, abs=1e-12)
+        np.testing.assert_allclose(sol.x, [1.0, 0.0, 1.0, 0.0], atol=1e-12)
+        monkeypatch.setattr(lp_module, "_MAX_PIVOTS", 1000)
+        monkeypatch.setattr(lp_module, "_BLAND_AFTER", 1000)
+        with pytest.raises(NumericalBreakdown, match="no convergence"):
+            solve_lp(lp)
+
+    def test_weak_pivot_ignores_entries_below_floor(self):
+        # the column's best entry, 1e-10, is weak; the 1e-13 entry counts as
+        # zero even though its ratio is smaller, and x = 1e10 leaves row 1
+        # within its feasibility tolerance
+        lp = LinearProgram(
+            c=[1.0], A=[[1e-10], [1e-13]], senses=["<=", "<="], b=[1.0, 1e-3 - 5e-10]
+        )
+        sol = solve_lp(lp)
+        assert sol.status == "optimal"
+        assert sol.objective == pytest.approx(1e10, rel=1e-12)
+
+    def test_repeated_weak_pivots_break_down(self):
+        # each column's only entry is 1e-10: 50 weak pivots are tolerated,
+        # the 51st is not
+        def diagonal(n):
+            return LinearProgram(np.ones(n), 1e-10 * np.eye(n), ["<="] * n, np.ones(n))
+
+        assert solve_lp(diagonal(50)).objective == pytest.approx(50e10, rel=1e-12)
+        with pytest.raises(NumericalBreakdown, match="below magnitude 1e-9"):
+            solve_lp(diagonal(51))
 
 
 def answer_bytes(answer):

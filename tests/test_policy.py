@@ -10,7 +10,12 @@ from helpers import (
     small_mnl_instance,
     two_resource_instance,
 )
-from oracles import reference_select, weights_closed_form
+from oracles import (
+    reference_select,
+    violation_potential,
+    violation_potential_terms,
+    weights_closed_form,
+)
 from reuselab.harness import GeneratorSpec, generate_instance, make_policy, solve_benchmarks
 from reuselab.lp import solve_steady_state
 from reuselab.model import (
@@ -37,8 +42,6 @@ from reuselab.policy import (
     reward_margin,
     select_action,
     update_penalty_weights,
-    violation_potential,
-    violation_potential_terms,
 )
 from reuselab.sim import run_episode
 
