@@ -282,15 +282,25 @@ def run_trend(
 
     epsilon shrinks inversely with scale so every run keeps the same
     exploration-stage length; ``relaxed`` sets every config's
-    ``relaxed_schedule``.  Every scale is generated, solved and its config
-    checked against its instance's horizon (``ValueError("config: ...")``)
-    before any experiment runs.  Returns (rows, report); rows carry every
-    scale's summaries in scale order.
+    ``relaxed_schedule``.  Scales must be positive and distinct; a
+    ``ValueError`` names the offending ones before any work.  Every scale
+    is generated, solved and its config checked against its instance's
+    horizon (``ValueError("config: ...")``) before any experiment runs.
+    Returns (rows, report); rows carry every scale's summaries in scale
+    order.
     """
     if reps < 1:
         raise ValueError(f"reps must be >= 1, got {reps}")
+    bad = sorted({s for s in scales if s < 1})
+    if bad:
+        raise ValueError(f"trend scales must be positive, got {', '.join(map(str, bad))}")
     if len(set(scales)) < 3:
         raise ValueError(f"trend needs at least 3 scales, got {len(set(scales))}")
+    repeated = sorted({s for s in scales if scales.count(s) > 1})
+    if repeated:
+        raise ValueError(
+            f"trend scales must be distinct, got {', '.join(map(str, repeated))} more than once"
+        )
     spec = spec or GeneratorSpec(seed=base_seed)
     plans = []
     for s in scales:

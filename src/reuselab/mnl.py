@@ -19,6 +19,8 @@ type prices as its own logit customer, wherever it sits in the instance.
 
 from __future__ import annotations
 
+from bisect import bisect_right
+
 import numpy as np
 
 from .lp import ENUMERATION_CAP
@@ -38,6 +40,12 @@ __all__ = [
     "make_assortment_pricing",
     "build_mnl_instance",
 ]
+
+
+# Assortments whose cumulative purchase probabilities one customer keeps;
+# the cache is emptied when full, so uniform play over a large space holds
+# at most this many.
+_CUM_CACHE = 64
 
 
 class AssortmentTooLarge(ValueError):
@@ -186,6 +194,7 @@ class MnlOutcomes(OutcomeModel):
     def __init__(self, model: MnlModel, customer: int | None):
         self.model = model
         self.customer = customer
+        self._cum: dict = {}   # assortment -> cumulative purchase probabilities
         if customer is not None and not 0 <= customer < model.n_customers:
             raise ValueError("customer index out of range")
 
@@ -205,10 +214,16 @@ class MnlOutcomes(OutcomeModel):
         a = np.zeros(n)
         if self.customer is None or len(action) == 0:
             return w, a
-        # choice_probability restricted to the offered products, in order
-        v = self.model.attractions[self.customer, list(action)]
-        cum = (v / (1.0 + v.sum())).cumsum()
-        pick = int(cum.searchsorted(rng.random(), side="right"))
+        # choice_probability restricted to the offered products, in order,
+        # accumulated once per assortment
+        cum = self._cum.get(action)
+        if cum is None:
+            v = self.model.attractions[self.customer, list(action)]
+            cum = (v / (1.0 + v.sum())).cumsum().tolist()
+            if len(self._cum) >= _CUM_CACHE:
+                self._cum.clear()
+            self._cum[action] = cum
+        pick = bisect_right(cum, rng.random())
         if pick < len(action):
             i = action[pick]
             a[i] = 1.0

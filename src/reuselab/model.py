@@ -23,6 +23,7 @@ Conventions used throughout the package:
 from __future__ import annotations
 
 import math
+from bisect import bisect_right
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -65,12 +66,13 @@ class SurvivalCurve:
     be zero (the resource comes back immediately).
     """
 
-    __slots__ = ("surv",)
+    __slots__ = ("surv", "_asc")
 
     def __init__(self, surv):
         self.surv = np.asarray(surv, dtype=float)
         if self.surv.ndim != 1 or self.surv.size == 0:
             raise ValueError("survival curve must be a non-empty 1-d sequence")
+        self._asc = self.surv[::-1]   # the tail in ascending order, for sample
 
     def __len__(self):
         return self.surv.size
@@ -98,8 +100,7 @@ class SurvivalCurve:
     def sample(self, rng, size=None):
         """Draw durations by inverse transform: D = #{u : Pr(D >= u) > U}."""
         u = rng.random(size)
-        asc = self.surv[::-1]
-        d = self.surv.size - asc.searchsorted(u, side="right")
+        d = self.surv.size - self._asc.searchsorted(u, side="right")
         return d if size is not None else int(d)
 
     def violations(self, path: str = "survival") -> list[str]:
@@ -359,7 +360,7 @@ class AssortmentActions:
         self.null_action = ()
         self._actions = None
         self._membership = None
-        self._size_probs = None
+        self._size_cdf = None
 
     @property
     def size(self):
@@ -386,14 +387,21 @@ class AssortmentActions:
         return self._membership
 
     def sample_uniform(self, rng):
-        # size-weighted draw keeps the distribution uniform over all actions
-        if self._size_probs is None:
+        # A size-weighted draw keeps the distribution uniform over all
+        # actions.  Generator.choice(size + 1, p=probs) draws one
+        # rng.random() and inverts it by searchsorted(side="right") on
+        # probs.cumsum() / its last entry; the same cdf, built once, and
+        # bisect_right (the same binary search) give the same size, draw
+        # for draw, without choice's per-call validation of p.
+        if self._size_cdf is None:
             weights = np.array(
                 [math.comb(self.n_products, sz) for sz in range(self.max_size + 1)],
                 dtype=float,
             )
-            self._size_probs = weights / weights.sum()
-        sz = int(rng.choice(self.max_size + 1, p=self._size_probs))
+            cdf = (weights / weights.sum()).cumsum()
+            cdf /= cdf[-1]
+            self._size_cdf = cdf.tolist()
+        sz = bisect_right(self._size_cdf, rng.random())
         if sz == 0:
             return ()
         return tuple(sorted(rng.choice(self.n_products, size=sz, replace=False).tolist()))

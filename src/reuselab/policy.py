@@ -98,12 +98,29 @@ def _reward_margin(w_max, epsilon, n_indices, n_stages, eta, stage_len, lam):
     return ez, clamped
 
 
-def _logsumexp(a: np.ndarray, axis: int) -> np.ndarray:
-    m = np.max(a, axis=axis, keepdims=True)
-    m = np.where(np.isfinite(m), m, 0.0)
-    with np.errstate(divide="ignore"):
-        out = np.log(np.sum(np.exp(a - m), axis=axis))
-    return out + np.squeeze(m, axis=axis)
+def _window_logsumexp(ws: PenaltyWeights, s: int, width: int) -> np.ndarray:
+    """Per-resource log-sum-exp of log_surv[:, 1..width] + log_resource[:, s..].
+
+    The terms go into the stage's preallocated (C, width) buffer; a row's
+    max is its offset, or 0.0 for a row that is all -inf (its sum of
+    exponentials is then 0, and its log -inf).
+    """
+    buf = ws._windows[width]
+    np.add(ws.log_surv[:, 1 : width + 1], ws.log_resource[:, s : s + width], out=buf)
+    m = buf.max(axis=1)
+    all_finite = math.isfinite(sum(m.tolist()))
+    if not all_finite:
+        m = np.where(np.isfinite(m), m, 0.0)
+    np.subtract(buf, m[:, None], out=buf)
+    np.exp(buf, out=buf)
+    total = buf.sum(axis=1)
+    if all_finite:  # every row holds exp(0) = 1, so no log(0)
+        np.log(total, out=total)
+    else:
+        with np.errstate(divide="ignore"):
+            np.log(total, out=total)
+    total += m
+    return total
 
 
 @dataclass
@@ -120,6 +137,19 @@ class PenaltyWeights:
     nonzero ``surv[:, u]`` over all resources: past it ``surv`` and
     ``occ_factors`` are 0 and ``log_surv`` is -inf, so a step at slot s
     only reaches slots up to s + d_max.
+
+    Delta cache: an update adds to slot s + u, for gap u = 1..d_max, the
+    delta (gamma/c_i)*(a_i*Pr(D_i >= u+1))*log(1+eps) - occ_factors[i, u],
+    and to the reward weights (w_i/w_max)*log(1-eps_z) - log_drift_z.
+    Neither depends on s, only on the arriving type and its action, so
+    each (type, action) pair's deltas are computed once, on its first
+    update, and kept in a dict on these weights.  The stage's last update
+    empties the dict (the weights themselves outlive the stage, for
+    inspection), so at most one stage's cache is alive at a time; it holds
+    at most one entry per update of the stage, and at most one per
+    (type, action) pair.
+    ``select_action`` sums its window of terms in one (C, d_max) buffer,
+    also allocated once per stage.
     """
 
     stage_len: int
@@ -138,10 +168,17 @@ class PenaltyWeights:
     log_drift_z: float        # log(1 - eps_z * lam / (w_max * (1 + eps)))
     updates: int = 0
     d_max: int = field(init=False)
+    _deltas: dict = field(init=False, repr=False, compare=False)
+    _windows: list = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         live = np.flatnonzero(np.any(self.surv != 0.0, axis=0))
         self.d_max = int(live[-1]) if live.size else 0
+        self._deltas = {}
+        # _windows[w] is a C-contiguous (C, w) view of one shared buffer
+        C = self.caps.size
+        flat = np.empty(C * self.d_max)
+        self._windows = [flat[: C * w].reshape(C, w) for w in range(self.d_max + 1)]
 
 
 def init_penalty_weights(
@@ -167,10 +204,12 @@ def init_penalty_weights(
         log_surv = np.log(surv)
         occ = np.log1p(eps * gamma * surv[:, : stage_len + 1] / (d_safe * (1.0 + eps))[:, None])
         lead = np.log(eps * gamma) - np.log(caps) - (gamma - delta) * math.log1p(eps)
+    # slot 1 holds lead and slot t the sum, in slot order, of lead and the
+    # factors of gaps 1..t-1: a sequential cumsum
     log_resource = np.full((C, stage_len + 1), -np.inf)
-    log_resource[:, 1] = lead
-    for t in range(2, stage_len + 1):
-        log_resource[:, t] = log_resource[:, t - 1] + occ[:, t - 1]
+    steps = occ[:, :stage_len].copy()
+    steps[:, 0] = lead
+    np.cumsum(steps, axis=1, out=log_resource[:, 1:])
     log_shrink = math.log1p(-eps_z)
     log_drift = math.log1p(-eps_z * lam / (inst.w_max * (1.0 + eps)))
     mag = (
@@ -218,16 +257,15 @@ def select_action(ws: PenaltyWeights, inst: Instance, customer: int):
     L = ws.stage_len
     if s > L:
         raise RuntimeError(f"stage of length {L} already exhausted")
-    end = min(L, s + ws.d_max - 1)
-    if s > end:
-        log_phi_sum = np.full(ws.caps.size, -np.inf)
+    width = min(L - s + 1, ws.d_max)   # slots s .. min(L, s + d_max - 1)
+    if width > 0:
+        log_phi = _window_logsumexp(ws, s, width)
     else:
-        terms = ws.log_surv[:, 1 : end - s + 2] + ws.log_resource[:, s : end + 1]
-        log_phi_sum = _logsumexp(terms, axis=1)
-    cand = np.concatenate([log_phi_sum, ws.log_reward_mag])
-    finite = cand[np.isfinite(cand)]
-    off = float(finite.max()) if finite.size else 0.0
-    phi = np.exp(log_phi_sum - off)
+        log_phi = np.full(ws.caps.size, -np.inf)
+    finite = [v for v in log_phi.tolist() + ws.log_reward_mag.tolist() if math.isfinite(v)]
+    off = max(finite) if finite else 0.0
+    log_phi -= off
+    phi = np.exp(log_phi, out=log_phi)
     psi_mag = np.exp(ws.log_reward_mag - off)
     return om.best_action(inst.actions, phi, psi_mag)
 
@@ -239,23 +277,33 @@ def update_penalty_weights(ws: PenaltyWeights, inst: Instance, customer: int, ac
     occupancy) and shed one static occupancy factor; reward weights shrink
     by (1-eps_z)^(w_i/w_max) and shed one drift factor.  Deterministic
     given the arrival and the chosen action.  Slots past s + d_max would
-    only receive += 0.0, so they are skipped.
+    only receive += 0.0, so they are skipped.  Both deltas depend on the
+    (type, action) pair alone, so they come from the stage's delta cache
+    (see :class:`PenaltyWeights`).
     """
-    w, a = inst.customers[customer].outcomes.means(action)
     s = ws.updates + 1
     L = ws.stage_len
     if s > L:
         raise RuntimeError(f"stage of length {L} already exhausted")
-    hi = min(L, s + ws.d_max)
-    if hi > s:
-        gap = hi - s   # t - s runs over 1..gap for t in s+1..hi
-        proj = a[:, None] * ws.surv[:, 2 : gap + 2]   # Pr(D >= t - s + 1)
-        ws.log_resource[:, s + 1 : hi + 1] += (
+    key = (customer, action)
+    deltas = ws._deltas.get(key)
+    if deltas is None:
+        w, a = inst.customers[customer].outcomes.means(action)
+        span = min(ws.d_max, L - 1)   # the widest gap any step of the stage reaches
+        proj = a[:, None] * ws.surv[:, 2 : span + 2]   # Pr(D >= u + 1)
+        deltas = ws._deltas[key] = (
             (ws.gamma / ws.caps)[:, None] * proj * ws.log1p_eps
-            - ws.occ_factors[:, 1 : gap + 1]
+            - ws.occ_factors[:, 1 : span + 1],
+            (w / ws.w_max) * ws.log_shrink_z - ws.log_drift_z,
         )
-    ws.log_reward_mag += (w / ws.w_max) * ws.log_shrink_z - ws.log_drift_z
+    res, rew = deltas
+    gap = min(L - s, ws.d_max)   # t - s runs over 1..gap for t in s+1..s+gap
+    if gap > 0:
+        ws.log_resource[:, s + 1 : s + gap + 1] += res[:, :gap]
+    ws.log_reward_mag += rew
     ws.updates = s
+    if s == L:   # no later update can read the cache
+        ws._deltas.clear()
 
 
 class _RateTables:

@@ -21,15 +21,20 @@ duration draws are consumed per allocation, so those streams stay aligned
 across policies only while the policies act identically.
 
 Per-episode cache: an :class:`Episode` computes its capacity thresholds
-once and keeps each (type, action)'s ``consumption_bound`` in a dict that
-dies with the episode, since a bound depends only on the action.  The
-cache changes no draw: every step consumes the same draws in the same
-order and runs the same float arithmetic as rebuilding everything per
-step would.
+and its cumulative arrival weights once, and keeps each (type, action)'s
+``consumption_bound`` in a dict that dies with the episode, since a bound
+depends only on the action.  Scalar draws are inverted by
+``bisect.bisect_right`` on plain lists, the same binary search as
+``ndarray.searchsorted(side="right")``; the overflow check and the peak
+update run only on steps that book a unit, since occupancy rises no other
+way.  None of this changes a draw: every step consumes the same draws in
+the same order and runs the same float arithmetic as rebuilding
+everything per step would.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -78,7 +83,7 @@ class Episode:
         self.caps = inst.capacities()
         self._fit_caps = self.caps + 1e-9     # feasibility threshold
         self._hard_caps = self.caps + 1e-7    # violation threshold
-        self._cum_weights = np.cumsum(inst.arrival_weights())
+        self._cum_weights = np.cumsum(inst.arrival_weights()).tolist()
         self.occupied = np.zeros(inst.n_resources)
         self.peak_occupied = np.zeros(inst.n_resources)
         d_max = max(r.survival.d_max for r in inst.resources)
@@ -99,7 +104,7 @@ class Episode:
         row[:] = 0.0
 
     def sample_arrival(self, rng: np.random.Generator) -> int:
-        j = int(self._cum_weights.searchsorted(rng.random(), side="right"))
+        j = bisect_right(self._cum_weights, rng.random())
         return min(j, self.inst.n_types - 1)
 
     def feasible(self, customer: int, action) -> bool:
@@ -124,19 +129,24 @@ class Episode:
         w, a = om.sample(action, streams.outcomes)
         durs = {}
         t = self.step
-        for i in (a > 0.0).nonzero()[0].tolist():
-            d = int(inst.resources[i].survival.sample(streams.durations))
-            durs[i] = d
-            if d > 0:
-                self.occupied[i] += a[i]
-                self._returns[t + d, i] += a[i]
-        if (self.occupied > self._hard_caps).any():
-            bad = int(np.argmax(self.occupied - self.caps))
-            raise CapacityViolation(
-                f"resource {bad}: occupied {self.occupied[bad]!r} "
-                f"> capacity {self.caps[bad]!r} at step {t}"
-            )
-        np.maximum(self.peak_occupied, self.occupied, out=self.peak_occupied)
+        booked = False
+        for i, ai in enumerate(a.tolist()):
+            if ai > 0.0:
+                d = int(inst.resources[i].survival.sample(streams.durations))
+                durs[i] = d
+                if d > 0:
+                    self.occupied[i] += ai
+                    self._returns[t + d, i] += ai
+                    booked = True
+        # occupancy rises only by a booking, so only then can it overflow or peak
+        if booked:
+            if (self.occupied > self._hard_caps).any():
+                bad = int(np.argmax(self.occupied - self.caps))
+                raise CapacityViolation(
+                    f"resource {bad}: occupied {self.occupied[bad]!r} "
+                    f"> capacity {self.caps[bad]!r} at step {t}"
+                )
+            np.maximum(self.peak_occupied, self.occupied, out=self.peak_occupied)
         return w, a, durs
 
 

@@ -16,6 +16,11 @@ under Bland's rule throughout it is a second pivot path, whose optima the
 package's must match.
 :func:`violation_potential` rebuilds the adaptive policy's stage potential
 from its recorded choices alone, without the live weights.
+The ``plain_*`` weight functions compute the weighted rule with one fresh
+array per numpy call: a per-slot loop that initializes the weights, a
+concatenated mask that finds the selection offset, and both update deltas
+rebuilt from the mean outcomes at every step.  The package's functions,
+which cache deltas and reuse buffers, must match them bit for bit.
 """
 
 from __future__ import annotations
@@ -43,7 +48,8 @@ from reuselab.lp import (
     solve_lp_with_duals,
 )
 from reuselab.mnl import MnlModel, MnlOutcomes
-from reuselab.model import AssortmentActions
+from reuselab.model import AlgoConfig, AssortmentActions, Instance
+from reuselab.policy import PenaltyWeights
 from reuselab.sim import EpisodeTrace, StepOutcome
 
 
@@ -430,6 +436,134 @@ def reference_select(ws, inst, customer: int):
         if best_score is None or score < best_score:
             best_k, best_score = k, score
     return actions[best_k]
+
+
+# ---------------------------------------------------------------------------
+# the weighted rule with one fresh array per numpy call: the per-slot
+# initialization loop, the concatenated offset mask, and both update deltas
+# rebuilt from the mean outcomes at every step
+
+
+def plain_logsumexp(a: np.ndarray, axis: int) -> np.ndarray:
+    m = np.max(a, axis=axis, keepdims=True)
+    m = np.where(np.isfinite(m), m, 0.0)
+    with np.errstate(divide="ignore"):
+        out = np.log(np.sum(np.exp(a - m), axis=axis))
+    return out + np.squeeze(m, axis=axis)
+
+
+def plain_init_penalty_weights(
+    inst: Instance, stage_len: int, lam: float, eps_z: float, config: AlgoConfig
+) -> PenaltyWeights:
+    """Stage-start weights.
+
+    Resource weights start at eps*gamma / (c_i * (1+eps)^(gamma-delta)) for
+    slot 1 and grow across slots by the occupancy factor of the slot gap;
+    reward weights start at the negative of the full-stage drift so that a
+    policy exactly on target ends the stage at magnitude about eps_z/w_max.
+    """
+    if inst.w_max <= 0.0:
+        raise ValueError("adaptive weights need a positive reward bound")
+    eps, gamma, delta = config.epsilon, config.gamma, config.delta
+    caps = inst.capacities()
+    d = inst.durations()
+    d_safe = np.where(d > 0, d, 1.0)
+    base = inst.survival_matrix(stage_len + 1)  # (C, stage_len + 1)
+    C = inst.n_resources
+    surv = np.hstack([np.zeros((C, 1)), base])
+    with np.errstate(divide="ignore"):
+        log_surv = np.log(surv)
+        occ = np.log1p(eps * gamma * surv[:, : stage_len + 1] / (d_safe * (1.0 + eps))[:, None])
+        lead = np.log(eps * gamma) - np.log(caps) - (gamma - delta) * math.log1p(eps)
+    log_resource = np.full((C, stage_len + 1), -np.inf)
+    log_resource[:, 1] = lead
+    for t in range(2, stage_len + 1):
+        log_resource[:, t] = log_resource[:, t - 1] + occ[:, t - 1]
+    log_shrink = math.log1p(-eps_z)
+    log_drift = math.log1p(-eps_z * lam / (inst.w_max * (1.0 + eps)))
+    mag = (
+        math.log(eps_z)
+        - math.log(inst.w_max)
+        + (stage_len - 1) * log_drift
+        - (1.0 - eps_z) * stage_len * lam / inst.w_max * log_shrink
+    )
+    return PenaltyWeights(
+        stage_len=stage_len,
+        gamma=gamma,
+        lam=lam,
+        eps_z=eps_z,
+        w_max=inst.w_max,
+        caps=caps,
+        surv=surv,
+        log_surv=log_surv,
+        occ_factors=occ,
+        log_resource=log_resource,
+        log_reward_mag=np.full(inst.reward_count, mag),
+        log1p_eps=math.log1p(eps),
+        log_shrink_z=log_shrink,
+        log_drift_z=log_drift,
+    )
+
+
+def plain_select_action(ws: PenaltyWeights, inst: Instance, customer: int):
+    """Greedy step of the weighted rule for the arrival at step updates + 1.
+
+    Minimizes projected occupancy cost plus (negative) reward credit:
+    sum over future slots t of a_i * Pr(D_i >= t - s + 1) * phi_{i,s,t}
+    plus sum over reward indices of w_i * psi_{i,s}, using mean outcomes.
+    The slot of the current step itself (t = s) enters the occupancy sum;
+    only slots t <= s + d_max - 1 carry survival mass, so the sum stops
+    there (and is empty when d_max = 0).  The minimization itself
+    is the customer's own pricing oracle, ``outcomes.best_action``: an
+    argmin over mean tables (ties to the lowest action index) for explicit
+    types, the sort-and-fixed-point assortment solver for logit customers.
+    """
+    om = inst.customers[customer].outcomes
+    null = inst.actions.null_action
+    if om.is_null:
+        return null
+    s = ws.updates + 1
+    L = ws.stage_len
+    if s > L:
+        raise RuntimeError(f"stage of length {L} already exhausted")
+    end = min(L, s + ws.d_max - 1)
+    if s > end:
+        log_phi_sum = np.full(ws.caps.size, -np.inf)
+    else:
+        terms = ws.log_surv[:, 1 : end - s + 2] + ws.log_resource[:, s : end + 1]
+        log_phi_sum = plain_logsumexp(terms, axis=1)
+    cand = np.concatenate([log_phi_sum, ws.log_reward_mag])
+    finite = cand[np.isfinite(cand)]
+    off = float(finite.max()) if finite.size else 0.0
+    phi = np.exp(log_phi_sum - off)
+    psi_mag = np.exp(ws.log_reward_mag - off)
+    return om.best_action(inst.actions, phi, psi_mag)
+
+
+def plain_update_penalty_weights(ws: PenaltyWeights, inst: Instance, customer: int, action):
+    """Apply the multiplicative update for the chosen action's mean outcomes.
+
+    Future resource slots grow by (1+eps)^((gamma/c_i) * projected
+    occupancy) and shed one static occupancy factor; reward weights shrink
+    by (1-eps_z)^(w_i/w_max) and shed one drift factor.  Deterministic
+    given the arrival and the chosen action.  Slots past s + d_max would
+    only receive += 0.0, so they are skipped.
+    """
+    w, a = inst.customers[customer].outcomes.means(action)
+    s = ws.updates + 1
+    L = ws.stage_len
+    if s > L:
+        raise RuntimeError(f"stage of length {L} already exhausted")
+    hi = min(L, s + ws.d_max)
+    if hi > s:
+        gap = hi - s   # t - s runs over 1..gap for t in s+1..hi
+        proj = a[:, None] * ws.surv[:, 2 : gap + 2]   # Pr(D >= t - s + 1)
+        ws.log_resource[:, s + 1 : hi + 1] += (
+            (ws.gamma / ws.caps)[:, None] * proj * ws.log1p_eps
+            - ws.occ_factors[:, 1 : gap + 1]
+        )
+    ws.log_reward_mag += (w / ws.w_max) * ws.log_shrink_z - ws.log_drift_z
+    ws.updates = s
 
 
 def weights_closed_form(inst, config, stage_len: int, lam: float, eps_z: float, choices):

@@ -9,12 +9,26 @@ benchmark's traced runs, so the names are checked here; nothing under
 import importlib.util
 from pathlib import Path
 
-from helpers import hand_instance
+from helpers import hand_instance, small_mnl_instance
 import reuselab
 from reuselab import policy
 from reuselab.lp import solve_steady_state
 from reuselab.model import AlgoConfig, scale_parameter
 from reuselab.sim import run_episode
+
+# what one arrival's step runs, per the benchmark's span names
+PER_STEP_SPANS = (
+    "sim.run_episode",
+    "sim.begin_step",
+    "sim.sample_arrival",
+    "sim.feasible",
+    "sim.apply_action",
+    "policy.select_action",
+    "policy.update_penalty_weights",
+    "mnl.best_assortment",
+    "mnl.sample",
+    "model.sample_uniform",
+)
 
 
 def _tracing():
@@ -47,3 +61,21 @@ def test_adaptive_plans_stages_through_policy_binding(monkeypatch):
     pol = policy.AdaptivePolicy(config)
     run_episode(inst, pol, seed=3)
     assert len(calls) == pol.lp_solves == 2
+
+
+def test_per_step_targets_record_spans():
+    # a step that bypasses a wrapped binding would leave its span, and the
+    # per-layer metric read from it, empty
+    tracer = _tracing().Tracer(reuselab)
+    inst = small_mnl_instance(horizon=64)
+    lam = solve_steady_state(inst, inst.arrival_weights()).lambda_
+    config = AlgoConfig(epsilon=0.25, gamma=scale_parameter(inst, lam))
+    with tracer.root("episodes", "round"):
+        # through the module, as the benchmark calls it
+        reuselab.sim.run_episode(inst, policy.AdaptivePolicy(config), seed=1)
+        reuselab.sim.run_episode(inst, policy.UniformRandomPolicy(), seed=2)
+    spans = tracer.summary("round")
+    for name in PER_STEP_SPANS:
+        assert spans.calls(name) > 0, name
+    assert spans.calls("sim.begin_step") == 2 * inst.horizon
+    assert not hasattr(policy.select_action, "__wrapped__")   # uninstalled

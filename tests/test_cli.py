@@ -313,6 +313,23 @@ class TestTrend:
         assert capsys.readouterr().err.startswith(err)
         assert calls == []
 
+    @pytest.mark.parametrize("scales, err", [
+        # a zero scale used to reach the LP and fail as "unbounded"; a
+        # repeated one used to write its rows to the CSV twice
+        ("0,1,2", "error: trend scales must be positive, got 0\n"),
+        ("1,2,2,4", "error: trend scales must be distinct, got 2 more than once\n"),
+    ])
+    def test_bad_scales_rejected(self, scales, err, tmp_path, capsys):
+        out = tmp_path / "trend.csv"
+        rc = main([
+            "trend", "--scales", scales, "--reps", "1", "--policy", "null",
+            "--out", str(out),
+        ])
+        assert rc == 2
+        cap = capsys.readouterr()
+        assert cap.err == err
+        assert cap.out == "" and not out.exists()
+
     def test_invalid_config_rejected(self, tmp_path, capsys):
         out = tmp_path / "trend.csv"
         rc = main([

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from helpers import hand_instance
+from reuselab import harness
 from reuselab.harness import (
     CSV_HEADER,
     GeneratorSpec,
@@ -238,6 +239,21 @@ class TestTrendReport:
         assert rep["policies"]["static"]["mean_se"] == [0.5, 0.5, 0.5]
         bump = {s: [fake_row("static", g)] for s, g in zip((1, 2, 4), (10.0, 11.0, 6.0))}
         assert not trend_report(bump)["policies"]["static"]["strictly_decreasing"]
+
+    @pytest.mark.parametrize("scales, err", [
+        ((0, 1, 2), "trend scales must be positive, got 0"),
+        ((-2, 0, 1, 2), "trend scales must be positive, got -2, 0"),
+        ((1, 2, 2, 4), "trend scales must be distinct, got 2 more than once"),
+        ((1, 1, 2, 4, 4), "trend scales must be distinct, got 1, 4 more than once"),
+    ])
+    def test_bad_scales_rejected_before_any_work(self, scales, err, monkeypatch):
+        def boom(*_a, **_k):
+            raise AssertionError("work started")
+
+        monkeypatch.setattr(harness, "generate_instance", boom)
+        with pytest.raises(ValueError) as exc:
+            run_trend(scales=scales, reps=1, spec=TINY_SPEC, policies=("null",))
+        assert str(exc.value) == err
 
     def test_run_trend_smoke(self):
         rows, report = run_trend(

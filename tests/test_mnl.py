@@ -4,13 +4,14 @@ import math
 import numpy as np
 import pytest
 
-from helpers import random_mnl_model, small_mnl_instance
+from helpers import random_mnl_model, small_mnl_instance, wide_logit_instance
 from oracles import (
     enumerate_best_assortment,
     lp_best_assortment,
     reference_mnl_sample,
     reference_sample_uniform,
 )
+from reuselab import mnl
 from reuselab.lp import solve_steady_state, solve_steady_state_colgen
 from reuselab.mnl import (
     AssortmentTooLarge,
@@ -228,6 +229,22 @@ class TestOutcomes:
                 _w_ref, a_ref = reference_mnl_sample(om, S, Fixed(u))
                 assert a.tobytes() == a_ref.tobytes(), (S, u)
 
+    def test_sample_cache_stays_bounded_under_uniform_play(self):
+        # 4944 assortments: uniform play keeps offering new ones, and each
+        # customer's cache of cumulative probabilities must not keep them all
+        inst = wide_logit_instance(15)
+        oms = [c.outcomes for c in inst.customers[:2]]
+        pick = np.random.default_rng(4)
+        rng, ref = np.random.default_rng(5), np.random.default_rng(5)
+        for n in range(3000):
+            om = oms[n % 2]
+            S = inst.actions.sample_uniform(pick)
+            w, a = om.sample(S, rng)
+            w_ref, a_ref = reference_mnl_sample(om, S, ref)
+            assert w.tobytes() == w_ref.tobytes() and a.tobytes() == a_ref.tobytes()
+            assert len(om._cum) <= mnl._CUM_CACHE
+        assert rng.bit_generator.state == ref.bit_generator.state
+
     def test_sample_empty_assortment_never_buys(self):
         om = MnlOutcomes(tiny_model(), 0)
         rng = np.random.default_rng(1)
@@ -305,7 +322,7 @@ class TestAssortmentActions:
             assert abs(cnt - expect) < 5 * math.sqrt(expect), a
 
     def test_uniform_sampling_is_draw_for_draw_the_rebuilt_weights(self):
-        for n, m in ((4, 2), (7, 3), (5, 5)):
+        for n, m in ((4, 2), (7, 3), (5, 5), (12, 4), (15, 5)):
             space = AssortmentActions(n, m)
             rng, ref = np.random.default_rng(n), np.random.default_rng(n)
             for _ in range(10_000):

@@ -10,6 +10,7 @@ from helpers import (
     small_mnl_instance,
     two_resource_instance,
 )
+import oracles
 from oracles import (
     reference_select,
     violation_potential,
@@ -29,6 +30,7 @@ from reuselab.model import (
     scale_parameter,
     zero_outcomes,
 )
+from reuselab import policy
 from reuselab.policy import (
     AdaptivePolicy,
     AlwaysNullPolicy,
@@ -250,6 +252,119 @@ class TestWeightWindow:
         inst = curves_instance([np.linspace(1.0, 0.1, 20)], np.random.default_rng(3))
         ws = init_penalty_weights(inst, 6, 0.1, 0.3, AlgoConfig(epsilon=0.25, gamma=1.0))
         assert ws.d_max == 7   # surv is kept through gap stage_len + 1
+
+
+def planned(inst):
+    """``inst`` with epsilon 1/4 and the scale parameter of its steady-state rate."""
+    lam = solve_steady_state(inst, inst.arrival_weights()).lambda_
+    return inst, AlgoConfig(epsilon=0.25, gamma=scale_parameter(inst, lam), seed=0)
+
+
+class TestLeanStepMatchesPlainRule:
+    """Full adaptive episodes whose every weight step is replayed by the
+    ``plain_*`` oracles on a shadow copy: the same initial weights, the same
+    selected action for every arrival, and byte-equal weights after every
+    update."""
+
+    def play(self, inst, config, seed, monkeypatch):
+        real_init = policy.init_penalty_weights
+        real_select = policy.select_action
+        real_update = policy.update_penalty_weights
+        shadow = {}
+        seen = {"selects": 0, "updates": 0}
+
+        def same(ws, ref):
+            assert ws.log_resource.tobytes() == ref.log_resource.tobytes()
+            assert ws.log_reward_mag.tobytes() == ref.log_reward_mag.tobytes()
+
+        def init(inst, stage_len, lam, eps_z, config):
+            ws = real_init(inst, stage_len, lam, eps_z, config)
+            ref = oracles.plain_init_penalty_weights(inst, stage_len, lam, eps_z, config)
+            same(ws, ref)
+            shadow["ws"], shadow["ref"] = ws, ref
+            return ws
+
+        def select(ws, inst, customer):
+            assert ws is shadow["ws"]
+            got = real_select(ws, inst, customer)
+            assert got == oracles.plain_select_action(shadow["ref"], inst, customer)
+            seen["selects"] += 1
+            return got
+
+        def update(ws, inst, customer, action):
+            assert ws is shadow["ws"]
+            real_update(ws, inst, customer, action)
+            oracles.plain_update_penalty_weights(shadow["ref"], inst, customer, action)
+            same(ws, shadow["ref"])
+            seen["updates"] += 1
+
+        monkeypatch.setattr(policy, "init_penalty_weights", init)
+        monkeypatch.setattr(policy, "select_action", select)
+        monkeypatch.setattr(policy, "update_penalty_weights", update)
+        pol = AdaptivePolicy(config, record_history=True)
+        run_episode(inst, pol, seed=seed)
+        assert seen["selects"] > 0 and seen["updates"] > 0
+        assert pol.ws._deltas == {}   # emptied by the stage's last update
+        return pol
+
+    def test_trend_like_logit_instance(self, monkeypatch):
+        inst, config = planned(generate_instance(GeneratorSpec(seed=0, base_horizon=512)))
+        pol = self.play(inst, config, 1, monkeypatch)
+        assert [rec.mode for rec in pol.history][1:] == ["weighted"] * 2
+
+    @pytest.mark.parametrize("build", [hand_instance, two_resource_instance])
+    def test_hand_built_instances(self, build, monkeypatch):
+        inst, config = planned(build(64))
+        for seed in (1, 2):
+            self.play(inst, config, seed, monkeypatch)
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_random_explicit_instances(self, seed, monkeypatch):
+        # unequal capacities, so gamma / c_i is no power of two and every
+        # product in the update delta rounds
+        inst = random_explicit_instance(
+            np.random.default_rng(seed), max_resources=4, max_types=4, horizon=64
+        )
+        inst, config = planned(inst)
+        self.play(inst, config, seed, monkeypatch)
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_random_steps(self, seed):
+        # random (type, action) updates reach the consumption-heavy actions
+        # that the weighted rule itself seldom picks
+        rng = np.random.default_rng(seed)
+        inst = random_explicit_instance(rng, max_resources=4, max_types=4, horizon=64)
+        config = AlgoConfig(epsilon=0.25, gamma=float(1.0 + 3.0 * rng.random()))
+        L = int(rng.integers(2, 40))
+        lam, eps_z = (0.05 + 0.3 * rng.random()) * inst.w_max, 0.1 + 0.5 * rng.random()
+        ws = init_penalty_weights(inst, L, lam, eps_z, config)
+        ref = oracles.plain_init_penalty_weights(inst, L, lam, eps_z, config)
+        acts = inst.actions.all_actions()
+        for _ in range(L):
+            for j in range(inst.n_types):
+                assert select_action(ws, inst, j) == oracles.plain_select_action(ref, inst, j)
+            j = int(rng.integers(0, inst.n_types))
+            k = acts[int(rng.integers(0, len(acts)))]
+            update_penalty_weights(ws, inst, j, k)
+            oracles.plain_update_penalty_weights(ref, inst, j, k)
+            assert ws.log_resource.tobytes() == ref.log_resource.tobytes()
+            assert ws.log_reward_mag.tobytes() == ref.log_reward_mag.tobytes()
+
+    @pytest.mark.parametrize(
+        "curves, d_max",
+        [
+            ([np.linspace(1.0, 0.05, 20)], 20),    # stage 0 (16 steps) < d_max
+            ([[0.0, 0.0], [1.0, 0.5, 0.25]], 3),   # an all -inf window row
+            ([[0.0]], 0),                           # an empty window
+        ],
+    )
+    def test_window_edge_cases(self, curves, d_max, monkeypatch):
+        inst, config = planned(curves_instance(curves, np.random.default_rng(7)))
+        pol = self.play(inst, config, 3, monkeypatch)
+        assert [(rec.mode, rec.length) for rec in pol.history[1:]] == [
+            ("weighted", 16), ("weighted", 32)
+        ]
+        assert pol.ws.d_max == d_max
 
 
 class TestSelectAction:
