@@ -82,6 +82,22 @@ class GeneratorSpec:
 
 
 def generate_instance(spec: GeneratorSpec) -> Instance:
+    """The instance ``spec`` describes; ``ValueError`` names a bad field.
+
+    Sizes, ``scale``, ``base_horizon``, ``base_capacity`` and
+    ``max_duration`` must be positive and ``null_weight`` must lie in
+    [0, 1).
+    """
+    positive = (
+        "n_products", "n_customers", "max_size", "scale", "base_horizon", "base_capacity",
+        "max_duration",
+    )
+    for name in positive:
+        value = getattr(spec, name)
+        if not value > 0:
+            raise ValueError(f"GeneratorSpec.{name} must be positive, got {value!r}")
+    if not 0.0 <= spec.null_weight < 1.0:
+        raise ValueError(f"GeneratorSpec.null_weight must lie in [0, 1), got {spec.null_weight!r}")
     rng = np.random.default_rng(np.random.SeedSequence([spec.seed, 53]))
     n, j, f = spec.n_products, spec.n_customers, spec.n_features
     features = rng.standard_normal((n, f))

@@ -21,15 +21,22 @@ duration draws are consumed per allocation, so those streams stay aligned
 across policies only while the policies act identically.
 
 Per-episode cache: an :class:`Episode` computes its capacity thresholds
-and its cumulative arrival weights once, and keeps each (type, action)'s
-``consumption_bound`` in a dict that dies with the episode, since a bound
-depends only on the action.  Scalar draws are inverted by
-``bisect.bisect_right`` on plain lists, the same binary search as
-``ndarray.searchsorted(side="right")``; the overflow check and the peak
-update run only on steps that book a unit, since occupancy rises no other
-way.  None of this changes a draw: every step consumes the same draws in
-the same order and runs the same float arithmetic as rebuilding
-everything per step would.
+and its cumulative arrival weights once, and keeps its state as plain
+Python floats, since a step touches a handful of scalars and numpy's
+per-call cost would dwarf the arithmetic.  Occupancy and its peak are
+lists with one float per resource.  The return ring has one slot per
+step, ``None`` or a ``{resource: amount}`` dict of what returns at the
+start of that step, so a release touches only the resources that come
+back.  Each (type, action)'s ``consumption_bound`` is cached, for as long
+as the episode lives, as a list of floats, and :meth:`Episode.feasible`
+tests every resource against it as the array comparison did.  Scalar
+draws are inverted by ``bisect.bisect_right`` on plain lists, the same
+binary search as ``ndarray.searchsorted(side="right")``; the overflow
+check and the peak update run only for the resources a step books, since
+occupancy rises no other way.  None of this changes a draw or a float:
+every step consumes the same draws in the same order and runs the same
+IEEE arithmetic on the same operands as rebuilding numpy arrays per step
+would, so traces are byte-identical to that loop.
 """
 
 from __future__ import annotations
@@ -76,21 +83,37 @@ def episode_streams(seed: int) -> Streams:
 
 
 class Episode:
-    """Mutable occupancy state of one episode."""
+    """Mutable occupancy state of one episode, kept in plain floats.
+
+    ``occupied`` and ``peak_occupied`` read as fresh float arrays, one
+    entry per resource.  The per-step protocol is :meth:`begin_step`,
+    :meth:`sample_arrival`, :meth:`feasible` and :meth:`apply_action`,
+    each called once per step.
+    """
 
     def __init__(self, inst: Instance):
         self.inst = inst
         self.caps = inst.capacities()
-        self._fit_caps = self.caps + 1e-9     # feasibility threshold
-        self._hard_caps = self.caps + 1e-7    # violation threshold
+        self._fit_caps = (self.caps + 1e-9).tolist()     # feasibility threshold
+        self._hard_caps = (self.caps + 1e-7).tolist()    # violation threshold
         self._cum_weights = np.cumsum(inst.arrival_weights()).tolist()
-        self.occupied = np.zeros(inst.n_resources)
-        self.peak_occupied = np.zeros(inst.n_resources)
-        d_max = max(r.survival.d_max for r in inst.resources)
-        # row t holds what returns at the start of step t
-        self._returns = np.zeros((inst.horizon + d_max + 2, inst.n_resources))
+        self._last_type = inst.n_types - 1
+        self._curves = [r.survival for r in inst.resources]
+        self._occupied = [0.0] * inst.n_resources
+        self._peak = [0.0] * inst.n_resources
+        d_max = max(c.d_max for c in self._curves)
+        # slot t: None, or {resource: amount} returning at the start of step t
+        self._returns = [None] * (inst.horizon + d_max + 2)
         self._bounds: dict = {}
         self.step = 0
+
+    @property
+    def occupied(self) -> np.ndarray:
+        return np.array(self._occupied, dtype=float)
+
+    @property
+    def peak_occupied(self) -> np.ndarray:
+        return np.array(self._peak, dtype=float)
 
     def begin_step(self, t: int):
         """Release the units returning at the start of step t."""
@@ -99,13 +122,17 @@ class Episode:
         if t != self.step + 1:
             raise RuntimeError(f"steps must advance by one, got {self.step} -> {t}")
         self.step = t
-        row = self._returns[t]
-        self.occupied -= row
-        row[:] = 0.0
+        slot = self._returns[t]
+        if slot is None:
+            return
+        self._returns[t] = None
+        occ = self._occupied
+        for i, amount in slot.items():
+            occ[i] -= amount
 
     def sample_arrival(self, rng: np.random.Generator) -> int:
         j = bisect_right(self._cum_weights, rng.random())
-        return min(j, self.inst.n_types - 1)
+        return min(j, self._last_type)
 
     def feasible(self, customer: int, action) -> bool:
         """True when the action's worst-case consumption fits all capacities."""
@@ -113,8 +140,12 @@ class Episode:
         bound = self._bounds.get(key)
         if bound is None:
             bound = self.inst.customers[customer].outcomes.consumption_bound(action)
+            bound = np.asarray(bound, dtype=float).tolist()
             self._bounds[key] = bound
-        return bool((self.occupied + bound <= self._fit_caps).all())
+        for o, b, f in zip(self._occupied, bound, self._fit_caps):
+            if not o + b <= f:
+                return False
+        return True
 
     def apply_action(self, customer: int, action, streams: Streams, forced: bool):
         """Sample outcomes, book durations; returns (reward, consumption, durs).
@@ -129,24 +160,33 @@ class Episode:
         w, a = om.sample(action, streams.outcomes)
         durs = {}
         t = self.step
-        booked = False
+        occ, hard, peak = self._occupied, self._hard_caps, self._peak
+        overflow = False
         for i, ai in enumerate(a.tolist()):
             if ai > 0.0:
-                d = int(inst.resources[i].survival.sample(streams.durations))
+                d = int(self._curves[i].sample(streams.durations))
                 durs[i] = d
                 if d > 0:
-                    self.occupied[i] += ai
-                    self._returns[t + d, i] += ai
-                    booked = True
-        # occupancy rises only by a booking, so only then can it overflow or peak
-        if booked:
-            if (self.occupied > self._hard_caps).any():
-                bad = int(np.argmax(self.occupied - self.caps))
-                raise CapacityViolation(
-                    f"resource {bad}: occupied {self.occupied[bad]!r} "
-                    f"> capacity {self.caps[bad]!r} at step {t}"
-                )
-            np.maximum(self.peak_occupied, self.occupied, out=self.peak_occupied)
+                    now = occ[i] + ai
+                    occ[i] = now
+                    slot = self._returns[t + d]
+                    if slot is None:
+                        self._returns[t + d] = {i: ai}
+                    else:
+                        slot[i] = slot.get(i, 0.0) + ai
+                    # occupancy rises only by a booking, so only then can it
+                    # overflow or peak
+                    if now > hard[i]:
+                        overflow = True
+                    if now > peak[i]:
+                        peak[i] = now
+        if overflow:
+            occupied = self.occupied
+            bad = int(np.argmax(occupied - self.caps))
+            raise CapacityViolation(
+                f"resource {bad}: occupied {occupied[bad]!r} "
+                f"> capacity {self.caps[bad]!r} at step {t}"
+            )
         return w, a, durs
 
 
@@ -197,7 +237,7 @@ def run_episode(
     ep = Episode(inst)
     reward_total = np.zeros(inst.reward_count)
     consumption_total = np.zeros(inst.n_resources)
-    arrival_counts = np.zeros(inst.n_types, dtype=int)
+    arrival_counts = [0] * inst.n_types
     forced_rejects = 0
     steps = []
     null = inst.actions.null_action
@@ -210,15 +250,17 @@ def run_episode(
         executed = null if forced else k
         w, a, durs = ep.apply_action(j, executed, streams, forced)
         policy.observe(t, j, k, forced)
-        reward_total += w
-        consumption_total += a
-        forced_rejects += int(forced)
+        if forced:
+            forced_rejects += 1    # a forced step adds only zeros to the totals
+        else:
+            reward_total += w
+            consumption_total += a
         if record_steps:
             steps.append(StepOutcome(t, j, k, executed, forced, w, a, durs))
     return EpisodeTrace(
         reward_total=reward_total,
         consumption_total=consumption_total,
-        arrival_counts=arrival_counts,
+        arrival_counts=np.array(arrival_counts, dtype=int),
         forced_rejects=forced_rejects,
         peak_occupied=ep.peak_occupied,
         steps=steps,

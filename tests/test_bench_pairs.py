@@ -1,0 +1,63 @@
+"""``tools/bench_pairs.py``: paired parent/working-tree benchmark runs."""
+
+import importlib.util
+import json
+import subprocess
+from pathlib import Path
+
+import pytest
+
+ROOT = Path(__file__).resolve().parents[1]
+
+
+def _bench_pairs():
+    spec = importlib.util.spec_from_file_location("bench_pairs", ROOT / "tools" / "bench_pairs.py")
+    mod = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(mod)
+    return mod
+
+
+def test_summary_counts_wins_ties_and_quartiles():
+    bp = _bench_pairs()
+    runs = [
+        {"parent": {"t": 4.0, "r": 1.0}, "change": {"t": 3.0, "r": 2.0}},
+        {"parent": {"t": 2.0, "r": 1.0}, "change": {"t": 2.0, "r": 1.0}},
+        {"parent": {"t": 3.0, "r": 1.0}, "change": {"t": 5.0, "r": 0.5}},
+    ]
+    metrics = [
+        {"name": "t", "unit": "s", "better": "lower"},
+        {"name": "r", "unit": "1/s", "better": "higher"},
+    ]
+    got = bp.summarize(runs, metrics)
+    t, r = got["t"], got["r"]
+    assert (t["wins"], t["ties"], t["losses"], t["pairs"]) == (1, 1, 1, 3)
+    assert (r["wins"], r["ties"], r["losses"]) == (1, 1, 1)
+    assert t["parent"] == {"median": 3.0, "q1": 2.5, "q3": 3.5, "iqr": 1.0, "n": 3}
+    assert t["change"]["median"] == 3.0 and t["change_pct"] == 0.0
+    assert bp.quartiles([7.0]) == {"median": 7.0, "q1": 7.0, "q3": 7.0, "iqr": 0.0, "n": 1}
+
+
+def test_tiny_pair_against_head(tmp_path):
+    bp = _bench_pairs()
+    try:
+        bp.unpack_rev("HEAD", tmp_path)
+    except (OSError, subprocess.CalledProcessError):
+        pytest.skip("needs a git checkout with a commit")
+    assert (tmp_path / "perfbench" / "run.py").is_file()
+    spec = json.loads((ROOT / "BENCHMARK.json").read_text())
+    got = {
+        side: bp.run_once(root, "replicate", 1, 0.3, size="tiny")
+        for side, root in (("parent", tmp_path), ("change", ROOT))
+    }
+    assert got["parent"]["ok"] and got["change"]["ok"], got
+    summary = bp.summarize(
+        [{side: got[side]["metrics"] for side in got}], spec["end_to_end"]
+    )
+    assert set(summary) == {m["name"] for m in spec["end_to_end"]}
+    assert all(m["pairs"] == 1 for m in summary.values())
+
+
+def test_unknown_workload_exits_2():
+    with pytest.raises(SystemExit) as exc:
+        _bench_pairs().main(["--tag", "t", "--workloads", "replicate,nope"])
+    assert exc.value.code == 2

@@ -59,6 +59,23 @@ class TestGenerator:
         assert np.array_equal(big.arrival_weights(), base.arrival_weights())
         assert np.array_equal(big.durations(), base.durations())
 
+    @pytest.mark.parametrize(
+        "field, value",
+        [
+            ("scale", 0), ("scale", -1), ("base_horizon", 0), ("base_capacity", 0.0),
+            ("base_capacity", -100.0), ("base_capacity", math.nan), ("n_products", 0),
+            ("n_customers", 0), ("max_size", 0), ("max_duration", 0),
+            ("null_weight", -0.1), ("null_weight", 1.0), ("null_weight", math.nan),
+        ],
+    )
+    def test_bad_spec_field_is_named(self, field, value):
+        with pytest.raises(ValueError, match=rf"^GeneratorSpec\.{field} must "):
+            generate_instance(GeneratorSpec(**{**TINY_SPEC.__dict__, field: value}))
+
+    def test_zero_null_weight_is_accepted(self):
+        inst = generate_instance(GeneratorSpec(**{**TINY_SPEC.__dict__, "null_weight": 0.0}))
+        assert inst.arrival_weights()[inst.null_type] == 0.0
+
 
 class TestBenchmarks:
     def test_upper_bound_is_planning_total(self, hand):

@@ -45,6 +45,25 @@ class GreedyPolicy:
         self.observed.append((t, j, action, forced))
 
 
+class Overstepper(OutcomeModel):
+    """Always realizes ``consumption``; declares ``bound`` as its limit."""
+
+    def __init__(self, bound, consumption):
+        self.bound, self.consumption = bound, consumption
+
+    def means(self, action):
+        return np.zeros(1), self.consumption * int(action)
+
+    def sample(self, action, rng):
+        return np.full(1, float(action)), self.consumption * int(action)
+
+    def consumption_bound(self, action):
+        return self.bound * int(action)
+
+    def bounds(self):
+        return 1.0, float(self.consumption.max())
+
+
 def greedy_unit_instance(horizon=40):
     """Capacity 1, duration exactly 3, every arrival wants the resource."""
     real = ExplicitOutcomes(rewards=[[0.0, 1.0]], consumption=[[0.0, 1.0]])
@@ -170,6 +189,84 @@ class TestEpisodeMechanics:
         with pytest.raises(CapacityViolation):
             ep.apply_action(1, 1, streams, forced=False)
 
+    def test_violation_names_the_largest_overflow(self):
+        # resource 1 ends up fuller (5.0 against 4.5), but resource 0
+        # overflows by more (2.0 against 0.5), so resource 0 is named
+        inst = Instance(
+            resources=[
+                ResourceSpec(1.0, SurvivalCurve([1.0])),
+                ResourceSpec(4.5, SurvivalCurve([1.0])),
+            ],
+            reward_count=1,
+            customers=[
+                CustomerType(0.5, zero_outcomes(1, 2, 2)),
+                CustomerType(0.5, Overstepper(np.zeros(2), np.array([3.0, 5.0]))),
+            ],
+            actions=ExplicitActions(2),
+            horizon=4,
+            null_type=0,
+        )
+        ep = Episode(inst)
+        ep.begin_step(1)
+        assert ep.feasible(1, 1)
+        with pytest.raises(CapacityViolation, match=r"^resource 0: occupied .* > capacity "):
+            ep.apply_action(1, 1, episode_streams(3), forced=False)
+
+    @pytest.mark.parametrize("duration", [3, 64])
+    def test_overstep_within_slack_refuses_until_release(self, duration):
+        # the model books 5e-8 past its declared bound: above the 1e-9 fit
+        # slack, below the 1e-7 violation slack.  No violation is raised,
+        # and while that unit is held every proposal is refused, the null
+        # action's included.
+        excess = 1.0 + 5e-8
+        inst = Instance(
+            resources=[ResourceSpec(1.0, SurvivalCurve([1.0] * duration))],
+            reward_count=1,
+            customers=[
+                CustomerType(0.25, zero_outcomes(1, 1, 2)),
+                CustomerType(0.75, Overstepper(np.ones(1), np.array([excess]))),
+            ],
+            actions=ExplicitActions(2),
+            horizon=40,
+            null_type=0,
+        )
+        trace = run_episode(inst, GreedyPolicy(), seed=6, record_steps=True)
+        booked = [st.step for st in trace.steps if st.durations]
+        assert booked and trace.peak_occupied[0] == excess
+        held = set()
+        for t in booked:
+            held.update(range(t + 1, t + duration))
+        for st in trace.steps:
+            assert st.forced == (st.step in held), st.step
+        if duration == 64:
+            assert trace.forced_rejects == inst.horizon - booked[0]
+        want = reference_run_episode(inst, GreedyPolicy(), seed=6)
+        assert _trace_bytes(trace) == _trace_bytes(want)
+
+    @pytest.mark.parametrize("capacity", [-1e-8, float("nan")])
+    def test_threshold_below_zero_refuses_from_the_start(self, capacity):
+        # resource 1's feasibility threshold is below 0 (or NaN) before
+        # anything is booked, and no action consumes it: every proposal is
+        # still refused, the null action's included
+        inst = Instance(
+            resources=[
+                ResourceSpec(2.0, SurvivalCurve([1.0])),
+                ResourceSpec(capacity, SurvivalCurve([1.0])),
+            ],
+            reward_count=1,
+            customers=[
+                CustomerType(0.25, zero_outcomes(1, 2, 2)),
+                CustomerType(0.75, Overstepper(np.array([1.0, 0.0]), np.array([1.0, 0.0]))),
+            ],
+            actions=ExplicitActions(2),
+            horizon=12,
+            null_type=0,
+        )
+        trace = run_episode(inst, GreedyPolicy(), seed=6, record_steps=True)
+        assert trace.forced_rejects == inst.horizon
+        want = reference_run_episode(inst, GreedyPolicy(), seed=6)
+        assert _trace_bytes(trace) == _trace_bytes(want)
+
 
 class TestRunEpisode:
     def test_null_policy_earns_nothing(self):
@@ -294,11 +391,15 @@ class TestReferenceLoop:
     """The episode engine against the oracle loop that rebuilds every
     per-step quantity: same draws, same floats, byte for byte."""
 
-    LABELS = ("static", "uniform", "adaptive", "hybrid5", "static+tailguard", "adaptive+tailguard")
+    LABELS = (
+        "static", "uniform", "null", "adaptive", "hybrid5", "static+tailguard", "adaptive+tailguard",
+    )
 
     @staticmethod
     def instances():
         out = [
+            # the benchmark's replicate shape at a shorter horizon
+            generate_instance(GeneratorSpec(scale=2, base_horizon=100)),
             generate_instance(GeneratorSpec(seed=4, base_horizon=96, n_customers=4)),
             # capacity 3 against ~12-step durations: forced rejections
             generate_instance(GeneratorSpec(seed=5, base_horizon=96, base_capacity=3, n_customers=3)),
@@ -328,6 +429,6 @@ class TestReferenceLoop:
                     got = run_episode(inst, pol, seed, record_steps=True)
                     want = reference_run_episode(inst, pol, seed)
                     assert _trace_bytes(got) == _trace_bytes(want), (n, label, seed)
-                    forced["mnl" if n < 3 else "explicit"] += got.forced_rejects
+                    forced["mnl" if n < 4 else "explicit"] += got.forced_rejects
             assert validate_instance(inst) == [], n
         assert forced["mnl"] > 0 and forced["explicit"] > 0, forced
