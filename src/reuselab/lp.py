@@ -10,6 +10,12 @@ used as benchmarks and inside the adaptive policy:
   occupancy terms, maximizing the worst expected total reward over the
   horizon.
 
+Both builders take a type's coefficients from its outcome model's mean
+table (``mean_matrix``), whose columns equal ``means`` byte for byte, so
+the two LPs share their coefficients exactly.  The steady-state LP over
+every column is filled one type's block at a time; an LP over explicit
+columns (column generation's master) one ``means`` call per column.
+
 :func:`plan_rates` is the one planner: the benchmarks, the ``+saa`` rates
 and every adaptive stage LP (:func:`solve_stage_lambda`) plan through it.
 Column generation prices each type by its own outcome model's
@@ -550,9 +556,16 @@ def build_steady_state_lp(inst: Instance, p, columns=None):
     reward rows (>=), then resource knapsack rows (<=, usage at mean
     duration), then one per-type total-rate row (<=).  Returns
     (LinearProgram, columns).
+
+    Without ``columns`` the LP spans every (type, action) pair, type
+    outermost, and is filled one type's block at a time from its
+    ``mean_matrix`` (built per call, not cached on the instance); given
+    ``columns`` it is filled one ``means`` call per column.  Both apply
+    the same operations to the same means, so they agree byte for byte.
     """
     p = np.asarray(p, dtype=float)
-    if columns is None:
+    every = columns is None
+    if every:
         columns = _default_columns(inst)
     ncol = len(columns)
     R, C, J = inst.reward_count, inst.n_resources, inst.n_types
@@ -562,11 +575,20 @@ def build_steady_state_lp(inst: Instance, p, columns=None):
     senses = [">="] * R + ["<="] * C + ["<="] * J
     b[R : R + C] = inst.capacities()
     b[R + C :] = 1.0
-    for idx, (j, k) in enumerate(columns):
-        w, a = inst.customers[j].outcomes.means(k)
-        A[:R, idx] = p[j] * w
-        A[R : R + C, idx] = p[j] * a * d
-        A[R + C + j, idx] = 1.0
+    if every:
+        K = ncol // J
+        for j in range(J):
+            W, Aj = inst.customers[j].outcomes.mean_matrix(inst.actions)
+            blk = slice(j * K, (j + 1) * K)
+            A[:R, blk] = p[j] * W
+            A[R : R + C, blk] = p[j] * Aj * d[:, None]
+            A[R + C + j, blk] = 1.0
+    else:
+        for idx, (j, k) in enumerate(columns):
+            w, a = inst.customers[j].outcomes.means(k)
+            A[:R, idx] = p[j] * w
+            A[R : R + C, idx] = p[j] * a * d
+            A[R + C + j, idx] = 1.0
     A[:R, ncol] = -1.0  # worst-rate variable enters every reward row
     c = np.zeros(ncol + 1)
     c[ncol] = 1.0

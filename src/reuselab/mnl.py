@@ -15,6 +15,10 @@ neither enumeration nor an LP is needed.  On top of it,
 :meth:`MnlOutcomes.best_action` is a logit type's pricing oracle for
 column generation and for the adaptive policy's per-arrival choice: each
 type prices as its own logit customer, wherever it sits in the instance.
+:meth:`MnlOutcomes.mean_matrix`, the mean table the planning LPs are built
+from, works one assortment size at a time in the arithmetic of
+:meth:`MnlModel.choice_probability`, so each of its columns equals
+:meth:`MnlOutcomes.means` byte for byte.
 """
 
 from __future__ import annotations
@@ -253,14 +257,15 @@ class MnlOutcomes(OutcomeModel):
             raise AssortmentTooLarge(
                 f"mean tables over {space.size} assortments exceed the cap"
             )
-        n = self.model.n_products
-        if self.customer is None:
-            z = np.zeros((n, space.size))
-            return z, z.copy()
-        member = space.membership_matrix().astype(float)  # (N, K)
-        v = self.model.attractions[self.customer]
-        denom = 1.0 + v @ member
-        q = (v[:, None] * member) / denom[None, :]
+        # one size block at a time, in the arithmetic of choice_probability:
+        # every column equals means() of its assortment byte for byte
+        q = np.zeros((self.model.n_products, space.size))
+        if self.customer is not None:
+            v = self.model.attractions[self.customer]
+            for start, idx in space.size_blocks():
+                V = v[idx]
+                cols = np.arange(start, start + idx.shape[0])[:, None]
+                q[idx, cols] = V / (1.0 + V.sum(axis=1))[:, None]
         return self.model.prices[:, None] * q, q
 
     def __eq__(self, other):

@@ -72,7 +72,7 @@ class SurvivalCurve:
         self.surv = np.asarray(surv, dtype=float)
         if self.surv.ndim != 1 or self.surv.size == 0:
             raise ValueError("survival curve must be a non-empty 1-d sequence")
-        self._asc = self.surv[::-1]   # the tail in ascending order, for sample
+        self._asc = None   # ascending tail as plain floats, built on the first scalar draw
 
     def __len__(self):
         return self.surv.size
@@ -98,10 +98,17 @@ class SurvivalCurve:
         return int(nz[-1] + 1) if nz.size else 0
 
     def sample(self, rng, size=None):
-        """Draw durations by inverse transform: D = #{u : Pr(D >= u) > U}."""
-        u = rng.random(size)
-        d = self.surv.size - self._asc.searchsorted(u, side="right")
-        return d if size is not None else int(d)
+        """Draw durations by inverse transform: D = #{u : Pr(D >= u) > U}.
+
+        A scalar draw runs ``bisect_right`` on the cached ascending tail,
+        the same binary search as ``searchsorted(side="right")`` without
+        numpy's per-call overhead; ``size=`` draws stay vectorized.
+        """
+        if size is None:
+            if self._asc is None:
+                self._asc = self.surv[::-1].tolist()
+            return self.surv.size - bisect_right(self._asc, rng.random())
+        return self.surv.size - self.surv[::-1].searchsorted(rng.random(size), side="right")
 
     def violations(self, path: str = "survival") -> list[str]:
         out = []
@@ -195,7 +202,12 @@ class OutcomeModel:
         raise NotImplementedError
 
     def mean_matrix(self, space):
-        """Stacked means over an enumerable action space: (W RxK, A CxK)."""
+        """Stacked means over an enumerable action space: (W RxK, A CxK).
+
+        Column k must equal ``means`` of action k of ``space.all_actions()``
+        byte for byte: the steady-state LP over every column is built from
+        this table and its column-generation master from ``means``.
+        """
         raise NotImplementedError
 
 
@@ -359,7 +371,7 @@ class AssortmentActions:
         self.max_size = int(min(max_size, n_products))
         self.null_action = ()
         self._actions = None
-        self._membership = None
+        self._blocks = None
         self._size_cdf = None
 
     @property
@@ -376,15 +388,22 @@ class AssortmentActions:
             self._actions = acts
         return self._actions
 
-    def membership_matrix(self):
-        """0/1 matrix (n_products x size): product i offered in action k."""
-        if self._membership is None:
+    def size_blocks(self):
+        """Per assortment size s >= 1: (start, products).
+
+        The assortments of size s are one contiguous run of
+        :meth:`all_actions` beginning at index ``start``; row r of the
+        (count x s) index array ``products`` is the one at ``start + r``.
+        """
+        if self._blocks is None:
             acts = self.all_actions()
-            m = np.zeros((self.n_products, len(acts)))
-            for k, act in enumerate(acts):
-                m[list(act), k] = 1.0
-            self._membership = m
-        return self._membership
+            blocks, start = [], 1
+            for sz in range(1, self.max_size + 1):
+                count = math.comb(self.n_products, sz)
+                blocks.append((start, np.array(acts[start : start + count], dtype=np.intp)))
+                start += count
+            self._blocks = blocks
+        return self._blocks
 
     def sample_uniform(self, rng):
         # A size-weighted draw keeps the distribution uniform over all

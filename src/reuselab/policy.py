@@ -27,6 +27,7 @@ from __future__ import annotations
 
 import logging
 import math
+from bisect import bisect_right
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -311,7 +312,9 @@ class _RateTables:
 
     Each type's non-null rates are shrunk by 1/(1+epsilon); whatever
     probability is left over (the shrink slack, the null rate, and any
-    unused budget) lands on the null action.
+    unused budget) lands on the null action.  A draw is ``bisect_right``
+    on the type's cumulative rates, kept as plain floats: the same binary
+    search as ``searchsorted(side="right")`` on their numpy cumsum.
     """
 
     def __init__(self, inst: Instance, rates, epsilon: float):
@@ -330,11 +333,10 @@ class _RateTables:
             if probs.size and probs.sum() > 1.0 + 1e-9:
                 raise ValueError(f"type {j}: shrunken rates exceed 1")
             self.actions[j] = [k for k, _v in items]
-            self.cum.append(np.cumsum(probs))
+            self.cum.append(np.cumsum(probs).tolist())
 
     def sample(self, j: int, rng: np.random.Generator):
-        u = rng.random()
-        idx = int(self.cum[j].searchsorted(u, side="right"))
+        idx = bisect_right(self.cum[j], rng.random())
         if idx >= len(self.actions[j]):
             return self.null
         return self.actions[j][idx]

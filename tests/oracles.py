@@ -206,6 +206,53 @@ def cold_colgen(inst, p, pricing=None, max_rounds: int = 500, rc_tol: float = 1e
     raise IterationLimit(f"no convergence in {max_rounds} rounds", incumbent=sol)
 
 
+def reference_build_steady_state_lp(inst, p, columns=None):
+    """The steady-state LP filled one ``means`` call per column.
+
+    Same rows, columns and arithmetic as
+    :func:`reuselab.lp.build_steady_state_lp`: reward rows (>=), knapsack
+    rows at mean duration (<=), one total-rate row per type (<=), the
+    worst-rate variable last.  The package fills the LP over every column
+    one type's block at a time from ``mean_matrix`` and must match this
+    byte for byte.
+    """
+    p = np.asarray(p, dtype=float)
+    if columns is None:
+        columns = [(j, k) for j in range(inst.n_types) for k in inst.actions.all_actions()]
+    ncol = len(columns)
+    R, C, J = inst.reward_count, inst.n_resources, inst.n_types
+    d = np.array([float(r.survival.surv.sum()) for r in inst.resources])
+    A = np.zeros((R + C + J, ncol + 1))
+    b = np.zeros(R + C + J)
+    b[R : R + C] = [r.capacity for r in inst.resources]
+    b[R + C :] = 1.0
+    for idx, (j, k) in enumerate(columns):
+        w, a = inst.customers[j].outcomes.means(k)
+        A[:R, idx] = p[j] * w
+        A[R : R + C, idx] = p[j] * a * d
+        A[R + C + j, idx] = 1.0
+    A[:R, ncol] = -1.0
+    c = np.zeros(ncol + 1)
+    c[ncol] = 1.0
+    return LinearProgram(c, A, [">="] * R + ["<="] * (C + J), b), columns
+
+
+def membership_matrix(space: AssortmentActions) -> np.ndarray:
+    """0/1 matrix (n_products x size): product i offered in action k.
+
+    Actions are enumerated independently: by size, then lexicographically.
+    """
+    acts = [()] + [
+        act
+        for sz in range(1, space.max_size + 1)
+        for act in itertools.combinations(range(space.n_products), sz)
+    ]
+    m = np.zeros((space.n_products, len(acts)))
+    for k, act in enumerate(acts):
+        m[list(act), k] = 1.0
+    return m
+
+
 # ---------------------------------------------------------------------------
 # the full-tableau simplex kernel, as it stood before the live-block presolve:
 # every row and column of the LP goes on the tableau, and every pivot
@@ -674,6 +721,19 @@ def reference_duration(curve, rng) -> int:
     """One inverse-transform duration draw, reversing the curve per call."""
     asc = np.asarray(curve.surv, dtype=float)[::-1]
     return int(asc.size - np.searchsorted(asc, rng.random(), side="right"))
+
+
+def reference_rate_draw(rates: dict, null, epsilon: float, j: int, rng):
+    """One static-policy draw for type j, rebuilding its cumulative rates.
+
+    The type's non-null positive rates, sorted by action and shrunk by
+    1/(1+epsilon), are accumulated by numpy per call; U past their total
+    picks the null action.
+    """
+    items = sorted((k, v) for (jj, k), v in rates.items() if jj == j and k != null and v > 0.0)
+    cum = np.cumsum(np.array([v for _k, v in items]) / (1.0 + epsilon))
+    idx = int(np.searchsorted(cum, rng.random(), side="right"))
+    return items[idx][0] if idx < len(items) else null
 
 
 def reference_mnl_sample(om: MnlOutcomes, action, rng):

@@ -39,15 +39,22 @@ def test_summary_counts_wins_ties_and_quartiles():
 
 def test_tiny_pair_against_head(tmp_path):
     bp = _bench_pairs()
+    parent, change = tmp_path / "parent", tmp_path / "change"
+    parent.mkdir()
     try:
-        bp.unpack_rev("HEAD", tmp_path)
+        bp.unpack_rev("HEAD", parent)
+        copied = bp.copy_worktree(change)
     except (OSError, subprocess.CalledProcessError):
         pytest.skip("needs a git checkout with a commit")
-    assert (tmp_path / "perfbench" / "run.py").is_file()
+    for root in (parent, change):
+        assert (root / "perfbench" / "run.py").is_file()
+    # the copy holds source files only: no .git, no bytecode caches
+    assert copied > 0 and not (change / ".git").exists()
+    assert not list(change.rglob("__pycache__"))
     spec = json.loads((ROOT / "BENCHMARK.json").read_text())
     got = {
         side: bp.run_once(root, "replicate", 1, 0.3, size="tiny")
-        for side, root in (("parent", tmp_path), ("change", ROOT))
+        for side, root in (("parent", parent), ("change", change))
     }
     assert got["parent"]["ok"] and got["change"]["ok"], got
     summary = bp.summarize(

@@ -443,6 +443,32 @@ class TestSteadyStateLp:
         assert np.all(lp.b[R + C :] == 1.0)
         assert np.all(lp.c[:-1] == 0.0) and lp.c[-1] == 1.0
 
+    def test_dense_builder_is_the_per_column_loop_byte_for_byte(self, hand, two_res):
+        def same(inst, p):
+            got, cols = build_steady_state_lp(inst, p)
+            ref, ref_cols = oracles.reference_build_steady_state_lp(inst, p)
+            assert cols == ref_cols
+            assert got.A.tobytes() == ref.A.tobytes()
+            assert got.b.tobytes() == ref.b.tobytes() and got.c.tobytes() == ref.c.tobytes()
+            assert got.senses == ref.senses
+
+        rng = np.random.default_rng(41)
+        insts = [hand, two_res] + [random_explicit_instance(rng) for _ in range(6)]
+        for seed, spec in enumerate((
+            dict(),
+            dict(n_products=7, max_size=3, n_customers=6),
+            dict(n_products=10, max_size=9, n_customers=3),
+        )):
+            insts.append(generate_instance(GeneratorSpec(seed=seed, **spec)))
+        for inst in insts:
+            p = inst.arrival_weights()
+            same(inst, p)
+            # the null type included, and a real type that never arrives
+            q = p.copy()
+            q[inst.null_type] = 0.0
+            q[(inst.null_type + 1) % inst.n_types] = 0.0
+            same(inst, q)
+
     def test_rates_respect_constraints_on_random_instances(self):
         rng = np.random.default_rng(99)
         for _ in range(10):
@@ -493,6 +519,26 @@ class TestTimeExpandedLp:
         )
         assert ref.status == 0
         assert lam == pytest.approx(-ref.fun, abs=1e-7)
+
+    def test_first_step_blocks_are_the_steady_state_means(self):
+        # size-3 assortments over 8 products: sums long enough for a dense
+        # matrix product to round differently from the per-action means
+        inst = generate_instance(
+            GeneratorSpec(seed=0, n_products=8, max_size=3, n_customers=2, base_horizon=2)
+        )
+        p = inst.arrival_weights()
+        te, actions = build_time_expanded_lp(inst, p)
+        ss, _ = build_steady_state_lp(inst, p)
+        R, C, J, K, T = inst.reward_count, inst.n_resources, inst.n_types, len(actions), 2
+        surv = inst.survival_matrix(T)
+        assert te.A[:R, : J * K].tobytes() == ss.A[:R, : J * K].tobytes()
+        for j in range(J):
+            for k, act in enumerate(actions):
+                w, a = inst.customers[j].outcomes.means(act)
+                col = j * K + k
+                assert te.A[:R, col].tobytes() == (p[j] * w).tobytes()
+                occupancy = te.A[R : R + C * T : T, col]   # each resource's t = 1 row
+                assert occupancy.tobytes() == (surv[:, 0] * (p[j] * a)).tobytes()
 
     def test_size_cap(self, hand):
         with pytest.raises(TooLarge):

@@ -8,6 +8,7 @@ from helpers import random_mnl_model, small_mnl_instance, wide_logit_instance
 from oracles import (
     enumerate_best_assortment,
     lp_best_assortment,
+    membership_matrix,
     reference_mnl_sample,
     reference_sample_uniform,
 )
@@ -252,14 +253,23 @@ class TestOutcomes:
         assert np.all(w == 0.0) and np.all(a == 0.0)
 
     def test_mean_matrix_matches_per_action_means(self):
-        m = tiny_model()
-        om = MnlOutcomes(m, 1)
-        space = m.action_space()
-        W, A = om.mean_matrix(space)
-        for k, act in enumerate(space.all_actions()):
-            w, a = om.means(act)
-            assert np.allclose(W[:, k], w)
-            assert np.allclose(A[:, k], a)
+        # sizes up to 12 reach numpy's unrolled pairwise sums (8 and over)
+        rng = np.random.default_rng(17)
+        models = [tiny_model()]
+        while len(models) < 12:
+            m = random_mnl_model(rng, max_products=12, max_size=12)
+            if m.action_space().size <= 4096:
+                models.append(m)
+        assert max(m.max_size for m in models) >= 9
+        for m in models:
+            space = m.action_space()
+            for customer in (0, 1, None):
+                om = MnlOutcomes(m, customer)
+                W, A = om.mean_matrix(space)
+                for k, act in enumerate(space.all_actions()):
+                    w, a = om.means(act)
+                    assert W[:, k].tobytes() == w.tobytes(), (m, customer, act)
+                    assert A[:, k].tobytes() == a.tobytes(), (m, customer, act)
 
     def test_mean_matrix_cap(self):
         m = random_mnl_model(np.random.default_rng(0), max_products=8, max_size=1)
@@ -330,7 +340,14 @@ class TestAssortmentActions:
             assert rng.bit_generator.state == ref.bit_generator.state
 
     def test_membership_matrix(self):
-        space = AssortmentActions(3, 2)
-        mm = space.membership_matrix()
-        for k, act in enumerate(space.all_actions()):
-            assert set(np.nonzero(mm[:, k])[0]) == set(act)
+        for n, m in ((3, 2), (5, 5), (9, 4)):
+            space = AssortmentActions(n, m)
+            mm = np.zeros((n, space.size))
+            start = 1
+            for sz, (first, products) in enumerate(space.size_blocks(), start=1):
+                assert first == start and products.shape == (math.comb(n, sz), sz)
+                start += len(products)
+                mm[products, np.arange(first, start)[:, None]] = 1.0
+            assert start == space.size
+            assert np.array_equal(mm, membership_matrix(space))
+            assert space.size_blocks() is space.size_blocks()

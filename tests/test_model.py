@@ -66,6 +66,11 @@ class TestSurvivalCurve:
             d = c.sample(rng)
             assert type(d) is int and d == reference_duration(c, ref)
         assert rng.bit_generator.state == ref.bit_generator.state
+        # a size= draw is that many scalar draws
+        for c in curves:
+            got = c.sample(rng, size=200)
+            assert got.tolist() == [reference_duration(c, ref) for _ in range(200)]
+        assert rng.bit_generator.state == ref.bit_generator.state
 
     def test_violations(self):
         assert SurvivalCurve([1.0, 0.5]).violations() == []

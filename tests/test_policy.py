@@ -12,6 +12,7 @@ from helpers import (
 )
 import oracles
 from oracles import (
+    reference_rate_draw,
     reference_select,
     violation_potential,
     violation_potential_terms,
@@ -438,6 +439,19 @@ class TestStaticPolicy:
         pol = StaticPolicy({(1, 1): 1.5}, epsilon=0.2)
         with pytest.raises(ValueError, match="exceed"):
             pol.reset(inst, np.random.default_rng(0))
+
+    def test_draws_are_draw_for_draw_the_rebuilt_cumulative_rates(self):
+        inst = generate_instance(GeneratorSpec(seed=2, n_products=5, max_size=3))
+        sol = solve_steady_state(inst, inst.arrival_weights())
+        pol = StaticPolicy(sol, epsilon=0.25)
+        rng, ref = np.random.default_rng(8), np.random.default_rng(8)
+        pol.reset(inst, rng)
+        pick = np.random.default_rng(9)
+        null = inst.actions.null_action
+        for _ in range(10_000):
+            j = int(pick.integers(inst.n_types))
+            assert pol.choose(1, j) == reference_rate_draw(sol.x, null, 0.25, j, ref)
+        assert rng.bit_generator.state == ref.bit_generator.state
 
     def test_saturated_rates_always_play(self):
         inst = hand_instance(16)

@@ -5,13 +5,16 @@
         --workloads replicate,adaptive,planning
 
 Runs ``perfbench/run.py --trace 0`` alternately in a checkout of ``--rev``
-and in the working tree, for seeds 1 to ``--pairs`` and each chosen
-workload, each run lasting ``BENCHMARK.json``'s ``run_seconds``.  Pair k
-runs the parent first when k is even and the working tree first when k
-is odd, so neither side always gets the warmer (or the quieter) machine.
-The parent checkout is a ``git archive`` of the revision unpacked with
-``tar`` into a temporary directory, which leaves the repository's own
-``.git`` untouched and is removed at the end.
+and in a copy of the working tree, for seeds 1 to ``--pairs`` and each
+chosen workload, each run lasting ``BENCHMARK.json``'s ``run_seconds``.
+Pair k runs the parent first when k is even and the working tree first
+when k is odd, so neither side always gets the warmer (or the quieter)
+machine.  Both sides run from fresh temporary directories, removed at the
+end: the parent is a ``git archive`` of the revision unpacked with
+``tar``, and the working tree is copied file by file (tracked and
+untracked files, not the ones ``.gitignore`` lists), so neither side
+starts with the other's bytecode caches or benchmark outputs.  The
+repository's own ``.git`` is left untouched.
 
 Writes ``BENCH_<tag>.json`` at the repository root: for every workload
 and every end-to-end metric in ``BENCHMARK.json``, each side's median,
@@ -25,6 +28,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import shutil
 import statistics
 import subprocess
 import sys
@@ -104,6 +108,24 @@ def unpack_rev(rev: str, dest: Path) -> str:
     return sha
 
 
+def copy_worktree(dest: Path) -> int:
+    """Copy the working tree's tracked and untracked files into ``dest``.
+
+    Files ``.gitignore`` lists (bytecode caches, benchmark outputs) and
+    tracked files deleted from the tree are left out.  Returns the number
+    of files copied.
+    """
+    listed = subprocess.run(
+        ["git", "ls-files", "-z", "--cached", "--others", "--exclude-standard"],
+        cwd=ROOT, capture_output=True, check=True,
+    ).stdout.decode()
+    names = sorted({n for n in listed.split("\0") if n and (ROOT / n).is_file()})
+    for name in names:
+        (dest / name).parent.mkdir(parents=True, exist_ok=True)
+        shutil.copy2(ROOT / name, dest / name)
+    return len(names)
+
+
 def main(argv=None) -> int:
     ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     ap.add_argument("--rev", default="HEAD", help="parent revision (default HEAD)")
@@ -122,12 +144,14 @@ def main(argv=None) -> int:
     seconds = spec["run_seconds"]
 
     with tempfile.TemporaryDirectory(prefix="bench_pairs_") as tmp:
-        parent_root = Path(tmp)
+        parent_root, change_root = Path(tmp) / "parent", Path(tmp) / "change"
+        parent_root.mkdir()
         parent_rev = unpack_rev(args.rev, parent_root)
+        copy_worktree(change_root)
         report = {
             "tag": args.tag,
             "parent": parent_rev,
-            "change": "working tree",
+            "change": "working tree (copy)",
             "seconds": seconds,
             "pairs": args.pairs,
             "seeds": list(range(1, args.pairs + 1)),
@@ -140,7 +164,7 @@ def main(argv=None) -> int:
                 order = ("parent", "change") if k % 2 == 0 else ("change", "parent")
                 got = {}
                 for side in order:
-                    root = parent_root if side == "parent" else ROOT
+                    root = parent_root if side == "parent" else change_root
                     got[side] = run_once(root, workload, seed, seconds)
                     if not got[side]["ok"]:
                         failures.append(f"{workload} seed {seed} {side}: {got[side]}")
