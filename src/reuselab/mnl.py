@@ -143,16 +143,25 @@ def best_assortment(model: MnlModel, customer: int, coef) -> tuple:
     v_i (r_i - z) among those scoring positive and moves z to that set's
     revenue; z rises strictly until it reaches the optimum, and the set
     that attained it is returned as a sorted tuple.
+
+    ``coef`` is a list of floats, used as it is once its length is
+    checked (the per-arrival path builds one), or anything
+    ``np.asarray`` takes to a length-N float vector.
     """
-    coef = np.asarray(coef, dtype=float)
-    if coef.shape != (model.n_products,):
-        raise ValueError("one coefficient per product required")
+    if isinstance(coef, list):
+        if len(coef) != model.n_products:
+            raise ValueError("one coefficient per product required")
+    else:
+        coef = np.asarray(coef, dtype=float)
+        if coef.shape != (model.n_products,):
+            raise ValueError("one coefficient per product required")
+        coef = coef.tolist()
     # (product, v_i, v_i r_i) per product worth offering, as plain floats:
     # catalogues are small enough that numpy's per-call overhead would
-    # dominate the sort
+    # dominate the sort (and a generator's would the sums, hence lists)
     cands = [
         (i, v, -c * v)
-        for i, (c, v) in enumerate(zip(coef.tolist(), model.attractions[customer].tolist()))
+        for i, (c, v) in enumerate(zip(coef, model.attractions[customer].tolist()))
         if c < 0.0
     ]
     n = model.max_size
@@ -160,11 +169,11 @@ def best_assortment(model: MnlModel, customer: int, coef) -> tuple:
     while True:
         ranked = sorted(cands, key=lambda p: z * p[1] - p[2])  # stable: ties by index
         top = [p for p in ranked[:n] if p[2] - z * p[1] > 0.0]
-        val = sum(p[2] for p in top) / (1.0 + sum(p[1] for p in top))
+        val = sum([p[2] for p in top]) / (1.0 + sum([p[1] for p in top]))
         if val <= z:
             break
         best, z = top, val
-    return tuple(sorted(p[0] for p in best))
+    return tuple(sorted([p[0] for p in best]))
 
 
 def make_assortment_pricing(model: MnlModel, durations):
@@ -247,10 +256,19 @@ class MnlOutcomes(OutcomeModel):
         return (float(prices.max()) if prices.size else 0.0), 1.0
 
     def best_action(self, space, cost, credit):
-        """:func:`best_assortment` on coefficients cost_i - price_i credit_i."""
+        """:func:`best_assortment` on coefficients cost_i - price_i credit_i.
+
+        The coefficients are formed as a list of Python floats: the same
+        two rounded operations per product as numpy's
+        ``cost - prices * credit``, without its per-call overhead.
+        """
         if self.customer is None:
             return space.null_action
-        return best_assortment(self.model, self.customer, cost - self.model.prices * credit)
+        coef = [
+            c - p * r
+            for c, p, r in zip(cost.tolist(), self.model.prices.tolist(), credit.tolist())
+        ]
+        return best_assortment(self.model, self.customer, coef)
 
     def mean_matrix(self, space):
         if space.size > ENUMERATION_CAP:

@@ -194,10 +194,10 @@ class OutcomeModel:
     def best_action(self, space, cost, credit):
         """Action in ``space`` minimizing cost @ a - credit @ w over mean outcomes.
 
-        ``cost`` has one entry per resource and ``credit`` one per reward
-        index.  This is the one per-type pricing oracle: the adaptive
-        policy's greedy step and column generation both call it.  Null
-        types return the null action.
+        ``cost`` (one entry per resource) and ``credit`` (one per reward
+        index) are float vectors.  This is the one per-type pricing
+        oracle: the adaptive policy's greedy step and column generation
+        both call it.  Null types return the null action.
         """
         raise NotImplementedError
 
@@ -406,12 +406,27 @@ class AssortmentActions:
         return self._blocks
 
     def sample_uniform(self, rng):
-        # A size-weighted draw keeps the distribution uniform over all
-        # actions.  Generator.choice(size + 1, p=probs) draws one
-        # rng.random() and inverts it by searchsorted(side="right") on
-        # probs.cumsum() / its last entry; the same cdf, built once, and
-        # bisect_right (the same binary search) give the same size, draw
-        # for draw, without choice's per-call validation of p.
+        """One assortment drawn uniformly from the whole space.
+
+        A size-weighted draw keeps the distribution uniform over all
+        actions.  ``Generator.choice(size + 1, p=probs)`` draws one
+        ``rng.random()`` and inverts it by ``searchsorted(side="right")``
+        on ``probs.cumsum()`` / its last entry; the same cdf, built once,
+        and ``bisect_right`` (the same binary search) give the same size,
+        draw for draw, without choice's per-call validation of p.
+
+        The products are then Floyd's sample of sz from n (Bentley &
+        Floyd, CACM 1987), drawn as ``Generator.choice(n, sz,
+        replace=False)`` draws it for n <= 10,000: for j = n-sz .. n-1 one
+        bounded draw v on [0, j], keeping j instead of v when v is already
+        taken; then choice shuffles the sample, one bounded draw on
+        [0, i] for i = sz-1 .. 1.  Scalar ``rng.integers(j + 1)`` is that
+        same bounded draw, so this consumes the same draws in the same
+        order; the shuffle's values are discarded, as the result is
+        sorted.  ``choice`` switches to a tail shuffle for n > 10,000 with
+        sz > n / 50, where the two draw sequences part; the sample stays
+        uniform there.
+        """
         if self._size_cdf is None:
             weights = np.array(
                 [math.comb(self.n_products, sz) for sz in range(self.max_size + 1)],
@@ -423,7 +438,13 @@ class AssortmentActions:
         sz = bisect_right(self._size_cdf, rng.random())
         if sz == 0:
             return ()
-        return tuple(sorted(rng.choice(self.n_products, size=sz, replace=False).tolist()))
+        picked = set()
+        for j in range(self.n_products - sz, self.n_products):
+            v = int(rng.integers(j + 1))
+            picked.add(j if v in picked else v)
+        for i in range(sz - 1, 0, -1):
+            rng.integers(i + 1)
+        return tuple(sorted(picked))
 
     def __eq__(self, other):
         return (

@@ -99,29 +99,33 @@ def _reward_margin(w_max, epsilon, n_indices, n_stages, eta, stage_len, lam):
     return ez, clamped
 
 
-def _window_logsumexp(ws: PenaltyWeights, s: int, width: int) -> np.ndarray:
+def _window_logsumexp(ws: PenaltyWeights, s: int, width: int) -> None:
     """Per-resource log-sum-exp of log_surv[:, 1..width] + log_resource[:, s..].
 
-    The terms go into the stage's preallocated (C, width) buffer; a row's
-    max is its offset, or 0.0 for a row that is all -inf (its sum of
-    exponentials is then 0, and its log -inf).
+    The terms go into the stage's preallocated (C, width) buffer and the
+    result into the first C entries of its log buffer; a row's max is its
+    offset, or 0.0 for a row that is all -inf (its sum of exponentials is
+    then 0, and its log -inf).  The reductions are the ufuncs' own
+    ``reduce``, which ``max`` and ``sum`` call after a Python-level
+    dispatch that costs more than the arithmetic here.
     """
     buf = ws._windows[width]
-    np.add(ws.log_surv[:, 1 : width + 1], ws.log_resource[:, s : s + width], out=buf)
-    m = buf.max(axis=1)
-    all_finite = math.isfinite(sum(m.tolist()))
+    m = ws._row_max
+    lse = ws._log_phi
+    np.add(ws._surv_windows[width], ws.log_resource[:, s : s + width], out=buf)
+    np.maximum.reduce(buf, axis=1, keepdims=True, out=m)
+    all_finite = math.isfinite(sum(ws._max_col.tolist()))
     if not all_finite:
-        m = np.where(np.isfinite(m), m, 0.0)
-    np.subtract(buf, m[:, None], out=buf)
+        np.copyto(m, 0.0, where=~np.isfinite(m))
+    np.subtract(buf, m, out=buf)
     np.exp(buf, out=buf)
-    total = buf.sum(axis=1)
+    np.add.reduce(buf, axis=1, out=lse)
     if all_finite:  # every row holds exp(0) = 1, so no log(0)
-        np.log(total, out=total)
+        np.log(lse, out=lse)
     else:
         with np.errstate(divide="ignore"):
-            np.log(total, out=total)
-    total += m
-    return total
+            np.log(lse, out=lse)
+    lse += ws._max_col
 
 
 @dataclass
@@ -150,7 +154,16 @@ class PenaltyWeights:
     at most one entry per update of the stage, and at most one per
     (type, action) pair.
     ``select_action`` sums its window of terms in one (C, d_max) buffer,
-    also allocated once per stage.
+    also allocated once per stage, next to the per-width views of
+    ``log_surv`` it adds and a (C, 1) column for the rows' maxima.
+
+    Combined buffer: the greedy step prices all C + R weights together.
+    One (C + R) log buffer holds the window log-sum-exps of the resources
+    in its first C entries, and ``log_reward_mag`` is a view of its last R
+    entries, updated in place; one subtraction of the shared offset and
+    one ``exp`` then fill a (C + R) value buffer whose two views are phi
+    and |psi|.  Both buffers belong to the stage, so a finished stage's
+    weights never change when the next stage plays.
     """
 
     stage_len: int
@@ -171,6 +184,10 @@ class PenaltyWeights:
     d_max: int = field(init=False)
     _deltas: dict = field(init=False, repr=False, compare=False)
     _windows: list = field(init=False, repr=False, compare=False)
+    _surv_windows: list = field(init=False, repr=False, compare=False)
+    _row_max: np.ndarray = field(init=False, repr=False, compare=False)  # (C, 1)
+    _logs: np.ndarray = field(init=False, repr=False, compare=False)     # (C + R,)
+    _values: np.ndarray = field(init=False, repr=False, compare=False)   # (C + R,)
 
     def __post_init__(self):
         live = np.flatnonzero(np.any(self.surv != 0.0, axis=0))
@@ -180,6 +197,15 @@ class PenaltyWeights:
         C = self.caps.size
         flat = np.empty(C * self.d_max)
         self._windows = [flat[: C * w].reshape(C, w) for w in range(self.d_max + 1)]
+        self._surv_windows = [self.log_surv[:, 1 : w + 1] for w in range(self.d_max + 1)]
+        self._row_max = np.empty((C, 1))
+        self._max_col = self._row_max[:, 0]
+        # the combined buffers (see above) and their views
+        self._logs = np.empty(C + self.log_reward_mag.size)
+        self._logs[C:] = self.log_reward_mag
+        self._log_phi, self.log_reward_mag = self._logs[:C], self._logs[C:]
+        self._values = np.empty_like(self._logs)
+        self._phi, self._psi_mag = self._values[:C], self._values[C:]
 
 
 def init_penalty_weights(
@@ -260,15 +286,14 @@ def select_action(ws: PenaltyWeights, inst: Instance, customer: int):
         raise RuntimeError(f"stage of length {L} already exhausted")
     width = min(L - s + 1, ws.d_max)   # slots s .. min(L, s + d_max - 1)
     if width > 0:
-        log_phi = _window_logsumexp(ws, s, width)
+        _window_logsumexp(ws, s, width)
     else:
-        log_phi = np.full(ws.caps.size, -np.inf)
-    finite = [v for v in log_phi.tolist() + ws.log_reward_mag.tolist() if math.isfinite(v)]
+        ws._log_phi.fill(-np.inf)
+    finite = [v for v in ws._logs.tolist() if math.isfinite(v)]
     off = max(finite) if finite else 0.0
-    log_phi -= off
-    phi = np.exp(log_phi, out=log_phi)
-    psi_mag = np.exp(ws.log_reward_mag - off)
-    return om.best_action(inst.actions, phi, psi_mag)
+    np.subtract(ws._logs, off, out=ws._values)
+    np.exp(ws._values, out=ws._values)
+    return om.best_action(inst.actions, ws._phi, ws._psi_mag)
 
 
 def update_penalty_weights(ws: PenaltyWeights, inst: Instance, customer: int, action):

@@ -754,7 +754,13 @@ def reference_mnl_sample(om: MnlOutcomes, action, rng):
 
 
 def reference_sample_uniform(space: AssortmentActions, rng):
-    """Uniform assortment draw, rebuilding the size weights per call."""
+    """Uniform assortment draw, rebuilding the size weights per call.
+
+    Both draws are numpy's ``Generator.choice``: the size with ``p=``, the
+    products with ``replace=False``.  The oracle thereby pins the draw
+    sequence of that numpy routine, which the package reproduces with
+    scalar draws: a change in numpy's sampler shows up here.
+    """
     weights = np.array(
         [math.comb(space.n_products, sz) for sz in range(space.max_size + 1)],
         dtype=float,

@@ -108,6 +108,7 @@ class TestBestAssortment:
             got = best_assortment(m, j, coef)
             assert got == enumerate_best_assortment(m, j, coef)
             assert got == lp_best_assortment(m, j, coef)
+            assert best_assortment(m, j, coef.tolist()) == got
 
     def test_respects_size_cap(self):
         rng = np.random.default_rng(41)
@@ -119,8 +120,11 @@ class TestBestAssortment:
             assert got == enumerate_best_assortment(m, 0, coef)
 
     def test_bad_coef_shape(self):
-        with pytest.raises(ValueError):
-            best_assortment(tiny_model(), 0, [1.0])
+        # wrong-length lists and arrays, and 2-D arrays (tiny_model has 3 products)
+        bad = [[1.0], [-1.0] * 4, np.array([-1.0]), -np.ones((3, 1)), -np.ones((1, 3))]
+        for coef in bad:
+            with pytest.raises(ValueError, match="^one coefficient per product required$"):
+                best_assortment(tiny_model(), 0, coef)
 
 
 class TestPricing:
@@ -332,7 +336,8 @@ class TestAssortmentActions:
             assert abs(cnt - expect) < 5 * math.sqrt(expect), a
 
     def test_uniform_sampling_is_draw_for_draw_the_rebuilt_weights(self):
-        for n, m in ((4, 2), (7, 3), (5, 5), (12, 4), (15, 5)):
+        # (n, n) covers Floyd's first bound 0, which draws nothing
+        for n, m in ((1, 1), (2, 2), (4, 4), (4, 2), (7, 3), (5, 5), (12, 4), (15, 5), (20, 3)):
             space = AssortmentActions(n, m)
             rng, ref = np.random.default_rng(n), np.random.default_rng(n)
             for _ in range(10_000):

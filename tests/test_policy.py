@@ -368,6 +368,60 @@ class TestLeanStepMatchesPlainRule:
         assert pol.ws.d_max == d_max
 
 
+class TestWeightBuffers:
+    """The greedy step's per-stage buffers never leak into the weights: a
+    select leaves them byte for byte, a snapshot is a copy, and a finished
+    stage's weights stay as they ended while the next stage plays."""
+
+    @pytest.mark.parametrize(
+        "curves",
+        [
+            None,                                 # the trend-like logit instance
+            [[0.0, 0.0], [1.0, 0.5, 0.25]],       # an all -inf window row
+            [[0.0]],                              # an empty window
+        ],
+    )
+    def test_buffers_do_not_alias_the_weights(self, curves, monkeypatch):
+        if curves is None:
+            inst = generate_instance(GeneratorSpec(seed=0, base_horizon=512))
+        else:
+            inst = curves_instance(curves, np.random.default_rng(7))
+        inst, config = planned(inst)
+        real_select, real_update = policy.select_action, policy.update_penalty_weights
+        pol = AdaptivePolicy(config)
+        finished = []   # (weights, log_resource bytes, log_reward_mag bytes) per ended stage
+        seen = {"selects": 0, "snapshots": 0}
+
+        def state(ws):
+            return ws.log_resource.tobytes(), ws.log_reward_mag.tobytes()
+
+        def select(ws, inst, customer):
+            before = state(ws)
+            got = real_select(ws, inst, customer)
+            assert state(ws) == before
+            seen["selects"] += 1
+            return got
+
+        def update(ws, inst, customer, action):
+            real_update(ws, inst, customer, action)
+            snap = pol.snapshot()
+            for key in ("log_resource", "log_reward_mag"):
+                assert not np.shares_memory(snap[key], getattr(ws, key))
+            assert snap["log_reward_mag"].tobytes() == ws.log_reward_mag.tobytes()
+            seen["snapshots"] += 1
+            if ws.updates == ws.stage_len:
+                finished.append((ws, *state(ws)))
+
+        monkeypatch.setattr(policy, "select_action", select)
+        monkeypatch.setattr(policy, "update_penalty_weights", update)
+        run_episode(inst, pol, seed=3)
+        assert seen["selects"] > 0 and seen["snapshots"] > 0
+        assert len(finished) >= 2
+        for ws, log_resource, log_reward_mag in finished:
+            assert state(ws) == (log_resource, log_reward_mag)
+        assert len({id(ws) for ws, *_ in finished}) == len(finished)
+
+
 class TestSelectAction:
     def test_null_customer_gets_null(self):
         inst = lead_instance()

@@ -1,0 +1,118 @@
+#!/usr/bin/env python3
+"""SHA-256 digests of whole episodes, one per policy, for byte-identity checks.
+
+    python3 tools/trace_digest.py              # digests of this tree
+    python3 tools/trace_digest.py --rev HEAD   # a revision against this tree
+
+Plays ``static``, ``uniform``, ``adaptive``, ``hybrid16`` and ``null`` on
+two fixed instances shaped like the benchmark's episode workloads,
+``GeneratorSpec(scale=2, seed=1)`` with epsilon 1/8 and
+``GeneratorSpec(scale=4, seed=1)`` with epsilon 1/16, planned as
+``run_trend`` plans them, one episode each with replication seed 2.  A
+policy's digest covers, on both instances, every step record (type,
+chosen and executed action, forced flag, reward and consumption bytes,
+durations), the reward totals, the peak occupancy and, for the weighted
+policies, the final stage's log weights.  Any change to a draw, a float
+or a decision changes the digest.
+
+With ``--rev`` the same digests are computed for ``git archive REV``
+unpacked in a temporary directory (this script, that revision's
+``src/``) and for this tree, printed side by side; the exit status is 1
+when any policy differs.  ``--root DIR`` imports reuselab from
+``DIR/src`` instead of this tree's.  Uses the standard library, numpy and
+reuselab's public functions only.
+"""
+
+from __future__ import annotations
+
+import argparse
+import hashlib
+import logging
+import subprocess
+import sys
+import tempfile
+from pathlib import Path
+
+import numpy as np
+
+ROOT = Path(__file__).resolve().parent.parent
+POLICIES = ("static", "uniform", "adaptive", "hybrid16", "null")
+# (scale, epsilon) of the replicate- and adaptive-shaped instances
+INSTANCES = ((2, 1 / 8), (4, 1 / 16))
+SEED = 1
+
+
+def _floats(h, values) -> None:
+    h.update(np.ascontiguousarray(values, dtype=float).tobytes())
+
+
+def digests(rl) -> dict:
+    """Policy name -> hex SHA-256 over its episodes on ``INSTANCES``."""
+    hashes = {name: hashlib.sha256() for name in POLICIES}
+    for scale, epsilon in INSTANCES:
+        inst = rl.generate_instance(rl.GeneratorSpec(scale=scale, seed=SEED))
+        bench = rl.solve_benchmarks(inst)
+        config = rl.AlgoConfig(
+            epsilon=epsilon,
+            gamma=rl.scale_parameter(inst, bench.lambda_ss),
+            delta=0.0,
+            tail_cutoff=bench.tail_cutoff,
+            seed=SEED,
+        )
+        for name in POLICIES:
+            h = hashes[name]
+            pol = rl.make_policy(name, inst, config, bench)
+            trace = rl.run_episode(inst, pol, SEED + 1, record_steps=True)
+            for st in trace.steps:
+                h.update(repr((st.step, st.customer, st.chosen, st.executed, st.forced,
+                               sorted(st.durations.items()))).encode())
+                _floats(h, st.reward)
+                _floats(h, st.consumption)
+            _floats(h, trace.reward_total)
+            _floats(h, trace.peak_occupied)
+            ws = getattr(pol, "ws", None)
+            if ws is not None:
+                _floats(h, ws.log_resource)
+                _floats(h, ws.log_reward_mag)
+    return {name: h.hexdigest() for name, h in hashes.items()}
+
+
+def _run_at(root: Path) -> dict:
+    """``digests`` of ``root/src`` in a fresh interpreter."""
+    out = subprocess.run(
+        [sys.executable, str(Path(__file__).resolve()), "--root", str(root)],
+        capture_output=True, text=True, check=True,
+    ).stdout
+    return dict(line.split() for line in out.splitlines())
+
+
+def main(argv=None) -> int:
+    ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    ap.add_argument("--root", type=Path, default=ROOT, help="import reuselab from ROOT/src")
+    ap.add_argument("--rev", help="compare the digests of this revision against this tree")
+    args = ap.parse_args(argv)
+    if args.rev is None:
+        sys.path.insert(0, str(args.root.resolve() / "src"))
+        import reuselab
+
+        logging.getLogger("reuselab").setLevel(logging.ERROR)   # clamped-margin notes
+        for name, hexdigest in digests(reuselab).items():
+            print(f"{name} {hexdigest}")
+        return 0
+    sys.path.insert(0, str(ROOT / "tools"))
+    from bench_pairs import unpack_rev
+
+    with tempfile.TemporaryDirectory(prefix="trace_digest_") as tmp:
+        sha = unpack_rev(args.rev, Path(tmp))
+        parent = _run_at(Path(tmp))
+    change = _run_at(args.root)
+    print(f"parent {sha[:12]} vs {args.root}")
+    differ = [name for name in POLICIES if parent[name] != change[name]]
+    for name in POLICIES:
+        verdict = "DIFFERS" if name in differ else "same"
+        print(f"{name:9s} {parent[name][:16]} {change[name][:16]} {verdict}")
+    return 1 if differ else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
