@@ -99,35 +99,6 @@ def _reward_margin(w_max, epsilon, n_indices, n_stages, eta, stage_len, lam):
     return ez, clamped
 
 
-def _window_logsumexp(ws: PenaltyWeights, s: int, width: int) -> None:
-    """Per-resource log-sum-exp of log_surv[:, 1..width] + log_resource[:, s..].
-
-    The terms go into the stage's preallocated (C, width) buffer and the
-    result into the first C entries of its log buffer; a row's max is its
-    offset, or 0.0 for a row that is all -inf (its sum of exponentials is
-    then 0, and its log -inf).  The reductions are the ufuncs' own
-    ``reduce``, which ``max`` and ``sum`` call after a Python-level
-    dispatch that costs more than the arithmetic here.
-    """
-    buf = ws._windows[width]
-    m = ws._row_max
-    lse = ws._log_phi
-    np.add(ws._surv_windows[width], ws.log_resource[:, s : s + width], out=buf)
-    np.maximum.reduce(buf, axis=1, keepdims=True, out=m)
-    all_finite = math.isfinite(sum(ws._max_col.tolist()))
-    if not all_finite:
-        np.copyto(m, 0.0, where=~np.isfinite(m))
-    np.subtract(buf, m, out=buf)
-    np.exp(buf, out=buf)
-    np.add.reduce(buf, axis=1, out=lse)
-    if all_finite:  # every row holds exp(0) = 1, so no log(0)
-        np.log(lse, out=lse)
-    else:
-        with np.errstate(divide="ignore"):
-            np.log(lse, out=lse)
-    lse += ws._max_col
-
-
 @dataclass
 class PenaltyWeights:
     """Log-domain multiplicative weights for one stage.
@@ -143,27 +114,35 @@ class PenaltyWeights:
     ``occ_factors`` are 0 and ``log_surv`` is -inf, so a step at slot s
     only reaches slots up to s + d_max.
 
-    Delta cache: an update adds to slot s + u, for gap u = 1..d_max, the
-    delta (gamma/c_i)*(a_i*Pr(D_i >= u+1))*log(1+eps) - occ_factors[i, u],
-    and to the reward weights (w_i/w_max)*log(1-eps_z) - log_drift_z.
-    Neither depends on s, only on the arriving type and its action, so
-    each (type, action) pair's deltas are computed once, on its first
-    update, and kept in a dict on these weights.  The stage's last update
-    empties the dict (the weights themselves outlive the stage, for
-    inspection), so at most one stage's cache is alive at a time; it holds
-    at most one entry per update of the stage, and at most one per
-    (type, action) pair.
-    ``select_action`` sums its window of terms in one (C, d_max) buffer,
-    also allocated once per stage, next to the per-width views of
-    ``log_surv`` it adds and a (C, 1) column for the rows' maxima.
+    Update deltas: an update adds to slot s + u, for gap u = 1..d_max, the
+    resource delta (gamma/c_i)*(a_i*Pr(D_i >= u+1))*log(1+eps) -
+    occ_factors[i, u], and to the reward weights (w_i/w_max)*log(1-eps_z) -
+    log_drift_z, where (w, a) are the mean outcomes of the arriving type
+    and its action.  Neither depends on s.  The resource delta does not
+    depend on the stage either (the survival curves, gamma, the capacities
+    and eps are the same in every stage), only its span min(d_max,
+    stage_len - 1) does; so ``_pairs`` maps each (type, action) pair to
+    its resource delta and w, computed from ``means`` on the pair's first
+    update and rebuilt only when a stage needs a wider span (narrower
+    spans are slices, elementwise the same values).  An adaptive policy
+    hands one ``_pairs`` dict from stage to stage and empties it once the
+    episode's last step is observed; weights made on their own get a dict
+    of their own.  ``_deltas`` maps each pair to the stage's (resource
+    delta, reward delta), so an update after the pair's first in the
+    stage is one lookup; the stage's last update empties it (the weights
+    themselves outlive the stage, for inspection).
 
-    Combined buffer: the greedy step prices all C + R weights together.
-    One (C + R) log buffer holds the window log-sum-exps of the resources
-    in its first C entries, and ``log_reward_mag`` is a view of its last R
-    entries, updated in place; one subtraction of the shared offset and
-    one ``exp`` then fill a (C + R) value buffer whose two views are phi
-    and |psi|.  Both buffers belong to the stage, so a finished stage's
-    weights never change when the next stage plays.
+    Greedy buffers: ``select_action`` prices all C resources and R reward
+    indices against one shared offset.  One log buffer per stage holds
+    ``log_reward_mag`` in its first R entries, as a view updated in place,
+    and the window terms log_surv[:, 1..w] + log_resource[:, s..s+w-1]
+    after it as a (C, w) view; a value buffer of the same size takes their
+    shifted exponentials, so |psi| is its head and phi the row sums of its
+    tail.  ``_full`` holds those views for the widest window,
+    ``_full_width`` = min(d_max, stage_len) slots; the narrower windows of
+    a stage's last slots are built by ``_views``.  Both buffers belong to
+    the stage, so a finished stage's weights never change when the next
+    stage plays.
     """
 
     stage_len: int
@@ -182,30 +161,38 @@ class PenaltyWeights:
     log_drift_z: float        # log(1 - eps_z * lam / (w_max * (1 + eps)))
     updates: int = 0
     d_max: int = field(init=False)
+    _pairs: dict = field(init=False, repr=False, compare=False)
     _deltas: dict = field(init=False, repr=False, compare=False)
-    _windows: list = field(init=False, repr=False, compare=False)
-    _surv_windows: list = field(init=False, repr=False, compare=False)
-    _row_max: np.ndarray = field(init=False, repr=False, compare=False)  # (C, 1)
-    _logs: np.ndarray = field(init=False, repr=False, compare=False)     # (C + R,)
-    _values: np.ndarray = field(init=False, repr=False, compare=False)   # (C + R,)
+    _logs: np.ndarray = field(init=False, repr=False, compare=False)     # (R + C * width,)
+    _values: np.ndarray = field(init=False, repr=False, compare=False)   # (R + C * width,)
 
     def __post_init__(self):
         live = np.flatnonzero(np.any(self.surv != 0.0, axis=0))
         self.d_max = int(live[-1]) if live.size else 0
+        self._pairs = {}
         self._deltas = {}
-        # _windows[w] is a C-contiguous (C, w) view of one shared buffer
-        C = self.caps.size
-        flat = np.empty(C * self.d_max)
-        self._windows = [flat[: C * w].reshape(C, w) for w in range(self.d_max + 1)]
-        self._surv_windows = [self.log_surv[:, 1 : w + 1] for w in range(self.d_max + 1)]
-        self._row_max = np.empty((C, 1))
-        self._max_col = self._row_max[:, 0]
-        # the combined buffers (see above) and their views
-        self._logs = np.empty(C + self.log_reward_mag.size)
-        self._logs[C:] = self.log_reward_mag
-        self._log_phi, self.log_reward_mag = self._logs[:C], self._logs[C:]
+        R = self.log_reward_mag.size
+        self._full_width = width = min(self.d_max, self.stage_len)
+        self._logs = np.empty(R + self.caps.size * width)
+        self._logs[:R] = self.log_reward_mag
+        self.log_reward_mag = self._logs[:R]
         self._values = np.empty_like(self._logs)
-        self._phi, self._psi_mag = self._values[:C], self._values[C:]
+        self._psi_mag = self._values[:R]
+        self._phi = np.empty(self.caps.size)
+        self._full = self._views(width)
+
+    def _views(self, width: int):
+        """(log_surv terms, live logs, live values, log window, value window)
+        for a window of ``width`` slots; both windows are C-contiguous."""
+        R, C = self.log_reward_mag.size, self.caps.size
+        logs, values = self._logs[: R + C * width], self._values[: R + C * width]
+        return (
+            self.log_surv[:, 1 : width + 1],
+            logs,
+            values,
+            logs[R:].reshape(C, width),
+            values[R:].reshape(C, width),
+        )
 
 
 def init_penalty_weights(
@@ -271,28 +258,39 @@ def select_action(ws: PenaltyWeights, inst: Instance, customer: int):
     plus sum over reward indices of w_i * psi_{i,s}, using mean outcomes.
     The slot of the current step itself (t = s) enters the occupancy sum;
     only slots t <= s + d_max - 1 carry survival mass, so the sum stops
-    there (and is empty when d_max = 0).  The minimization itself
-    is the customer's own pricing oracle, ``outcomes.best_action``: an
-    argmin over mean tables (ties to the lowest action index) for explicit
-    types, the sort-and-fixed-point assortment solver for logit customers.
+    there (and is empty when d_max = 0).
+
+    phi_i is a sum of window terms exp(log_surv + log_resource) and |psi|
+    is exp(log_reward_mag); an argmin over their combinations does not
+    change when all of them are scaled by one positive factor, so every
+    term is shifted by one offset, the largest of them all, and
+    exponentiated once (see :class:`PenaltyWeights`).  A window row that
+    is all -inf, and an empty window, give phi_i = 0.  When that offset is
+    not finite the largest finite term takes its place, or 0.0 when there
+    is none.  The minimization itself is the customer's own pricing oracle,
+    ``outcomes.best_action``: an argmin over mean tables (ties to the
+    lowest action index) for explicit types, the sort-and-fixed-point
+    assortment solver for logit customers.
     """
     om = inst.customers[customer].outcomes
-    null = inst.actions.null_action
     if om.is_null:
-        return null
+        return inst.actions.null_action
     s = ws.updates + 1
     L = ws.stage_len
     if s > L:
         raise RuntimeError(f"stage of length {L} already exhausted")
     width = min(L - s + 1, ws.d_max)   # slots s .. min(L, s + d_max - 1)
-    if width > 0:
-        _window_logsumexp(ws, s, width)
-    else:
-        ws._log_phi.fill(-np.inf)
-    finite = [v for v in ws._logs.tolist() if math.isfinite(v)]
-    off = max(finite) if finite else 0.0
-    np.subtract(ws._logs, off, out=ws._values)
-    np.exp(ws._values, out=ws._values)
+    views = ws._full if width == ws._full_width else ws._views(width)
+    terms, logs, values, log_window, value_window = views
+    np.add(terms, ws.log_resource[:, s : s + width], out=log_window)
+    # the ufuncs' own reduce: np.max / np.sum dispatch costs more than this arithmetic
+    off = np.maximum.reduce(logs)
+    if not math.isfinite(off):
+        finite = [v for v in logs.tolist() if math.isfinite(v)]
+        off = max(finite) if finite else 0.0
+    np.subtract(logs, off, out=values)
+    np.exp(values, out=values)
+    np.add.reduce(value_window, axis=1, out=ws._phi)
     return om.best_action(inst.actions, ws._phi, ws._psi_mag)
 
 
@@ -303,9 +301,9 @@ def update_penalty_weights(ws: PenaltyWeights, inst: Instance, customer: int, ac
     occupancy) and shed one static occupancy factor; reward weights shrink
     by (1-eps_z)^(w_i/w_max) and shed one drift factor.  Deterministic
     given the arrival and the chosen action.  Slots past s + d_max would
-    only receive += 0.0, so they are skipped.  Both deltas depend on the
-    (type, action) pair alone, so they come from the stage's delta cache
-    (see :class:`PenaltyWeights`).
+    only receive += 0.0, so they are skipped.  The pair's deltas are
+    formed on its first update of the stage, from the resource delta and
+    mean rewards kept for the episode (see :class:`PenaltyWeights`).
     """
     s = ws.updates + 1
     L = ws.stage_len
@@ -314,21 +312,25 @@ def update_penalty_weights(ws: PenaltyWeights, inst: Instance, customer: int, ac
     key = (customer, action)
     deltas = ws._deltas.get(key)
     if deltas is None:
-        w, a = inst.customers[customer].outcomes.means(action)
         span = min(ws.d_max, L - 1)   # the widest gap any step of the stage reaches
-        proj = a[:, None] * ws.surv[:, 2 : span + 2]   # Pr(D >= u + 1)
-        deltas = ws._deltas[key] = (
-            (ws.gamma / ws.caps)[:, None] * proj * ws.log1p_eps
-            - ws.occ_factors[:, 1 : span + 1],
-            (w / ws.w_max) * ws.log_shrink_z - ws.log_drift_z,
-        )
+        pair = ws._pairs.get(key)
+        if pair is None or pair[0].shape[1] < span:
+            w, a = inst.customers[customer].outcomes.means(action)
+            proj = a[:, None] * ws.surv[:, 2 : span + 2]   # Pr(D >= u + 1)
+            pair = ws._pairs[key] = (
+                (ws.gamma / ws.caps)[:, None] * proj * ws.log1p_eps
+                - ws.occ_factors[:, 1 : span + 1],
+                w,
+            )
+        res, w = pair
+        deltas = ws._deltas[key] = (res, (w / ws.w_max) * ws.log_shrink_z - ws.log_drift_z)
     res, rew = deltas
     gap = min(L - s, ws.d_max)   # t - s runs over 1..gap for t in s+1..s+gap
     if gap > 0:
         ws.log_resource[:, s + 1 : s + gap + 1] += res[:, :gap]
     ws.log_reward_mag += rew
     ws.updates = s
-    if s == L:   # no later update can read the cache
+    if s == L:   # no later update of the stage can read its deltas
         ws._deltas.clear()
 
 
@@ -452,7 +454,9 @@ class AdaptivePolicy:
     from the previous stage's arrivals.  The weight trajectory is
     deterministic given the arrival sequence; the policy updates on its
     own chosen action even when the simulator forced a rejection, so
-    learning never depends on realized noise.
+    learning never depends on realized noise.  Every weighted stage of an
+    episode shares one table of update deltas, emptied once the episode's
+    last step is observed.
     """
 
     s_switch = math.inf
@@ -476,7 +480,9 @@ class AdaptivePolicy:
         self.inst, self.rng = inst, rng
         self._idx = -1
         self._stage_end = 0
-        self._counts = np.zeros(inst.n_types)
+        self._counts = [0] * inst.n_types
+        self._horizon = inst.horizon
+        self._pairs = {}   # (type, action) -> (resource delta, w); see PenaltyWeights
         self._uniform = True
         self.ws: PenaltyWeights | None = None
         self.lp_solves = 0
@@ -488,7 +494,7 @@ class AdaptivePolicy:
 
     def _begin_stage(self, idx: int):
         r, offset, length = self.schedule[idx]
-        prev_counts, self._counts = self._counts, np.zeros(self.inst.n_types)
+        prev_counts, self._counts = self._counts, [0] * self.inst.n_types
         self._idx = idx
         self._stage_end = offset + length
         self._switch_at = offset + 1 + self.s_switch  # first step on static rates
@@ -497,7 +503,7 @@ class AdaptivePolicy:
         mode, p_hat, lam, eps_x, eps_z, clamped = "uniform", None, None, None, None, False
         if r >= 0:
             prev_len = self.schedule[idx - 1][2]
-            p_hat = prev_counts / prev_len
+            p_hat = np.array(prev_counts, dtype=float) / prev_len
             if self.stage_subsample is not None and p_hat.sum() > 0:
                 p_hat = subsample_distribution(p_hat, self.stage_subsample, self.rng)
             eps_x = estimate_margin(
@@ -523,6 +529,7 @@ class AdaptivePolicy:
                     lam,
                 )
                 self.ws = init_penalty_weights(self.inst, length, lam, eps_z, self.config)
+                self.ws._pairs = self._pairs
                 self._uniform = False
                 mode = "weighted"
         self._record = StageRecord(
@@ -537,7 +544,8 @@ class AdaptivePolicy:
             self._begin_stage(self._idx + 1)
 
     def choose(self, t: int, j: int):
-        self._advance(t)
+        if t > self._stage_end:
+            self._advance(t)
         if t >= self._switch_at:
             return self._tables.sample(j, self.rng)
         if self._uniform:
@@ -545,12 +553,17 @@ class AdaptivePolicy:
         return select_action(self.ws, self.inst, j)
 
     def observe(self, t: int, j: int, action, forced: bool):
-        self._advance(t)
+        if t > self._stage_end:
+            self._advance(t)
         self._counts[j] += 1
         if not self._uniform and t < self._switch_at:
             update_penalty_weights(self.ws, self.inst, j, action)
             if self.record_history:
                 self._record.choices.append((j, action))
+        if t == self._horizon:   # the episode is over: keep no deltas
+            self._pairs.clear()
+            if self.ws is not None:
+                self.ws._deltas.clear()
 
     def snapshot(self) -> dict:
         """Copy of the live stage state, for inspection and tests."""

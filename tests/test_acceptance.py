@@ -43,6 +43,8 @@ from reuselab.model import (
     zero_outcomes,
 )
 from reuselab.harness import run_experiment
+from reuselab import policy as policy_module
+from reuselab.lp import DegenerateStage
 from reuselab.policy import (
     AdaptivePolicy,
     UniformRandomPolicy,
@@ -325,7 +327,38 @@ def potential_toy():
     )
 
 
-def test_a8_potential_decreases_in_expectation():
+def memo_stage_lps(monkeypatch, inst):
+    """Memoize the policy's stage LP on ``inst`` by (p_hat bytes, margin).
+
+    The toy's empirical distributions take a handful of values, and a
+    stage LP is a pure function of them, so a memo changes no answer; a
+    degenerate stage's exception is replayed.  Returns the hit/miss counts.
+    """
+    real = policy_module.solve_stage_lambda
+    memo: dict = {}
+    counts = {"hits": 0, "misses": 0}
+
+    def solve(inst_arg, p_hat, margin):
+        assert inst_arg is inst
+        key = (p_hat.tobytes(), margin)
+        if key in memo:
+            counts["hits"] += 1
+        else:
+            counts["misses"] += 1
+            try:
+                memo[key] = real(inst_arg, p_hat, margin)
+            except DegenerateStage as exc:
+                memo[key] = exc
+        out = memo[key]
+        if isinstance(out, DegenerateStage):
+            raise out
+        return out
+
+    monkeypatch.setattr(policy_module, "solve_stage_lambda", solve)
+    return counts
+
+
+def test_a8_potential_decreases_in_expectation(monkeypatch):
     t0 = time.perf_counter()
     inst = potential_toy()
     lam = solve_steady_state(inst, inst.arrival_weights()).lambda_
@@ -333,6 +366,7 @@ def test_a8_potential_decreases_in_expectation():
     gamma = scale_parameter(inst, lam)
     assert gamma == pytest.approx(4.0)
     config = AlgoConfig(epsilon=0.25, gamma=gamma, seed=0)
+    stage_lps = memo_stage_lps(monkeypatch, inst)
     diffs: dict = {}
     for seed in range(10_000):
         pol = AdaptivePolicy(config, record_history=True)
@@ -347,6 +381,7 @@ def test_a8_potential_decreases_in_expectation():
             for s in range(len(rec.choices)):
                 diffs.setdefault((rec.stage, s), []).append(values[s + 1] - values[s])
     assert diffs, "no weighted stage was ever reached"
+    assert stage_lps["hits"] > 0 and stage_lps["misses"] > 0, stage_lps
     worst = -math.inf
     for (stage, s), vals in sorted(diffs.items()):
         arr = np.asarray(vals)
@@ -359,6 +394,7 @@ def test_a8_potential_decreases_in_expectation():
     report(
         f"A8 potential induction: PASS "
         f"({len(diffs)} step groups over 10000 seeds, worst mean/SE {worst:.2f} <= 3, "
+        f"{stage_lps['misses']} distinct stage LPs for {sum(stage_lps.values())} stages, "
         f"{elapsed:.1f}s)"
     )
 

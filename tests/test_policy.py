@@ -1,3 +1,4 @@
+import dataclasses
 import logging
 import math
 
@@ -197,7 +198,7 @@ def full_width_update(ws, inst, customer, action):
     ws.updates = s
 
 
-def curves_instance(curves, rng, n_actions: int = 4) -> Instance:
+def curves_instance(curves, rng, n_actions: int = 4, horizon: int = 64) -> Instance:
     """One resource per survival curve, two real types with random tables."""
     C = len(curves)
     real = []
@@ -212,7 +213,7 @@ def curves_instance(curves, rng, n_actions: int = 4) -> Instance:
         reward_count=2,
         customers=[CustomerType(0.2, zero_outcomes(2, C, n_actions))] + real,
         actions=ExplicitActions(n_actions),
-        horizon=64,
+        horizon=horizon,
         null_type=0,
     )
 
@@ -469,6 +470,185 @@ class TestSelectAction:
                 got = select_action(ws, inst, j)
                 want = reference_select(ws, inst, j)
                 assert tuple(got) == tuple(want), (trial, j)
+
+
+class TestSharedOffset:
+    """``select_action`` shifts every window term and reward weight by one
+    shared offset; the plain rule takes a log-sum-exp per resource first and
+    shifts those.  Up to one common factor both hand the pricing oracle the
+    same phi and |psi|, and the decisions are ``reference_select``'s, on
+    stages whose live log weights span at least 700."""
+
+    SPAN = 700.0
+
+    def fed(self, select, ws, inst, j):
+        """(action, phi, |psi|) that ``select`` hands type j's pricing oracle."""
+        cls = type(inst.customers[j].outcomes)
+        real = cls.best_action
+        seen = []
+
+        def record(om, actions, phi, psi_mag):
+            seen.append((np.array(phi, dtype=float), np.array(psi_mag, dtype=float)))
+            return real(om, actions, phi, psi_mag)
+
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(cls, "best_action", record)
+            got = select(ws, inst, j)
+        assert len(seen) == 1
+        return got, *seen[0]
+
+    def spread(self, ws, rng):
+        """Overwrite the weights with log values drawn over SPAN, the first
+        reward weight at the top; returns the bottom."""
+        lo = float(rng.uniform(-60.0, 60.0))
+        C, R = ws.caps.size, ws.log_reward_mag.size
+        ws.log_resource[:, 1:] = rng.uniform(lo, lo + self.SPAN, size=(C, ws.stage_len))
+        ws.log_reward_mag[:] = rng.uniform(lo, lo + self.SPAN, size=R)
+        ws.log_reward_mag[0] = lo + self.SPAN
+        return lo
+
+    def check_slot(self, ws, inst, s, lo):
+        """Pin one live term to the bottom, then compare at slot s."""
+        ws.updates = s - 1
+        width = min(ws.stage_len - s + 1, ws.d_max)
+        rows = np.flatnonzero(np.isfinite(ws.log_surv[:, 1]))
+        if width > 0 and rows.size:
+            ws.log_resource[rows[0], s] = lo - ws.log_surv[rows[0], 1]
+        else:
+            ws.log_reward_mag[-1] = lo
+        live = np.concatenate(
+            [(ws.log_surv[:, 1 : width + 1] + ws.log_resource[:, s : s + width]).ravel(),
+             ws.log_reward_mag]
+        )
+        live = live[np.isfinite(live)]
+        assert live.max() - live.min() >= self.SPAN
+        tiny = np.finfo(float).tiny
+        for j in range(inst.n_types):
+            if inst.customers[j].outcomes.is_null:
+                continue
+            got, phi, psi = self.fed(select_action, ws, inst, j)
+            _want, plain_phi, plain_psi = self.fed(oracles.plain_select_action, ws, inst, j)
+            new, plain = np.concatenate([phi, psi]), np.concatenate([plain_phi, plain_psi])
+            # the fuzz stays clear of subnormals, where rtol means nothing
+            assert np.all((plain == 0.0) | (plain >= tiny))
+            factor = new[np.argmax(plain)]
+            assert factor > 0.0
+            np.testing.assert_allclose(new, factor * plain, rtol=1e-12, atol=0.0)
+            want = reference_select(ws, inst, j)
+            assert np.array_equal(np.asarray(got), np.asarray(want)), (s, j, got, want)
+
+    def slots(self, ws, rng):
+        """First slot, a random one, and every slot whose window is cut short."""
+        L = ws.stage_len
+        tail = range(max(1, L - ws.d_max + 1), L + 1)
+        return sorted({1, int(rng.integers(1, L + 1)), *tail})
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_explicit_fuzz(self, seed):
+        rng = np.random.default_rng(500 + seed)
+        inst = random_explicit_instance(rng, max_resources=4, max_types=4, horizon=64)
+        config = AlgoConfig(epsilon=0.25, gamma=float(1.0 + 3.0 * rng.random()))
+        L = int(rng.integers(2, 30))
+        ws = init_penalty_weights(inst, L, 0.2 * inst.w_max, 0.3, config)
+        for _ in range(3):
+            lo = self.spread(ws, rng)
+            for s in self.slots(ws, rng):
+                self.check_slot(ws, inst, s, lo)
+
+    @pytest.mark.parametrize(
+        "curves, d_max",
+        [
+            ([[0.0, 0.0], [1.0, 0.5, 0.25]], 3),           # an all -inf window row
+            ([[0.0]], 0),                                   # an empty window
+            ([np.linspace(1.0, 0.05, 20), [0.7, 0.2]], 20),  # a stage shorter than d_max
+        ],
+    )
+    def test_window_edge_cases(self, curves, d_max):
+        rng = np.random.default_rng(len(curves) + d_max)
+        inst = curves_instance(curves, rng)
+        config = AlgoConfig(epsilon=0.25, gamma=1.5)
+        for L in (4, 24):
+            ws = init_penalty_weights(inst, L, 0.2 * inst.w_max, 0.3, config)
+            assert ws.d_max == min(d_max, L + 1)
+            lo = self.spread(ws, rng)
+            for s in self.slots(ws, rng):
+                self.check_slot(ws, inst, s, lo)
+                if d_max == 0:
+                    assert not self.fed(select_action, ws, inst, 1)[1].any()
+
+    def test_logit_customers(self):
+        inst = small_mnl_instance()
+        rng = np.random.default_rng(11)
+        config = AlgoConfig(epsilon=0.25, gamma=2.0)
+        for L in (3, 9, 20):
+            ws = init_penalty_weights(inst, L, 0.2 * inst.w_max, 0.3, config)
+            for _ in range(2):
+                lo = self.spread(ws, rng)
+                for s in self.slots(ws, rng):
+                    self.check_slot(ws, inst, s, lo)
+
+
+class TestEpisodeDeltas:
+    """Each (type, action) pair's resource delta and mean rewards are built
+    once per episode and handed from stage to stage; a stage whose span is
+    wider than the kept one rebuilds them.  On an instance whose first
+    weighted stages are shorter than d_max + 1, every update stays byte for
+    byte the plain rule's, and no delta outlives the episode."""
+
+    CURVE = np.linspace(1.0, 0.05, 24)   # d_max 24; stages of 16, 16, 32 and 64 steps
+
+    def policies(self, inst, config):
+        sol = solve_steady_state(inst, inst.arrival_weights())
+        guarded = dataclasses.replace(config, tail_cutoff=5)
+        return {
+            "adaptive": AdaptivePolicy(config),
+            "hybrid20": HybridPolicy(config, sol, 20),
+            "adaptive+tailguard": StageTailRejector(AdaptivePolicy(config), guarded),
+        }
+
+    @pytest.mark.parametrize("name", ["adaptive", "hybrid20", "adaptive+tailguard"])
+    @pytest.mark.parametrize("seed", [1, 2])
+    def test_updates_match_plain_rule_and_cache_is_emptied(self, name, seed, monkeypatch):
+        inst = curves_instance([self.CURVE, [0.9, 0.4]], np.random.default_rng(seed), horizon=128)
+        inst, config = planned(inst)
+        config = dataclasses.replace(config, epsilon=0.125)
+        pol = self.policies(inst, config)[name]
+        adaptive = pol.inner if name.endswith("+tailguard") else pol
+        real_init, real_update = policy.init_penalty_weights, policy.update_penalty_weights
+        shadow = {}
+        kinds = set()
+        spans = []
+
+        def init(inst, stage_len, lam, eps_z, config):
+            ws = real_init(inst, stage_len, lam, eps_z, config)
+            shadow["ref"] = oracles.plain_init_penalty_weights(inst, stage_len, lam, eps_z, config)
+            spans.append(min(ws.d_max, stage_len - 1))
+            return ws
+
+        def update(ws, inst, customer, action):
+            key = (customer, action)
+            kept = adaptive._pairs.get(key)
+            if key not in ws._deltas:
+                if kept is None:
+                    kinds.add("new")
+                elif kept[0].shape[1] < spans[-1]:
+                    kinds.add("wider")
+                else:
+                    kinds.add("kept")
+            real_update(ws, inst, customer, action)
+            assert ws._pairs is adaptive._pairs and key in adaptive._pairs
+            ref = shadow["ref"]
+            oracles.plain_update_penalty_weights(ref, inst, customer, action)
+            assert ws.log_resource.tobytes() == ref.log_resource.tobytes()
+            assert ws.log_reward_mag.tobytes() == ref.log_reward_mag.tobytes()
+
+        monkeypatch.setattr(policy, "init_penalty_weights", init)
+        monkeypatch.setattr(policy, "update_penalty_weights", update)
+        run_episode(inst, pol, seed=seed)
+        assert spans == [15, 24, 24], spans
+        assert kinds == {"new", "wider", "kept"}
+        assert adaptive._pairs == {}
+        assert adaptive.ws._deltas == {}
 
 
 class TestStaticPolicy:
