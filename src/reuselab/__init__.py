@@ -23,7 +23,6 @@ from .model import (
     ResourceSpec,
     SurvivalCurve,
     duration_tail_cutoff,
-    mean_duration,
     scale_parameter,
     stage_schedule,
     subsample_distribution,
@@ -42,7 +41,6 @@ from .lp import (
     build_steady_state_lp,
     build_time_expanded_lp,
     dump_lp,
-    enumeration_pricing,
     plan_rates,
     solve_lp,
     solve_stage_lambda,

@@ -165,7 +165,7 @@ def _cmd_solve_benchmark(args) -> int:
     inst = _load_valid_instance(args.instance)
     if inst is None:
         return 2
-    bench = solve_benchmarks(inst, delta=args.delta or 0.0, te_cap=args.te_cap)
+    bench = solve_benchmarks(inst, delta=args.delta, te_cap=args.te_cap)
     print(f"steady-state rate: {bench.lambda_ss!r}")
     if bench.lambda_te is None:
         print("time-expanded rate: skipped (over the size cap)")
@@ -223,7 +223,7 @@ def _cmd_simulate(args) -> int:
         return 2
     if args.reps < 1:
         raise ValueError(f"reps must be >= 1, got {args.reps}")
-    bench = solve_benchmarks(inst, delta=args.delta or 0.0)
+    bench = solve_benchmarks(inst)
     config = _resolve_config(args, inst, bench)
     labels = _policy_labels(args)
     if len(labels) != 1:
@@ -259,7 +259,7 @@ def _cmd_experiment(args) -> int:
     inst = _load_valid_instance(args.instance)
     if inst is None:
         return 2
-    bench = solve_benchmarks(inst, delta=args.delta or 0.0)
+    bench = solve_benchmarks(inst)
     config = _resolve_config(args, inst, bench)
     rows = run_experiment(
         inst,

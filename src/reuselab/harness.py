@@ -129,7 +129,10 @@ class Benchmarks:
     diagnostic when that LP fits under the size cap.  That LP starts with
     every resource free, so lambda_ss <= lambda_te: T * lambda_te is the
     looser bound and the one that always holds; T * lambda_ss, the
-    reporting baseline, carries no such guarantee.
+    reporting baseline, carries no such guarantee.  Both values hold for
+    the instance they were solved on only: an instance derived from it
+    (``dataclasses.replace`` with other customers, resources or actions)
+    needs its own ``solve_benchmarks``.
     """
 
     lambda_ss: float
@@ -143,6 +146,10 @@ class Benchmarks:
 def solve_benchmarks(
     inst: Instance, p=None, delta: float = 0.0, te_cap: int = 20_000
 ) -> Benchmarks:
+    """Planning values under ``p`` (default: the arrival weights); the
+    tail cutoff ignores duration tail mass ``delta`` in [0, 1)."""
+    if not 0.0 <= delta < 1.0:
+        raise ValueError(f"delta must lie in [0, 1), got {delta}")
     p = inst.arrival_weights() if p is None else np.asarray(p, dtype=float)
     rates = _lp.plan_rates(inst, p)
     lam_ss = rates.lambda_
@@ -229,6 +236,8 @@ def run_experiment(
     """Replicate each policy over seeds config.seed+1 .. config.seed+reps."""
     if reps < 1:
         raise ValueError(f"reps must be >= 1, got {reps}")
+    if not policies:
+        raise ValueError("need at least one policy")
     if benchmarks is None:
         benchmarks = solve_benchmarks(inst, delta=config.delta)
     rows = []
@@ -298,15 +307,18 @@ def run_trend(
 
     epsilon shrinks inversely with scale so every run keeps the same
     exploration-stage length; ``relaxed`` sets every config's
-    ``relaxed_schedule``.  Scales must be positive and distinct; a
-    ``ValueError`` names the offending ones before any work.  Every scale
-    is generated, solved and its config checked against its instance's
-    horizon (``ValueError("config: ...")``) before any experiment runs.
+    ``relaxed_schedule``.  Scales must be positive and distinct and at
+    least one policy given; a ``ValueError`` names the offending input
+    before any work.  Every scale is generated, solved and its config
+    checked against its instance's horizon (``ValueError("config:
+    ...")``) before any experiment runs.
     Returns (rows, report); rows carry every scale's summaries in scale
     order.
     """
     if reps < 1:
         raise ValueError(f"reps must be >= 1, got {reps}")
+    if not policies:
+        raise ValueError("need at least one policy")
     bad = sorted({s for s in scales if s < 1})
     if bad:
         raise ValueError(f"trend scales must be positive, got {', '.join(map(str, bad))}")

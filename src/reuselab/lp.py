@@ -10,11 +10,11 @@ used as benchmarks and inside the adaptive policy:
   occupancy terms, maximizing the worst expected total reward over the
   horizon.
 
-Both builders take a type's coefficients from its outcome model's mean
-table (``mean_matrix``), whose columns equal ``means`` byte for byte, so
-the two LPs share their coefficients exactly.  The steady-state LP over
-every column is filled one type's block at a time; an LP over explicit
-columns (column generation's master) one ``means`` call per column.
+Every planning LP takes its coefficients by one path, so a column
+carries the same bytes in every LP: :func:`_column_means` gathers the
+columns' means and :func:`_steady_state_block` weights them by p.  The
+time-expanded LP takes that block at unit durations and spreads it over
+the steps; nothing is cached on the instance.
 
 :func:`plan_rates` is the one planner: the benchmarks, the ``+saa`` rates
 and every adaptive stage LP (:func:`solve_stage_lambda`) plan through it.
@@ -81,7 +81,6 @@ __all__ = [
     "solve_stage_lambda",
     "build_time_expanded_lp",
     "solve_time_expanded",
-    "enumeration_pricing",
     "solve_steady_state_colgen",
     "dump_lp",
 ]
@@ -541,12 +540,44 @@ class StageEstimate:
     solution: SteadyStateSolution
 
 
-def _default_columns(inst: Instance):
-    if inst.actions.size > ENUMERATION_CAP:
-        raise TooLarge(
-            f"action space of size {inst.actions.size} needs column generation"
-        )
-    return [(j, k) for j in range(inst.n_types) for k in inst.actions.all_actions()]
+def _column_means(inst: Instance, columns=None):
+    """(columns, types, W, A): LP columns, their type indices, mean rewards
+    (R x n) and mean consumption (C x n).
+
+    ``columns=None`` means every (type, action) pair, type outermost, read
+    from one ``mean_matrix`` per type; given columns take one ``means``
+    call each, the same bytes by ``mean_matrix``'s contract.
+    """
+    if columns is None:
+        if inst.actions.size > ENUMERATION_CAP:
+            raise TooLarge(
+                f"action space of size {inst.actions.size} needs column generation"
+            )
+        actions = inst.actions.all_actions()
+        columns = [(j, k) for j in range(inst.n_types) for k in actions]
+        tables = [c.outcomes.mean_matrix(inst.actions) for c in inst.customers]
+        types = np.repeat(np.arange(inst.n_types), len(actions))
+        W = np.hstack([Wj for Wj, _Aj in tables])
+        A = np.hstack([Aj for _Wj, Aj in tables])
+    else:
+        types = np.array([j for j, _k in columns], dtype=np.intp)
+        W = np.empty((inst.reward_count, len(columns)))
+        A = np.empty((inst.n_resources, len(columns)))
+        for idx, (j, k) in enumerate(columns):
+            W[:, idx], A[:, idx] = inst.customers[j].outcomes.means(k)
+    return columns, types, W, A
+
+
+def _steady_state_block(p, types, W, A, d, n_types):
+    """Steady-state LP rows over the columns (types, W, A): reward rows
+    p_j * w, knapsack rows (p_j * a) * d, one total-rate row per type."""
+    pj = p[types]
+    R, C, n = W.shape[0], A.shape[0], types.size
+    block = np.zeros((R + C + n_types, n))
+    block[:R] = pj * W
+    block[R : R + C] = pj * A * d[:, None]
+    block[R + C + types, np.arange(n)] = 1.0
+    return block
 
 
 def build_steady_state_lp(inst: Instance, p, columns=None):
@@ -558,37 +589,19 @@ def build_steady_state_lp(inst: Instance, p, columns=None):
     (LinearProgram, columns).
 
     Without ``columns`` the LP spans every (type, action) pair, type
-    outermost, and is filled one type's block at a time from its
-    ``mean_matrix`` (built per call, not cached on the instance); given
-    ``columns`` it is filled one ``means`` call per column.  Both apply
-    the same operations to the same means, so they agree byte for byte.
+    outermost.  Both paths fill the rows through :func:`_column_means`
+    and :func:`_steady_state_block`, so they agree byte for byte.
     """
     p = np.asarray(p, dtype=float)
-    every = columns is None
-    if every:
-        columns = _default_columns(inst)
+    columns, types, W, Am = _column_means(inst, columns)
     ncol = len(columns)
     R, C, J = inst.reward_count, inst.n_resources, inst.n_types
-    d = inst.durations()
     A = np.zeros((R + C + J, ncol + 1))
     b = np.zeros(R + C + J)
     senses = [">="] * R + ["<="] * C + ["<="] * J
     b[R : R + C] = inst.capacities()
     b[R + C :] = 1.0
-    if every:
-        K = ncol // J
-        for j in range(J):
-            W, Aj = inst.customers[j].outcomes.mean_matrix(inst.actions)
-            blk = slice(j * K, (j + 1) * K)
-            A[:R, blk] = p[j] * W
-            A[R : R + C, blk] = p[j] * Aj * d[:, None]
-            A[R + C + j, blk] = 1.0
-    else:
-        for idx, (j, k) in enumerate(columns):
-            w, a = inst.customers[j].outcomes.means(k)
-            A[:R, idx] = p[j] * w
-            A[R : R + C, idx] = p[j] * a * d
-            A[R + C + j, idx] = 1.0
+    A[:, :ncol] = _steady_state_block(p, types, W, Am, inst.durations(), J)
     A[:R, ncol] = -1.0  # worst-rate variable enters every reward row
     c = np.zeros(ncol + 1)
     c[ncol] = 1.0
@@ -663,35 +676,29 @@ def build_time_expanded_lp(inst: Instance, p, cap: int = 20_000):
             f"time-expanded LP needs a {mb:.0f} MB tableau, cap is {TE_TABLEAU_CAP_MB} MB"
         )
 
-    W = np.zeros((J, R, K))
-    Acons = np.zeros((J, C, K))
-    for j in range(J):
-        W[j], Acons[j] = inst.mean_tables(j)
-    pw = (p[:, None, None] * W).transpose(1, 0, 2).reshape(R, J * K)
-    pa = (p[:, None, None] * Acons).transpose(1, 0, 2).reshape(C, J * K)
+    _columns, types, W, Am = _column_means(inst)
+    # the steady-state block at unit durations: (p_j * a) * 1.0 is p_j * a
+    block = _steady_state_block(p, types, W, Am, np.ones(C), J)
     surv = inst.survival_matrix(T)
+    # lag[t, tau] = |t - tau|: np.tril of a curve at lag is its Toeplitz band
+    lag = np.abs(np.subtract.outer(np.arange(T), np.arange(T)))
 
     A = np.zeros((m, nvar + 1))
     b = np.zeros(m)
     senses = [">="] * R + ["<="] * (C * T) + ["<="] * (J * T)
-    for t in range(T):
-        A[:R, t * J * K : (t + 1) * J * K] = pw
+    A[:R, :nvar] = np.tile(block[:R], T)
     A[:R, nvar] = -float(T)
-    row = R
-    caps = inst.capacities()
+    # occupancy row t of resource i holds Pr(D_i >= t - tau + 1) * p_j * a
+    # in step tau's block for tau <= t, and 0.0 where that probability is 0
+    occ = np.empty((T, T, J * K))
     for i in range(C):
-        for t in range(1, T + 1):
-            for tau in range(1, t + 1):
-                f = surv[i, t - tau]  # Pr(D_i >= t - tau + 1)
-                if f > 0.0:
-                    A[row, (tau - 1) * J * K : tau * J * K] += f * pa[i]
-            b[row] = caps[i]
-            row += 1
-    for t in range(T):
-        for j in range(J):
-            A[row, t * J * K + j * K : t * J * K + (j + 1) * K] = 1.0
-            b[row] = 1.0
-            row += 1
+        band = np.tril(surv[i, lag])[:, :, None]
+        occ.fill(0.0)
+        np.multiply(band, block[R + i], out=occ, where=band > 0.0)
+        A[R + i * T : R + (i + 1) * T, :nvar] = occ.reshape(T, nvar)
+    b[R : R + C * T] = np.repeat(inst.capacities(), T)
+    A[R + C * T :, :nvar] = np.kron(np.eye(T), block[R + C :])
+    b[R + C * T :] = 1.0
     c = np.zeros(nvar + 1)
     c[nvar] = 1.0
     return LinearProgram(c, A, senses, b), actions
@@ -715,26 +722,6 @@ def solve_time_expanded(inst: Instance, p, cap: int = 20_000):
 
 # ---------------------------------------------------------------------------
 # column generation
-
-
-def enumeration_pricing(inst: Instance):
-    """Brute-force pricing oracle over an enumerable action space.
-
-    Given nonnegative knapsack duals alpha (per resource) and reward duals
-    rho (per reward index), returns the column minimizing
-    sum_i alpha_i d_i a_i - sum_i rho_i w_i for the type; ties go to the
-    lowest action index.  Tests check the per-type oracle against it.
-    """
-    d = inst.durations()
-    actions = inst.actions.all_actions()
-
-    def pricing(j, alpha, rho):
-        W, A = inst.mean_tables(j)
-        scores = (alpha * d) @ A - rho @ W
-        k = int(np.argmin(scores))
-        return actions[k], W[:, k].copy(), A[:, k].copy()
-
-    return pricing
 
 
 def solve_steady_state_colgen(
@@ -797,20 +784,20 @@ def solve_steady_state_colgen(
             action, wcol, acol = pricing(j, alpha, rho)
             rc = p[j] * (rho @ wcol - (alpha * d) @ acol) - beta[j]
             if rc > rc_tol and (j, action) not in colset:
-                col = np.zeros(m)
-                col[:R] = p[j] * wcol
-                col[R : R + C] = p[j] * acol * d
-                col[R + C + j] = 1.0
-                new.append(((j, action), col))
+                new.append((j, action, wcol, acol))
                 colset.add((j, action))
         if not new or rnd == max_rounds - 1:
             break
+        types, actions, wcols, acols = zip(*new)
+        block = _steady_state_block(
+            p, np.array(types), np.column_stack(wcols), np.column_stack(acols), d, J
+        )
         # tab[:, start] maps a column of the g-scaled rows to its tableau
         # column, objective entry included (the added columns cost nothing)
-        cols = g[:, None] * np.column_stack([col for _key, col in new])
+        cols = g[:, None] * block
         tab = np.hstack([tab[:, :-1], tab[:, start] @ cols, tab[:, -1:]])
         banned = np.concatenate([banned, np.zeros(len(new), dtype=bool)])
-        columns += [key for key, _col in new]
+        columns += zip(types, actions)
         status = _pivot_loop(tab, basis, banned)
 
     xfull = _basic_point(tab, basis)

@@ -24,7 +24,7 @@ from __future__ import annotations
 
 import math
 from bisect import bisect_right
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -41,7 +41,6 @@ __all__ = [
     "AssortmentActions",
     "Instance",
     "AlgoConfig",
-    "mean_duration",
     "duration_tail_cutoff",
     "scale_parameter",
     "stage_schedule",
@@ -97,18 +96,16 @@ class SurvivalCurve:
         nz = np.nonzero(self.surv > 0.0)[0]
         return int(nz[-1] + 1) if nz.size else 0
 
-    def sample(self, rng, size=None):
-        """Draw durations by inverse transform: D = #{u : Pr(D >= u) > U}.
+    def sample(self, rng):
+        """Draw a duration by inverse transform: D = #{u : Pr(D >= u) > U}.
 
-        A scalar draw runs ``bisect_right`` on the cached ascending tail,
-        the same binary search as ``searchsorted(side="right")`` without
-        numpy's per-call overhead; ``size=`` draws stay vectorized.
+        ``bisect_right`` on the cached ascending tail is the same binary
+        search as ``searchsorted(side="right")`` without numpy's per-call
+        overhead.
         """
-        if size is None:
-            if self._asc is None:
-                self._asc = self.surv[::-1].tolist()
-            return self.surv.size - bisect_right(self._asc, rng.random())
-        return self.surv.size - self.surv[::-1].searchsorted(rng.random(size), side="right")
+        if self._asc is None:
+            self._asc = self.surv[::-1].tolist()
+        return self.surv.size - bisect_right(self._asc, rng.random())
 
     def violations(self, path: str = "survival") -> list[str]:
         out = []
@@ -133,11 +130,6 @@ class ResourceSpec:
     capacity: float
     survival: SurvivalCurve
     unit_price: float = 0.0
-
-
-def mean_duration(curve: SurvivalCurve) -> float:
-    """E[D] = sum_u Pr(D >= u)."""
-    return float(curve.surv.sum())
 
 
 def duration_tail_cutoff(curves, delta: float, horizon: int | None = None) -> int:
@@ -205,8 +197,8 @@ class OutcomeModel:
         """Stacked means over an enumerable action space: (W RxK, A CxK).
 
         Column k must equal ``means`` of action k of ``space.all_actions()``
-        byte for byte: the steady-state LP over every column is built from
-        this table and its column-generation master from ``means``.
+        byte for byte: the planning LPs over every column are built from
+        this table, and LPs over given columns from ``means``.
         """
         raise NotImplementedError
 
@@ -472,7 +464,6 @@ class Instance:
     null_type: int = 0
     w_max: float | None = None
     a_max: float | None = None
-    _mean_tables: dict = field(default_factory=dict, repr=False, compare=False)
 
     def __post_init__(self):
         if self.w_max is None or self.a_max is None:
@@ -498,7 +489,8 @@ class Instance:
         return np.array([r.unit_price for r in self.resources], dtype=float)
 
     def durations(self):
-        return np.array([mean_duration(r.survival) for r in self.resources], dtype=float)
+        """Mean durations E[D_i] = sum_u Pr(D_i >= u)."""
+        return np.array([float(r.survival.surv.sum()) for r in self.resources], dtype=float)
 
     def arrival_weights(self):
         return np.array([c.weight for c in self.customers], dtype=float)
@@ -510,16 +502,6 @@ class Instance:
             s = r.survival.surv
             m[i, : min(length, s.size)] = s[:length]
         return m
-
-    def mean_tables(self, j: int):
-        """Cached (W reward_count x K, A n_resources x K) tables for type j.
-
-        Only valid for enumerable action spaces; the caller is responsible
-        for checking ``actions.size`` before forcing enumeration.
-        """
-        if j not in self._mean_tables:
-            self._mean_tables[j] = self.customers[j].outcomes.mean_matrix(self.actions)
-        return self._mean_tables[j]
 
 
 def scale_parameter(inst: Instance, lambda_ss: float) -> float:

@@ -237,6 +237,82 @@ def reference_build_steady_state_lp(inst, p, columns=None):
     return LinearProgram(c, A, [">="] * R + ["<="] * (C + J), b), columns
 
 
+def reference_build_time_expanded_lp(inst, p):
+    """The time-expanded LP filled by a loop over (resource, t, tau).
+
+    Same rows, columns and arithmetic as
+    :func:`reuselab.lp.build_time_expanded_lp` (without its size caps):
+    reward rows (>=), one occupancy row per (resource, step) (<=) that adds
+    Pr(D_i >= t - tau + 1) * p_j * a for every step tau <= t where that
+    probability is positive, and one total-rate row per (step, type)
+    (<=), the worst-total variable last.  The package fills the occupancy
+    rows from a Toeplitz band of the survival curve and must match this
+    byte for byte.
+    """
+    p = np.asarray(p, dtype=float)
+    T, J = inst.horizon, inst.n_types
+    actions = inst.actions.all_actions()
+    K = len(actions)
+    nvar = T * J * K
+    R, C = inst.reward_count, inst.n_resources
+    m = R + C * T + J * T
+    W = np.zeros((J, R, K))
+    Acons = np.zeros((J, C, K))
+    for j in range(J):
+        W[j], Acons[j] = inst.customers[j].outcomes.mean_matrix(inst.actions)
+    pw = (p[:, None, None] * W).transpose(1, 0, 2).reshape(R, J * K)
+    pa = (p[:, None, None] * Acons).transpose(1, 0, 2).reshape(C, J * K)
+    surv = np.zeros((C, T))
+    for i, r in enumerate(inst.resources):
+        for u in range(1, T + 1):
+            surv[i, u - 1] = r.survival.tail(u)
+    A = np.zeros((m, nvar + 1))
+    b = np.zeros(m)
+    senses = [">="] * R + ["<="] * (C * T) + ["<="] * (J * T)
+    for t in range(T):
+        A[:R, t * J * K : (t + 1) * J * K] = pw
+    A[:R, nvar] = -float(T)
+    row = R
+    for i in range(C):
+        for t in range(1, T + 1):
+            for tau in range(1, t + 1):
+                f = surv[i, t - tau]  # Pr(D_i >= t - tau + 1)
+                if f > 0.0:
+                    A[row, (tau - 1) * J * K : tau * J * K] += f * pa[i]
+            b[row] = inst.resources[i].capacity
+            row += 1
+    for t in range(T):
+        for j in range(J):
+            A[row, t * J * K + j * K : t * J * K + (j + 1) * K] = 1.0
+            b[row] = 1.0
+            row += 1
+    c = np.zeros(nvar + 1)
+    c[nvar] = 1.0
+    return LinearProgram(c, A, senses, b), actions
+
+
+def enumeration_pricing(inst):
+    """Brute-force pricing oracle over an enumerable action space.
+
+    Given nonnegative knapsack duals alpha (per resource) and reward duals
+    rho (per reward index), returns the column minimizing
+    sum_i alpha_i d_i a_i - sum_i rho_i w_i for the type; ties go to the
+    lowest action index.  Each type's mean tables are built once per
+    oracle.
+    """
+    d = np.array([float(r.survival.surv.sum()) for r in inst.resources])
+    actions = inst.actions.all_actions()
+    tables = [c.outcomes.mean_matrix(inst.actions) for c in inst.customers]
+
+    def pricing(j, alpha, rho):
+        W, A = tables[j]
+        scores = (alpha * d) @ A - rho @ W
+        k = int(np.argmin(scores))
+        return actions[k], W[:, k].copy(), A[:, k].copy()
+
+    return pricing
+
+
 def membership_matrix(space: AssortmentActions) -> np.ndarray:
     """0/1 matrix (n_products x size): product i offered in action k.
 
@@ -475,7 +551,7 @@ def reference_select(ws, inst, customer: int):
     off = max(both) if both else np.longdouble(0.0)
     phi = np.exp(log_phi - off)
     psi = np.exp(log_psi - off)
-    W, A = inst.mean_tables(customer)
+    W, A = om.mean_matrix(inst.actions)
     actions = inst.actions.all_actions()
     best_k, best_score = 0, None
     for k in range(len(actions)):
@@ -792,7 +868,7 @@ def reference_run_episode(inst, policy, seed: int) -> EpisodeTrace:
     )
     if isinstance(inst.actions, AssortmentActions):
         space = _RebuildingAssortments(inst.actions.n_products, inst.actions.max_size)
-        inst = dataclasses.replace(inst, actions=space, _mean_tables={})
+        inst = dataclasses.replace(inst, actions=space)
     policy.reset(inst, pol_rng)
     C, R = inst.n_resources, inst.reward_count
     d_max = max(r.survival.d_max for r in inst.resources)

@@ -141,6 +141,14 @@ class TestSolveBenchmark:
         assert rc == 0
         assert "skipped" in capsys.readouterr().out
 
+    @pytest.mark.parametrize("delta", ["1.5", "1", "-0.1", "nan"])
+    def test_delta_outside_unit_interval_rejected(self, inst_file, delta, capsys):
+        rc = main(["solve-benchmark", "--instance", inst_file, "--delta", delta])
+        assert rc == 2
+        cap = capsys.readouterr()
+        assert cap.err == f"error: delta must lie in [0, 1), got {float(delta)}\n"
+        assert cap.out == ""
+
     def test_tableau_cap_skips(self, tmp_path, capsys):
         # under the default variable cap, over the tableau cap (244 MB)
         path = tmp_path / "long.json"
@@ -248,6 +256,18 @@ class TestExperiment:
         assert cap.err.count("\n") == 1
         assert not path.exists()
 
+    @pytest.mark.parametrize("policy", [",", "", " , "])
+    def test_empty_policy_list_rejected(self, inst_file, tmp_path, policy, capsys):
+        path = tmp_path / "rows.csv"
+        rc = main([
+            "experiment", "--instance", inst_file, "--policy", policy,
+            "--reps", "1", "--out", str(path),
+        ])
+        assert rc == 2
+        cap = capsys.readouterr()
+        assert cap.err == "error: need at least one policy\n"
+        assert cap.out == "" and not path.exists()
+
     def test_relaxed_schedule_waives_divisibility(self, inst_file, capsys):
         rc = main([
             "experiment", "--instance", inst_file, "--policy", "adaptive",
@@ -329,6 +349,20 @@ class TestTrend:
         cap = capsys.readouterr()
         assert cap.err == err
         assert cap.out == "" and not out.exists()
+
+    @pytest.mark.parametrize("policy", [",", ""])
+    def test_empty_policy_list_rejected_before_any_instance(
+        self, policy, tmp_path, monkeypatch, capsys
+    ):
+        calls = []
+        monkeypatch.setattr(harness, "generate_instance", lambda *a: calls.append(a))
+        out = tmp_path / "trend.csv"
+        rc = main(["trend", "--reps", "1", "--policy", policy, "--out", str(out)])
+        assert rc == 2
+        cap = capsys.readouterr()
+        assert cap.err == "error: need at least one policy\n"
+        assert cap.out == "" and not out.exists()
+        assert calls == []
 
     def test_invalid_config_rejected(self, tmp_path, capsys):
         out = tmp_path / "trend.csv"

@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -11,7 +13,7 @@ from helpers import (
     wide_logit_instance,
 )
 import oracles
-from oracles import cold_colgen, lp_enumerate, reference_solve_canonical
+from oracles import cold_colgen, enumeration_pricing, lp_enumerate, reference_solve_canonical
 from reuselab import lp as lp_module
 from reuselab.harness import GeneratorSpec, generate_instance
 from reuselab.lp import (
@@ -23,7 +25,6 @@ from reuselab.lp import (
     build_steady_state_lp,
     build_time_expanded_lp,
     dump_lp,
-    enumeration_pricing,
     solve_lp,
     solve_stage_lambda,
     solve_steady_state,
@@ -32,6 +33,7 @@ from reuselab.lp import (
 )
 from reuselab.lp import _certify_optimal, _live_block, _row_signs, solve_lp_with_duals
 from reuselab.mnl import make_assortment_pricing
+from reuselab.model import AssortmentActions, Instance
 
 
 class TestSimplexCore:
@@ -539,6 +541,55 @@ class TestTimeExpandedLp:
                 assert te.A[:R, col].tobytes() == (p[j] * w).tobytes()
                 occupancy = te.A[R : R + C * T : T, col]   # each resource's t = 1 row
                 assert occupancy.tobytes() == (surv[:, 0] * (p[j] * a)).tobytes()
+
+    def test_builder_is_the_reference_loop_byte_for_byte(self, hand, two_res):
+        def same(inst, p):
+            got, actions = build_time_expanded_lp(inst, p)
+            ref, ref_actions = oracles.reference_build_time_expanded_lp(inst, p)
+            assert actions == ref_actions
+            assert got.A.tobytes() == ref.A.tobytes()
+            assert got.b.tobytes() == ref.b.tobytes() and got.c.tobytes() == ref.c.tobytes()
+            assert got.senses == ref.senses
+
+        rng = np.random.default_rng(43)
+        insts = [hand, hand_instance(3), two_resource_instance(5)]
+        insts += [random_explicit_instance(rng, horizon=int(rng.integers(2, 9))) for _ in range(4)]
+        for seed, spec in enumerate((
+            dict(base_horizon=6, n_customers=3),
+            dict(base_horizon=3, n_products=5, max_size=3, n_customers=4),
+            # every survival curve is longer than the horizon
+            dict(base_horizon=5, n_customers=2, max_duration=16),
+        )):
+            insts.append(generate_instance(GeneratorSpec(seed=seed, **spec)))
+        for inst in insts:
+            p = inst.arrival_weights()
+            same(inst, p)
+            # a real type that never arrives
+            q = p.copy()
+            q[(inst.null_type + 1) % inst.n_types] = 0.0
+            same(inst, q)
+
+    def test_replace_copy_plans_as_a_fresh_instance(self):
+        # a copy made by dataclasses.replace after the original planned
+        # must plan with its own customers and action space
+        def fresh(inst):
+            return Instance(
+                inst.resources, inst.reward_count, inst.customers, inst.actions,
+                inst.horizon, inst.null_type,
+            )
+
+        a = generate_instance(GeneratorSpec(base_horizon=6, n_customers=3, seed=1))
+        b = generate_instance(GeneratorSpec(base_horizon=6, n_customers=3, seed=2))
+        solve_time_expanded(a, a.arrival_weights())
+        copies = [
+            dataclasses.replace(a, customers=b.customers, resources=b.resources),
+            dataclasses.replace(a, actions=AssortmentActions(4, 1)),
+        ]
+        for copy in copies:
+            p = copy.arrival_weights()
+            lam, _y = solve_time_expanded(copy, p)
+            assert lam == solve_time_expanded(fresh(copy), p)[0]
+            assert lam >= solve_steady_state(copy, p).lambda_ - 1e-9
 
     def test_size_cap(self, hand):
         with pytest.raises(TooLarge):

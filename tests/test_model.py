@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -11,9 +12,9 @@ from reuselab.model import (
     AlgoConfig,
     BadEpsilon,
     NoFeasibleTailCutoff,
+    ResourceSpec,
     SurvivalCurve,
     duration_tail_cutoff,
-    mean_duration,
     scale_parameter,
     stage_schedule,
     subsample_distribution,
@@ -33,20 +34,23 @@ class TestSurvivalCurve:
         assert c.d_max == 3
 
     def test_mean_duration_is_tail_sum(self):
-        assert mean_duration(SurvivalCurve([1.0, 1.0])) == 2.0
-        assert mean_duration(SurvivalCurve([0.5])) == 0.5
+        curves = [SurvivalCurve([1.0, 1.0]), SurvivalCurve([0.5])]
+        inst = dataclasses.replace(
+            hand_instance(), resources=[ResourceSpec(1.0, c) for c in curves]
+        )
+        assert inst.durations().tolist() == [2.0, 0.5]
 
     def test_zero_duration_possible_when_first_tail_below_one(self):
         c = SurvivalCurve([0.5])
         rng = np.random.default_rng(3)
-        draws = c.sample(rng, size=4000)
+        draws = np.array([c.sample(rng) for _ in range(4000)])
         assert set(np.unique(draws)) == {0, 1}
         assert abs(draws.mean() - 0.5) < 0.05
 
     def test_sample_matches_curve_distribution(self):
         c = SurvivalCurve([1.0, 0.6, 0.2])
         rng = np.random.default_rng(11)
-        draws = c.sample(rng, size=20000)
+        draws = np.array([c.sample(rng) for _ in range(20000)])
         # Pr(D >= u) empirical vs curve
         for u in (1, 2, 3):
             assert abs(np.mean(draws >= u) - c.tail(u)) < 0.02
@@ -65,11 +69,6 @@ class TestSurvivalCurve:
             c = curves[int(pick.integers(len(curves)))]
             d = c.sample(rng)
             assert type(d) is int and d == reference_duration(c, ref)
-        assert rng.bit_generator.state == ref.bit_generator.state
-        # a size= draw is that many scalar draws
-        for c in curves:
-            got = c.sample(rng, size=200)
-            assert got.tolist() == [reference_duration(c, ref) for _ in range(200)]
         assert rng.bit_generator.state == ref.bit_generator.state
 
     def test_violations(self):
@@ -363,11 +362,3 @@ class TestInstanceDerived:
         assert m.shape == (2, 4)
         assert np.allclose(m[0], [1.0, 0.5, 0.0, 0.0])
         assert np.allclose(m[1], [1.0, 0.75, 0.25, 0.0])
-
-    def test_mean_tables_cached(self):
-        inst = two_resource_instance()
-        W1, A1 = inst.mean_tables(1)
-        W2, _ = inst.mean_tables(1)
-        assert W1 is W2
-        assert W1.shape == (2, 3)
-        assert A1.shape == (2, 3)

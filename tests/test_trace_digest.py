@@ -1,4 +1,4 @@
-"""``tools/trace_digest.py``: per-policy episode digests."""
+"""``tools/trace_digest.py``: per-policy episode digests and the planning digest."""
 
 import importlib.util
 import os
@@ -9,7 +9,7 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
 TOOL = ROOT / "tools" / "trace_digest.py"
-POLICIES = ["static", "uniform", "adaptive", "hybrid16", "null"]
+NAMES = ["static", "uniform", "adaptive", "hybrid16", "null", "planning"]
 
 
 def _digests(hash_seed: str) -> str:
@@ -23,9 +23,9 @@ def test_two_runs_print_the_same_digests():
     first, second = _digests("1"), _digests("2")
     assert first == second
     lines = [line.split() for line in first.splitlines()]
-    assert [name for name, _ in lines] == POLICIES
+    assert [name for name, _ in lines] == NAMES
     assert all(re.fullmatch(r"[0-9a-f]{64}", hexdigest) for _, hexdigest in lines)
-    assert len({hexdigest for _, hexdigest in lines}) == len(POLICIES)
+    assert len({hexdigest for _, hexdigest in lines}) == len(NAMES)
 
 
 def test_rev_mode_reports_every_policy(capsys):
@@ -34,6 +34,6 @@ def test_rev_mode_reports_every_policy(capsys):
     spec.loader.exec_module(mod)
     rc = mod.main(["--rev", "HEAD"])
     rows = [line.split() for line in capsys.readouterr().out.splitlines()[1:]]
-    assert [row[0] for row in rows] == POLICIES
+    assert [row[0] for row in rows] == NAMES
     assert all(row[3] in ("same", "DIFFERS") for row in rows)
     assert rc == (1 if any(row[3] == "DIFFERS" for row in rows) else 0)

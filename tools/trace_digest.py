@@ -1,5 +1,5 @@
 #!/usr/bin/env python3
-"""SHA-256 digests of whole episodes, one per policy, for byte-identity checks.
+"""SHA-256 digests of whole episodes and planning LPs, for byte-identity checks.
 
     python3 tools/trace_digest.py              # digests of this tree
     python3 tools/trace_digest.py --rev HEAD   # a revision against this tree
@@ -15,10 +15,18 @@ durations), the reward totals, the peak occupancy and, for the weighted
 policies, the final stage's log weights.  Any change to a draw, a float
 or a decision changes the digest.
 
+One more digest, ``planning``, covers the planning LPs of three fixed
+instances shaped like the benchmark's ``planning`` workload
+(``GeneratorSpec(seed=1)`` with the fields in ``PLANNING``): the bytes of
+the steady-state LP over every column and over column generation's
+columns, of the time-expanded LP where it fits under its caps, and the
+value and rates of ``solve_steady_state``, ``solve_time_expanded`` and
+``solve_steady_state_colgen``.
+
 With ``--rev`` the same digests are computed for ``git archive REV``
 unpacked in a temporary directory (this script, that revision's
 ``src/``) and for this tree, printed side by side; the exit status is 1
-when any policy differs.  ``--root DIR`` imports reuselab from
+when any digest differs.  ``--root DIR`` imports reuselab from
 ``DIR/src`` instead of this tree's.  Uses the standard library, numpy and
 reuselab's public functions only.
 """
@@ -40,6 +48,14 @@ POLICIES = ("static", "uniform", "adaptive", "hybrid16", "null")
 # (scale, epsilon) of the replicate- and adaptive-shaped instances
 INSTANCES = ((2, 1 / 8), (4, 1 / 16))
 SEED = 1
+# GeneratorSpec fields of the planning instances: time-expanded,
+# steady-state and column-generation shaped
+PLANNING = (
+    dict(base_horizon=8, n_customers=4),
+    dict(n_products=7, max_size=3, n_customers=6),
+    dict(n_products=12, max_size=4, n_customers=4),
+)
+NAMES = (*POLICIES, "planning")
 
 
 def _floats(h, values) -> None:
@@ -74,7 +90,38 @@ def digests(rl) -> dict:
             if ws is not None:
                 _floats(h, ws.log_resource)
                 _floats(h, ws.log_reward_mag)
+    hashes["planning"] = planning_hash(rl)
     return {name: h.hexdigest() for name, h in hashes.items()}
+
+
+def planning_hash(rl):
+    """SHA-256 over the planning LPs and answers of the ``PLANNING`` instances."""
+    h = hashlib.sha256()
+
+    def lp(built):
+        prog, columns = built
+        for values in (prog.c, prog.A, prog.b):
+            _floats(h, values)
+        h.update(repr((prog.senses, columns)).encode())
+
+    def answer(lam, rates):
+        h.update(repr((lam, list(rates.items()))).encode())
+
+    for spec in PLANNING:
+        inst = rl.generate_instance(rl.GeneratorSpec(seed=SEED, **spec))
+        p = inst.arrival_weights()
+        sol = rl.solve_steady_state_colgen(inst, p)
+        answer(sol.lambda_, sol.x)
+        lp(rl.build_steady_state_lp(inst, p, columns=list(sol.x)))
+        lp(rl.build_steady_state_lp(inst, p))
+        sol = rl.solve_steady_state(inst, p)
+        answer(sol.lambda_, sol.x)
+        try:
+            lp(rl.build_time_expanded_lp(inst, p))
+        except rl.TooLarge:
+            continue
+        answer(*rl.solve_time_expanded(inst, p))
+    return h
 
 
 def _run_at(root: Path) -> dict:
@@ -107,8 +154,8 @@ def main(argv=None) -> int:
         parent = _run_at(Path(tmp))
     change = _run_at(args.root)
     print(f"parent {sha[:12]} vs {args.root}")
-    differ = [name for name in POLICIES if parent[name] != change[name]]
-    for name in POLICIES:
+    differ = [name for name in NAMES if parent[name] != change[name]]
+    for name in NAMES:
         verdict = "DIFFERS" if name in differ else "same"
         print(f"{name:9s} {parent[name][:16]} {change[name][:16]} {verdict}")
     return 1 if differ else 0
