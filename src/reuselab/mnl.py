@@ -81,6 +81,7 @@ class MnlModel:
         self.prices = np.asarray(prices, dtype=float)
         if self.prices.shape != (n,) or not ((0 <= self.prices) & (self.prices < np.inf)).all():
             raise ValueError("prices must be a finite nonnegative length-N vector")
+        self._max_price = float(self.prices.max()) if n else 0.0   # every customer's w_max
         # attraction v_ij = exp(b_ij @ f_i), strictly positive
         with np.errstate(over="ignore", invalid="ignore"):
             self.attractions = np.exp(
@@ -88,6 +89,7 @@ class MnlModel:
             )
         if not np.isfinite(self.attractions).all():
             raise ValueError("features and cust_features must give finite attractions exp(b @ f)")
+        self._outcome_table = None
 
     @property
     def n_products(self) -> int:
@@ -114,6 +116,24 @@ class MnlModel:
         """(expected reward, expected consumption) per product index."""
         q = self.choice_probability(customer, assortment)
         return self.prices * q, q
+
+    def outcome_table(self) -> list:
+        """Every (reward, consumption) a sale can realize, as read-only arrays.
+
+        Entry i is product i's pair (reward: its price at index i;
+        consumption: a one at index i; zeros elsewhere) and the last entry
+        is the no-sale pair of zeros.  The
+        table is built on first use and shared by every customer and draw:
+        an outcome depends only on the product bought and its price.
+        """
+        if self._outcome_table is None:
+            n = self.n_products
+            eye = np.eye(n + 1, n)
+            w, a = self.prices * eye, eye
+            w.setflags(write=False)
+            a.setflags(write=False)
+            self._outcome_table = list(zip(w, a))
+        return self._outcome_table
 
     def __eq__(self, other):
         return (
@@ -222,11 +242,15 @@ class MnlOutcomes(OutcomeModel):
         return self.model.mean_outcomes(self.customer, action)
 
     def sample(self, action, rng):
-        n = self.model.n_products
-        w = np.zeros(n)
-        a = np.zeros(n)
+        """One purchase draw, as a read-only pair of :meth:`MnlModel.outcome_table`.
+
+        Every draw returns the model's shared arrays (the bought product's
+        pair, or the zero pair when nothing is bought), never a copy, so a
+        caller that wants to change one must copy it first.
+        """
+        table = self.model.outcome_table()
         if self.customer is None or len(action) == 0:
-            return w, a
+            return table[-1]
         # choice_probability restricted to the offered products, in order,
         # accumulated once per assortment
         cum = self._cum.get(action)
@@ -237,11 +261,7 @@ class MnlOutcomes(OutcomeModel):
                 self._cum.clear()
             self._cum[action] = cum
         pick = bisect_right(cum, rng.random())
-        if pick < len(action):
-            i = action[pick]
-            a[i] = 1.0
-            w[i] = self.model.prices[i]
-        return w, a
+        return table[action[pick]] if pick < len(action) else table[-1]
 
     def consumption_bound(self, action):
         out = np.zeros(self.model.n_products)
@@ -252,8 +272,7 @@ class MnlOutcomes(OutcomeModel):
     def bounds(self):
         if self.customer is None:
             return 0.0, 0.0
-        prices = self.model.prices
-        return (float(prices.max()) if prices.size else 0.0), 1.0
+        return self.model._max_price, 1.0
 
     def best_action(self, space, cost, credit):
         """:func:`best_assortment` on coefficients cost_i - price_i credit_i.

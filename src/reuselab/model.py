@@ -467,8 +467,9 @@ class Instance:
 
     def __post_init__(self):
         if self.w_max is None or self.a_max is None:
-            wb = max((c.outcomes.bounds()[0] for c in self.customers), default=0.0)
-            ab = max((c.outcomes.bounds()[1] for c in self.customers), default=0.0)
+            bounds = [c.outcomes.bounds() for c in self.customers]
+            wb = max((w for w, _a in bounds), default=0.0)
+            ab = max((a for _w, a in bounds), default=0.0)
             if self.w_max is None:
                 self.w_max = float(wb)
             if self.a_max is None:

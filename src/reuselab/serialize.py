@@ -12,6 +12,8 @@ per-customer outcome stubs are {"kind": "mnl", "customer": j or null}.
 Floats use shortest round-trip encoding and keys are emitted sorted, so
 saving the same instance twice produces identical bytes and a save/load
 cycle reproduces every number exactly.
+Loading checks each field's JSON type (an integer field takes no float
+and no ``true``) and names the first field that is wrong.
 
 Traces dump as JSON lines, one step per line.
 """
@@ -19,6 +21,7 @@ Traces dump as JSON lines, one step per line.
 from __future__ import annotations
 
 import json
+from itertools import chain
 
 import numpy as np
 
@@ -114,61 +117,151 @@ def instance_to_json(inst: Instance) -> str:
     return json.dumps(doc, indent=2, sort_keys=True) + "\n"
 
 
+# json.loads builds exact int and float objects, so the checks below test
+# type() itself: that also keeps out bool, a subclass of int.  A field's
+# name is spelled out from its path only when the check fails.
+_NUMBER = frozenset((int, float))
+_LIST = frozenset((list,))
+
+
+def _field(path) -> str:
+    """("resources", 0, "capacity") -> "resources[0].capacity"."""
+    return path[0] + "".join(f"[{p}]" if type(p) is int else f".{p}" for p in path[1:])
+
+
+def _int(value, *path) -> int:
+    """``value`` if it is a JSON integer, else a ValueError naming its field."""
+    if type(value) is not int:
+        raise ValueError(f"{_field(path)} must be an integer, got {value!r}")
+    return value
+
+
+def _number(value, *path):
+    """``value`` if it is a JSON number, else a ValueError naming its field."""
+    if type(value) not in _NUMBER:
+        raise ValueError(f"{_field(path)} must be a number, got {value!r}")
+    return value
+
+
+def _is_numbers(value, depth: int) -> bool:
+    """True when ``value`` is a list (of lists, ``depth`` deep) of JSON numbers."""
+    items = [value]
+    for _ in range(depth):
+        if not _LIST.issuperset(map(type, items)):
+            return False
+        items = list(chain.from_iterable(items))
+    return _NUMBER.issuperset(map(type, items))
+
+
+def _numbers(value, *path, depth: int = 1):
+    """``value`` if it is a list (of lists, ``depth`` deep) of JSON numbers."""
+    if _is_numbers(value, depth):
+        return value
+    # some entry is wrong: find the first, to name it
+    if type(value) is not list:
+        raise ValueError(f"{_field(path)} must be a list, got {value!r}")
+    for x in value:
+        if depth > 1:
+            _numbers(x, *path, depth=depth - 1)
+        else:
+            _number(x, *path)
+
+
+def _numbers_each(values, *path, depth: int = 1):
+    """``values`` if each is what :func:`_numbers` takes, checked in one pass.
+
+    ``values[k]`` is the field named by ``path`` with ``[k]`` after its
+    first part; only when the pass fails is each checked on its own, to
+    name the first that is wrong.
+    """
+    if not _is_numbers(values, depth + 1):
+        for k, value in enumerate(values):
+            _numbers(value, path[0], k, *path[1:], depth=depth)
+    return values
+
+
 def instance_from_json(text: str) -> Instance:
+    """The instance a JSON document describes.
+
+    Integer fields must be JSON integers and numeric fields JSON numbers
+    (``true`` is neither); any other value raises a :class:`ValueError`
+    that names the field.  What the types cannot tell (a negative
+    horizon, weights that do not sum to one) is left to
+    :func:`~reuselab.model.validate_instance`.
+    """
     doc = json.loads(text)
-    if doc.get("format") != _FORMAT:
-        raise ValueError(f"not an instance file (format={doc.get('format')!r})")
+    fmt = doc.get("format") if isinstance(doc, dict) else None
+    if fmt != _FORMAT:
+        raise ValueError(f"not an instance file (format={fmt!r})")
     if doc.get("version") != _VERSION:
         raise ValueError(f"unsupported instance version {doc.get('version')!r}")
+    horizon = _int(doc["horizon"], "horizon")
+    reward_count = _int(doc["reward_count"], "reward_count")
+    null_type = _int(doc["null_type"], "null_type")
     mnl_model = None
     if "mnl" in doc:
         blk = doc["mnl"]
+        products, custs = blk["products"], blk["customers"]
         mnl_model = MnlModel(
-            features=[p["f"] for p in blk["products"]],
-            cust_features=[c["b"] for c in blk["customers"]],
-            max_size=blk["m"],
-            prices=[p["price"] for p in blk["products"]],
+            features=_numbers_each([p["f"] for p in products], "mnl.products", "f"),
+            cust_features=_numbers_each([c["b"] for c in custs], "mnl.customers", "b", depth=2),
+            max_size=_int(blk["m"], "mnl.m"),
+            prices=[_number(p["price"], "mnl.products", i, "price") for i, p in enumerate(products)],
         )
+    curves = _numbers_each([r["survival"] for r in doc["resources"]], "resources", "survival")
     resources = [
         ResourceSpec(
-            capacity=r["capacity"],
-            survival=SurvivalCurve(r["survival"]),
-            unit_price=r.get("unit_price", 0.0),
+            capacity=_number(r["capacity"], "resources", i, "capacity"),
+            survival=SurvivalCurve(surv),
+            unit_price=_number(r.get("unit_price", 0.0), "resources", i, "unit_price"),
         )
-        for r in doc["resources"]
+        for i, (r, surv) in enumerate(zip(doc["resources"], curves))
     ]
     ad = doc["actions"]
     if ad["kind"] == "explicit":
-        actions = ExplicitActions(ad["count"], ad["null_action"])
+        actions = ExplicitActions(
+            _int(ad["count"], "actions.count"),
+            _int(ad["null_action"], "actions.null_action"),
+        )
     elif ad["kind"] == "assortment":
-        actions = AssortmentActions(ad["n_products"], ad["max_size"])
+        actions = AssortmentActions(
+            _int(ad["n_products"], "actions.n_products"),
+            _int(ad["max_size"], "actions.max_size"),
+        )
     else:
         raise ValueError(f"unknown action space kind {ad['kind']!r}")
     customers = []
-    for c in doc["customers"]:
+    for j, c in enumerate(doc["customers"]):
         od = c["outcomes"]
         if od["kind"] == "explicit":
+            caps = {
+                key: None if od[key] is None else _number(od[key], "customers", j, "outcomes", key)
+                for key in ("reward_cap", "consumption_cap")
+            }
             om = ExplicitOutcomes(
-                od["rewards"],
-                od["consumption"],
+                _numbers(od["rewards"], "customers", j, "outcomes", "rewards", depth=2),
+                _numbers(od["consumption"], "customers", j, "outcomes", "consumption", depth=2),
                 noise=od["noise"],
-                reward_cap=od["reward_cap"],
-                consumption_cap=od["consumption_cap"],
+                **caps,
             )
         elif od["kind"] == "mnl":
             if mnl_model is None:
                 raise ValueError("mnl outcome stub without an mnl block")
-            om = MnlOutcomes(mnl_model, od["customer"])
+            who = od["customer"]
+            if who is not None:
+                _int(who, "customers", j, "outcomes", "customer")
+            om = MnlOutcomes(mnl_model, who)
         else:
             raise ValueError(f"unknown outcome kind {od['kind']!r}")
-        customers.append(CustomerType(weight=c["weight"], outcomes=om))
+        weight = _number(c["weight"], "customers", j, "weight")
+        customers.append(CustomerType(weight=weight, outcomes=om))
     return Instance(
         resources=resources,
-        reward_count=doc["reward_count"],
+        reward_count=reward_count,
         customers=customers,
         actions=actions,
-        horizon=doc["horizon"],
-        null_type=doc["null_type"],
+        horizon=horizon,
+        null_type=null_type,
     )
 
 

@@ -19,6 +19,12 @@ outcomes, durations, policy), so paired runs over the same seed see the
 same arrival sequence no matter which policy is playing.  Outcome and
 duration draws are consumed per allocation, so those streams stay aligned
 across policies only while the policies act identically.
+:func:`run_episode` reads the three streams it alone sees (arrivals,
+outcomes, durations) in blocks of ``_BLOCK`` doubles: ``rng.random(n)``
+fills its array with the doubles n scalar ``rng.random()`` calls return,
+in the same order, so every draw is unchanged while numpy's per-call cost
+is paid once a block.  The policy stream stays a plain generator, since
+the policy owns it and may call any of its methods.
 
 Per-episode cache: an :class:`Episode` computes its capacity thresholds
 and its cumulative arrival weights once, and keeps its state as plain
@@ -29,14 +35,19 @@ step, ``None`` or a ``{resource: amount}`` dict of what returns at the
 start of that step, so a release touches only the resources that come
 back.  Each (type, action)'s ``consumption_bound`` is cached, for as long
 as the episode lives, as a list of floats, and :meth:`Episode.feasible`
-tests every resource against it as the array comparison did.  Scalar
-draws are inverted by ``bisect.bisect_right`` on plain lists, the same
-binary search as ``ndarray.searchsorted(side="right")``; the overflow
-check and the peak update run only for the resources a step books, since
-occupancy rises no other way.  None of this changes a draw or a float:
-every step consumes the same draws in the same order and runs the same
-IEEE arithmetic on the same operands as rebuilding numpy arrays per step
-would, so traces are byte-identical to that loop.
+tests every resource against it as the array comparison did.  The
+reward and consumption totals are lists of floats too, added to in step
+order by :meth:`Episode.apply_action` in the pass it makes over each
+outcome anyway: the IEEE additions of an ndarray ``+=``, with the zero
+entries skipped, since adding a zero changes no total.  A forced step
+allocates nothing: it returns the episode's read-only pair of zero
+vectors.  Scalar draws are inverted by ``bisect.bisect_right`` on plain
+lists, the same binary search as ``ndarray.searchsorted(side="right")``;
+the overflow check and the peak update run only for the resources a step
+books, since occupancy rises no other way.  None of this changes a draw
+or a float: every step consumes the same draws in the same order and runs
+the same IEEE arithmetic on the same operands as rebuilding numpy arrays
+per step would, so traces are byte-identical to that loop.
 """
 
 from __future__ import annotations
@@ -60,6 +71,10 @@ __all__ = [
 ]
 
 
+# doubles drawn at a time by each stream run_episode reads in blocks
+_BLOCK = 512
+
+
 class CapacityViolation(RuntimeError):
     """An executed outcome pushed occupancy past a hard capacity."""
 
@@ -70,6 +85,9 @@ class HorizonExceeded(RuntimeError):
 
 @dataclass
 class Streams:
+    """An episode's four random streams; :func:`run_episode` hands its
+    :class:`Episode` the first three read in blocks, with the same draws."""
+
     arrivals: np.random.Generator
     outcomes: np.random.Generator
     durations: np.random.Generator
@@ -82,13 +100,40 @@ def episode_streams(seed: int) -> Streams:
     return Streams(*(np.random.default_rng(c) for c in children))
 
 
+class _BlockDraws:
+    """``random()`` and ``random(size)`` of a generator, served from blocks.
+
+    Each refill takes ``rng.random(_BLOCK).tolist()``: the doubles the next
+    ``_BLOCK`` scalar ``rng.random()`` calls would return, in order.
+    ``random(size)`` is the next ``size`` of them as an array, as
+    ``rng.random(size)`` would draw.  The wrapped generator runs up to one
+    block ahead of what was served, so only a stream that nothing else
+    reads may be wrapped.
+    """
+
+    __slots__ = ("_rng", "_block")
+
+    def __init__(self, rng: np.random.Generator):
+        self._rng = rng
+        self._block = iter(())
+
+    def random(self, size=None):
+        if size is not None:
+            return np.array([self.random() for _ in range(size)], dtype=float)
+        try:
+            return next(self._block)
+        except StopIteration:
+            self._block = iter(self._rng.random(_BLOCK).tolist())
+            return next(self._block)
+
+
 class Episode:
     """Mutable occupancy state of one episode, kept in plain floats.
 
-    ``occupied`` and ``peak_occupied`` read as fresh float arrays, one
-    entry per resource.  The per-step protocol is :meth:`begin_step`,
-    :meth:`sample_arrival`, :meth:`feasible` and :meth:`apply_action`,
-    each called once per step.
+    ``occupied``, ``peak_occupied``, ``reward_total`` and
+    ``consumption_total`` read as fresh float arrays.  The per-step
+    protocol is :meth:`begin_step`, :meth:`sample_arrival`,
+    :meth:`feasible` and :meth:`apply_action`, each called once per step.
     """
 
     def __init__(self, inst: Instance):
@@ -101,10 +146,15 @@ class Episode:
         self._curves = [r.survival for r in inst.resources]
         self._occupied = [0.0] * inst.n_resources
         self._peak = [0.0] * inst.n_resources
+        self._rewarded = [0.0] * inst.reward_count
+        self._consumed = [0.0] * inst.n_resources
         d_max = max(c.d_max for c in self._curves)
         # slot t: None, or {resource: amount} returning at the start of step t
         self._returns = [None] * (inst.horizon + d_max + 2)
         self._bounds: dict = {}
+        self._zeros = (np.zeros(inst.reward_count), np.zeros(inst.n_resources))
+        for z in self._zeros:
+            z.setflags(write=False)
         self.step = 0
 
     @property
@@ -114,6 +164,14 @@ class Episode:
     @property
     def peak_occupied(self) -> np.ndarray:
         return np.array(self._peak, dtype=float)
+
+    @property
+    def reward_total(self) -> np.ndarray:
+        return np.array(self._rewarded, dtype=float)
+
+    @property
+    def consumption_total(self) -> np.ndarray:
+        return np.array(self._consumed, dtype=float)
 
     def begin_step(self, t: int):
         """Release the units returning at the start of step t."""
@@ -151,18 +209,27 @@ class Episode:
         """Sample outcomes, book durations; returns (reward, consumption, durs).
 
         A forced step executes the null action without touching the outcome
-        or duration streams.
+        or duration streams, and returns the episode's read-only zeros.
         """
-        inst = self.inst
         if forced:
-            return np.zeros(inst.reward_count), np.zeros(inst.n_resources), {}
-        om = inst.customers[customer].outcomes
+            return *self._zeros, {}
+        om = self.inst.customers[customer].outcomes
         w, a = om.sample(action, streams.outcomes)
+        # totals skip zero entries: adding a zero leaves a float unchanged
+        # (a total that starts at +0.0 is never -0.0), so the sums are the
+        # step-order folds an ndarray += makes
+        rewarded = self._rewarded
+        for i, wi in enumerate(w.tolist()):
+            if wi:
+                rewarded[i] += wi
         durs = {}
         t = self.step
-        occ, hard, peak = self._occupied, self._hard_caps, self._peak
+        occ, hard, peak, consumed = self._occupied, self._hard_caps, self._peak, self._consumed
         overflow = False
         for i, ai in enumerate(a.tolist()):
+            if not ai:
+                continue
+            consumed[i] += ai
             if ai > 0.0:
                 d = int(self._curves[i].sample(streams.durations))
                 durs[i] = d
@@ -232,34 +299,37 @@ def run_episode(
     the policy's own chosen action (the policy learns from its decision
     even when the simulator forced a rejection).
     """
-    streams = episode_streams(seed)
-    policy.reset(inst, streams.policy)
+    raw = episode_streams(seed)
+    policy.reset(inst, raw.policy)
+    streams = Streams(
+        _BlockDraws(raw.arrivals), _BlockDraws(raw.outcomes), _BlockDraws(raw.durations),
+        raw.policy,
+    )
     ep = Episode(inst)
-    reward_total = np.zeros(inst.reward_count)
-    consumption_total = np.zeros(inst.n_resources)
     arrival_counts = [0] * inst.n_types
     forced_rejects = 0
     steps = []
     null = inst.actions.null_action
+    arrivals = streams.arrivals
+    begin_step, sample_arrival, feasible, apply_action = (
+        ep.begin_step, ep.sample_arrival, ep.feasible, ep.apply_action,
+    )
+    choose, observe = policy.choose, policy.observe
     for t in range(1, inst.horizon + 1):
-        ep.begin_step(t)
-        j = ep.sample_arrival(streams.arrivals)
+        begin_step(t)
+        j = sample_arrival(arrivals)
         arrival_counts[j] += 1
-        k = policy.choose(t, j)
-        forced = not ep.feasible(j, k)
+        k = choose(t, j)
+        forced = not feasible(j, k)
         executed = null if forced else k
-        w, a, durs = ep.apply_action(j, executed, streams, forced)
-        policy.observe(t, j, k, forced)
-        if forced:
-            forced_rejects += 1    # a forced step adds only zeros to the totals
-        else:
-            reward_total += w
-            consumption_total += a
+        w, a, durs = apply_action(j, executed, streams, forced)
+        observe(t, j, k, forced)
+        forced_rejects += forced
         if record_steps:
             steps.append(StepOutcome(t, j, k, executed, forced, w, a, durs))
     return EpisodeTrace(
-        reward_total=reward_total,
-        consumption_total=consumption_total,
+        reward_total=ep.reward_total,
+        consumption_total=ep.consumption_total,
         arrival_counts=np.array(arrival_counts, dtype=int),
         forced_rejects=forced_rejects,
         peak_occupied=ep.peak_occupied,

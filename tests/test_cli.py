@@ -2,11 +2,11 @@ import json
 
 import pytest
 
-from helpers import hand_instance
+from helpers import hand_instance, small_mnl_instance
 from reuselab import harness
 from reuselab.cli import main
 from reuselab.harness import GeneratorSpec, generate_instance
-from reuselab.serialize import save_instance
+from reuselab.serialize import instance_to_json, save_instance
 
 
 @pytest.fixture()
@@ -285,6 +285,53 @@ class TestExperiment:
         assert err.count("\n") == 1
         assert err.startswith("error: config: eta must lie in (0, 1)")
         assert "Traceback" not in err
+
+
+def _set(doc, path, value):
+    node = doc
+    for key in path[:-1]:
+        node = node[key]
+    node[path[-1]] = value
+
+
+@pytest.mark.parametrize("build, path, value, field", [
+    (hand_instance, ("horizon",), 8.5, "horizon must be an integer, got 8.5"),
+    (hand_instance, ("horizon",), "8", "horizon must be an integer, got '8'"),
+    (hand_instance, ("horizon",), True, "horizon must be an integer, got True"),
+    (hand_instance, ("null_type",), 0.0, "null_type must be an integer, got 0.0"),
+    (hand_instance, ("reward_count",), None, "reward_count must be an integer"),
+    (hand_instance, ("resources", 0, "capacity"), "5", "resources[0].capacity must be a number"),
+    (hand_instance, ("resources", 0, "capacity"), True, "resources[0].capacity must be a number"),
+    (hand_instance, ("resources", 0, "unit_price"), [1], "resources[0].unit_price must be a number"),
+    (hand_instance, ("resources", 0, "survival", 1), "0.5", "resources[0].survival must be a number"),
+    (hand_instance, ("resources", 0, "survival"), 0.5, "resources[0].survival must be a list, got 0.5"),
+    (hand_instance, ("customers", 1, "weight"), "0.5", "customers[1].weight must be a number"),
+    (hand_instance, ("customers", 1, "outcomes", "rewards", 0, 1), False,
+     "customers[1].outcomes.rewards must be a number"),
+    (hand_instance, ("customers", 1, "outcomes", "consumption", 0), 1.0,
+     "customers[1].outcomes.consumption must be a list"),
+    (hand_instance, ("customers", 1, "outcomes", "reward_cap"), "1", "customers[1].outcomes.reward_cap"),
+    (hand_instance, ("actions", "count"), 2.0, "actions.count must be an integer"),
+    (hand_instance, ("actions", "null_action"), False, "actions.null_action must be an integer"),
+    (small_mnl_instance, ("actions", "n_products"), "3", "actions.n_products must be an integer"),
+    (small_mnl_instance, ("actions", "max_size"), 2.5, "actions.max_size must be an integer"),
+    (small_mnl_instance, ("mnl", "m"), True, "mnl.m must be an integer"),
+    (small_mnl_instance, ("customers", 0, "outcomes", "customer"), 0.0,
+     "customers[0].outcomes.customer must be an integer"),
+    (small_mnl_instance, ("mnl", "products", 1, "price"), "1.5", "mnl.products[1].price must be a number"),
+    (small_mnl_instance, ("mnl", "products", 0, "f", 1), None, "mnl.products[0].f must be a number"),
+    (small_mnl_instance, ("mnl", "customers", 1, "b", 2), 0.5, "mnl.customers[1].b must be a list"),
+])
+@pytest.mark.parametrize("command", ["validate", "simulate"])
+def test_wrongly_typed_field_named(tmp_path, build, path, value, field, command, capsys):
+    doc = json.loads(instance_to_json(build(8)))
+    _set(doc, path, value)
+    inst_file = tmp_path / "typed.json"
+    inst_file.write_text(json.dumps(doc))
+    assert main([command, "--instance", str(inst_file)]) == 2
+    cap = capsys.readouterr()
+    assert cap.out == ""
+    assert cap.err.count("\n") == 1 and cap.err.startswith(f"error: {field}"), cap.err
 
 
 @pytest.mark.parametrize("argv", [

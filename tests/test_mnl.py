@@ -250,6 +250,28 @@ class TestOutcomes:
             assert len(om._cum) <= mnl._CUM_CACHE
         assert rng.bit_generator.state == ref.bit_generator.state
 
+    def test_sample_returns_shared_read_only_arrays(self):
+        # one pair per product plus the zero pair, built once per model and
+        # shared by all its customers: a write fails instead of changing
+        # every later draw
+        m = tiny_model()
+        rng = np.random.default_rng(3)
+        table = m.outcome_table()
+        assert len(table) == m.n_products + 1
+        for om in (MnlOutcomes(m, 0), MnlOutcomes(m, 1), MnlOutcomes(m, None)):
+            for S in ((), (0,), (1, 2), (0, 2)):
+                for _ in range(20):
+                    w, a = om.sample(S, rng)
+                    assert any(w is tw and a is ta for tw, ta in table)
+                    for arr in (w, a):
+                        with pytest.raises(ValueError, match="read-only"):
+                            arr[0] = 5.0
+        assert m.outcome_table() is table
+        for i, (w, a) in enumerate(table[:-1]):
+            assert a.tolist() == np.eye(m.n_products)[i].tolist()
+            assert w.tolist() == (m.prices * a).tolist()
+        assert not table[-1][0].any() and not table[-1][1].any()
+
     def test_sample_empty_assortment_never_buys(self):
         om = MnlOutcomes(tiny_model(), 0)
         rng = np.random.default_rng(1)

@@ -4,6 +4,8 @@ import json
 import pytest
 
 from helpers import hand_instance, small_mnl_instance, two_resource_instance
+from oracles import reference_run_episode
+from reuselab.harness import GeneratorSpec, generate_instance
 from reuselab.policy import UniformRandomPolicy
 from reuselab.serialize import (
     instance_from_json,
@@ -52,6 +54,11 @@ class TestErrors:
     def test_wrong_format_rejected(self):
         with pytest.raises(ValueError, match="format"):
             instance_from_json(json.dumps({"format": "something-else", "version": 1}))
+
+    @pytest.mark.parametrize("text", ["[1, 2]", "3", "null"])
+    def test_document_that_is_no_object_rejected(self, text):
+        with pytest.raises(ValueError, match=r"not an instance file \(format=None\)"):
+            instance_from_json(text)
 
     def test_wrong_version_rejected(self):
         doc = json.loads(instance_to_json(hand_instance()))
@@ -103,3 +110,19 @@ class TestTraceDump:
         for line in buf.getvalue().strip().split("\n"):
             rec = json.loads(line)
             assert isinstance(rec["chosen"], list)
+
+    def test_shared_outcome_arrays_dump_as_fresh_ones(self):
+        # logit steps record the model's shared read-only outcome arrays and
+        # forced steps the episode's zeros; the dump equals that of the
+        # reference loop, which builds fresh arrays on every step
+        inst = generate_instance(GeneratorSpec(seed=5, base_horizon=200, base_capacity=1, n_customers=3))
+        got = run_episode(inst, UniformRandomPolicy(), seed=4, record_steps=True)
+        want = reference_run_episode(inst, UniformRandomPolicy(), seed=4)
+        assert got.forced_rejects > 0
+        assert all(not st.reward.flags.writeable for st in got.steps)
+        dumps = []
+        for trace in (got, want):
+            buf = io.StringIO()
+            trace_to_jsonl(trace, buf)
+            dumps.append(buf.getvalue())
+        assert dumps[0] == dumps[1]

@@ -19,6 +19,7 @@ from reuselab.model import (
     validate_instance,
     zero_outcomes,
 )
+from reuselab import sim
 from reuselab.policy import AlwaysNullPolicy, UniformRandomPolicy
 from reuselab.sim import (
     CapacityViolation,
@@ -88,6 +89,29 @@ class TestStreams:
         vals = {s.arrivals.random(), s.outcomes.random(), s.durations.random(), s.policy.random()}
         assert len(vals) == 4
 
+    def test_block_draws_are_a_plain_generators_doubles(self):
+        """Scalar and sized draws, interleaved across several block
+        boundaries, return exactly a plain generator's doubles from the same
+        seed.  The wrapped generator's state is not compared: it runs up to a
+        block ahead by design, and the streams run_episode wraps never leave
+        it."""
+        B = sim._BLOCK
+        # (scalar draws, then one sized draw): sized draws straddle the first
+        # and third boundaries, span the whole second block, and take none
+        plan = [(B - 3, 7), (5, 0), (0, B + 9), (B - 20, 2), (B - 14, 40), (3, 1)]
+        wrapped = sim._BlockDraws(np.random.default_rng(31))
+        plain = np.random.default_rng(31)
+        served = 0
+        for scalars, size in plan:
+            for _ in range(scalars):
+                got = wrapped.random()
+                assert type(got) is float and got == plain.random()
+            got, want = wrapped.random(size), plain.random(size)
+            assert got.dtype == want.dtype and got.shape == want.shape == (size,)
+            assert got.tobytes() == want.tobytes()
+            served += scalars + size
+        assert served > 4 * B
+
 
 class TestEpisodeMechanics:
     def test_release_timing_duration_two(self):
@@ -136,6 +160,7 @@ class TestEpisodeMechanics:
         )
         ep.begin_step(1)
         w, a, durs = ep.apply_action(1, 0, streams, forced=True)
+        assert not w.flags.writeable and not a.flags.writeable
         after = (
             streams.outcomes.bit_generator.state["state"],
             streams.durations.bit_generator.state["state"],
@@ -432,3 +457,46 @@ class TestReferenceLoop:
                     forced["mnl" if n < 4 else "explicit"] += got.forced_rejects
             assert validate_instance(inst) == [], n
         assert forced["mnl"] > 0 and forced["explicit"] > 0, forced
+
+    def test_long_episodes_across_draw_blocks(self, monkeypatch):
+        # episodes long enough that every stream read in blocks is refilled
+        # at least twice: a logit instance with forced steps and a Bernoulli
+        # explicit one, whose outcomes take the sized-draw path
+        blocks = []
+
+        class Counted:
+            def __init__(self, rng):
+                self.rng, self.n = rng, 0
+                blocks.append(self)
+
+            def random(self, size):
+                self.n += 1
+                return self.rng.random(size)
+
+        block_draws = sim._BlockDraws
+        monkeypatch.setattr(sim, "_BlockDraws", lambda rng: block_draws(Counted(rng)))
+        instances = [
+            generate_instance(GeneratorSpec(seed=5, base_horizon=3000, base_capacity=3, n_customers=3)),
+            _bernoulli(random_explicit_instance(np.random.default_rng(4), horizon=2000)),
+        ]
+        for n, inst in enumerate(instances):
+            bench = solve_benchmarks(inst, te_cap=0)
+            config = AlgoConfig(
+                epsilon=0.125,
+                gamma=max(scale_parameter(inst, bench.lambda_ss), 1e-3),
+                tail_cutoff=bench.tail_cutoff,
+                relaxed_schedule=True,
+            )
+            forced = 0
+            refills = []
+            for label in ("static", "uniform", "adaptive", "hybrid5"):
+                pol = make_policy(label, inst, config, bench)
+                blocks.clear()
+                got = run_episode(inst, pol, 3, record_steps=True)
+                refills.append([b.n - 1 for b in blocks])
+                want = reference_run_episode(inst, pol, 3)
+                assert _trace_bytes(got) == _trace_bytes(want), (n, label)
+                forced += got.forced_rejects
+            assert forced > 0, n
+            # arrivals, outcomes, durations: two refills under some policy
+            assert np.all(np.max(refills, axis=0) >= 2), (n, refills)

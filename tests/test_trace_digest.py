@@ -1,4 +1,5 @@
-"""``tools/trace_digest.py``: per-policy episode digests and the planning digest."""
+"""``tools/trace_digest.py``: per-policy episode digests, the Bernoulli
+explicit digest and the planning digest."""
 
 import importlib.util
 import os
@@ -9,7 +10,7 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
 TOOL = ROOT / "tools" / "trace_digest.py"
-NAMES = ["static", "uniform", "adaptive", "hybrid16", "null", "planning"]
+NAMES = ["static", "uniform", "adaptive", "hybrid16", "null", "bernoulli", "planning"]
 
 
 def _digests(hash_seed: str) -> str:

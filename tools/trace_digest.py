@@ -15,6 +15,12 @@ durations), the reward totals, the peak occupancy and, for the weighted
 policies, the final stage's log weights.  Any change to a draw, a float
 or a decision changes the digest.
 
+The ``bernoulli`` digest covers the same records for all five policies
+on one fixed explicit instance whose outcomes are Bernoulli draws
+(``bernoulli_instance``: 2048 steps, tight enough capacities that steps
+are forced), the instance type whose outcome draws are sized
+``random(n)`` calls rather than scalar ones.
+
 One more digest, ``planning``, covers the planning LPs of three fixed
 instances shaped like the benchmark's ``planning`` workload
 (``GeneratorSpec(seed=1)`` with the fields in ``PLANNING``): the bytes of
@@ -55,41 +61,79 @@ PLANNING = (
     dict(n_products=7, max_size=3, n_customers=6),
     dict(n_products=12, max_size=4, n_customers=4),
 )
-NAMES = (*POLICIES, "planning")
+NAMES = (*POLICIES, "bernoulli", "planning")
 
 
 def _floats(h, values) -> None:
     h.update(np.ascontiguousarray(values, dtype=float).tobytes())
 
 
+def _config(rl, inst, bench, epsilon):
+    """The policy configuration ``run_trend`` gives ``inst`` at ``epsilon``."""
+    return rl.AlgoConfig(
+        epsilon=epsilon,
+        gamma=rl.scale_parameter(inst, bench.lambda_ss),
+        delta=0.0,
+        tail_cutoff=bench.tail_cutoff,
+        seed=SEED,
+    )
+
+
+def _episode(h, rl, inst, pol) -> None:
+    """Every step record, the totals and any final weights of one episode."""
+    trace = rl.run_episode(inst, pol, SEED + 1, record_steps=True)
+    for st in trace.steps:
+        h.update(repr((st.step, st.customer, st.chosen, st.executed, st.forced,
+                       sorted(st.durations.items()))).encode())
+        _floats(h, st.reward)
+        _floats(h, st.consumption)
+    _floats(h, trace.reward_total)
+    _floats(h, trace.peak_occupied)
+    ws = getattr(pol, "ws", None)
+    if ws is not None:
+        _floats(h, ws.log_resource)
+        _floats(h, ws.log_reward_mag)
+
+
+def bernoulli_instance(rl):
+    """Explicit instance with Bernoulli outcomes: 3 resources, 2 reward
+    indices, 4 actions, 3 real types plus a null type, 2048 steps."""
+    rng = np.random.default_rng(SEED)
+    n_res, n_rew, n_act = 3, 2, 4
+    customers = [rl.CustomerType(0.25, rl.zero_outcomes(n_rew, n_res, n_act))]
+    for _ in range(3):
+        w = rng.uniform(0.0, 1.0, size=(n_rew, n_act))
+        a = rng.uniform(0.0, 1.0, size=(n_res, n_act))
+        w[:, 0] = a[:, 0] = 0.0
+        customers.append(rl.CustomerType(0.25, rl.ExplicitOutcomes(w, a, noise="bernoulli")))
+    resources = [
+        rl.ResourceSpec(2.0, rl.SurvivalCurve([1.0, 0.8, 0.5, 0.2])) for _ in range(n_res)
+    ]
+    return rl.Instance(
+        resources=resources,
+        reward_count=n_rew,
+        customers=customers,
+        actions=rl.ExplicitActions(n_act),
+        horizon=2048,
+        null_type=0,
+    )
+
+
 def digests(rl) -> dict:
-    """Policy name -> hex SHA-256 over its episodes on ``INSTANCES``."""
+    """Name -> hex SHA-256 over its episodes or planning LPs."""
     hashes = {name: hashlib.sha256() for name in POLICIES}
     for scale, epsilon in INSTANCES:
         inst = rl.generate_instance(rl.GeneratorSpec(scale=scale, seed=SEED))
         bench = rl.solve_benchmarks(inst)
-        config = rl.AlgoConfig(
-            epsilon=epsilon,
-            gamma=rl.scale_parameter(inst, bench.lambda_ss),
-            delta=0.0,
-            tail_cutoff=bench.tail_cutoff,
-            seed=SEED,
-        )
+        config = _config(rl, inst, bench, epsilon)
         for name in POLICIES:
-            h = hashes[name]
-            pol = rl.make_policy(name, inst, config, bench)
-            trace = rl.run_episode(inst, pol, SEED + 1, record_steps=True)
-            for st in trace.steps:
-                h.update(repr((st.step, st.customer, st.chosen, st.executed, st.forced,
-                               sorted(st.durations.items()))).encode())
-                _floats(h, st.reward)
-                _floats(h, st.consumption)
-            _floats(h, trace.reward_total)
-            _floats(h, trace.peak_occupied)
-            ws = getattr(pol, "ws", None)
-            if ws is not None:
-                _floats(h, ws.log_resource)
-                _floats(h, ws.log_reward_mag)
+            _episode(hashes[name], rl, inst, rl.make_policy(name, inst, config, bench))
+    hashes["bernoulli"] = hashlib.sha256()
+    inst = bernoulli_instance(rl)
+    bench = rl.solve_benchmarks(inst)
+    config = _config(rl, inst, bench, 1 / 8)
+    for name in POLICIES:
+        _episode(hashes["bernoulli"], rl, inst, rl.make_policy(name, inst, config, bench))
     hashes["planning"] = planning_hash(rl)
     return {name: h.hexdigest() for name, h in hashes.items()}
 
