@@ -9,11 +9,21 @@ Instance JSON (version 1): top-level ``horizon``, ``reward_count``,
 cap, n the product count, b one taste matrix per customer) and their
 per-customer outcome stubs are {"kind": "mnl", "customer": j or null}.
 
-Floats use shortest round-trip encoding and keys are emitted sorted, so
-saving the same instance twice produces identical bytes and a save/load
-cycle reproduces every number exactly.
+An instance file is written by ``_dumps``, a recursive emitter whose
+output is exactly ``json.dumps(doc, indent=2, sort_keys=True)``, byte for
+byte: two-space indent, keys sorted, strings through json's own C
+escaper, floats in shortest round-trip form (``float.__repr__``, with
+NaN/Infinity as json writes them).  On Python 3.11 any ``indent`` sends
+json to its pure-Python encoder; the emitter joins each row of floats in
+one call and so costs about half as much.  Saving the same instance twice
+produces identical bytes and a save/load cycle reproduces every number
+exactly.
+
 Loading checks each field's JSON type (an integer field takes no float
-and no ``true``) and names the first field that is wrong.
+and no ``true``, a list field no object, an object field no list) and
+names the first field that is wrong; ``mnl.n`` must equal the number of
+products.  A list is checked in one pass over its entries and walked
+entry by entry only to name the one that is wrong.
 
 Traces dump as JSON lines, one step per line.
 """
@@ -76,6 +86,11 @@ def _outcomes_to_dict(om):
 
 
 def instance_to_json(inst: Instance) -> str:
+    return _dumps(_document(inst)) + "\n"
+
+
+def _document(inst: Instance) -> dict:
+    """The JSON document of ``inst``, as plain dicts, lists and scalars."""
     mnl_model = None
     for cust in inst.customers:
         if isinstance(cust.outcomes, MnlOutcomes):
@@ -114,7 +129,73 @@ def instance_to_json(inst: Instance) -> str:
                 for j in range(mnl_model.n_customers)
             ],
         }
-    return json.dumps(doc, indent=2, sort_keys=True) + "\n"
+    return doc
+
+
+_ESCAPE = json.encoder.encode_basestring_ascii       # json's own C escaper
+_FLOAT = float.__repr__
+_INT = int.__repr__
+_NONFINITE = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
+
+
+def _dumps(value, nl: str = "\n") -> str:
+    """``json.dumps(value, indent=2, sort_keys=True)``, byte for byte.
+
+    Takes dicts with str keys, lists, str, int, float (with their
+    subclasses, such as ``np.float64``), bool and None; any other value,
+    a tuple or a non-str key included, raises a TypeError.  ``nl`` is the
+    newline and indent that precede the closing bracket of ``value``.
+    """
+    t = type(value)
+    inner = nl + "  "
+    if t is list:
+        if not value:
+            return "[]"
+        sep = "," + inner
+        if type(value[0]) is float:
+            # a row of floats in one join; an entry that is no float
+            # raises, and a NaN or infinity shows as an "n"
+            try:
+                body = sep.join(map(_FLOAT, value))
+            except TypeError:
+                body = "n"
+            if "n" not in body:
+                return "[" + inner + body + nl + "]"
+        return "[" + inner + sep.join([_dumps(v, inner) for v in value]) + nl + "]"
+    if t is dict:
+        if not value:
+            return "{}"
+        parts = []
+        for k in sorted(value):
+            v = value[k]
+            tv = type(v)
+            # scalars without a call: most values in an instance file are
+            if tv is float:
+                text = _FLOAT(v)
+                text = _NONFINITE.get(text, text)
+            elif tv is str:
+                text = _ESCAPE(v)
+            elif tv is int:
+                text = _INT(v)
+            else:
+                text = _dumps(v, inner)
+            parts.append(_ESCAPE(k) + ": " + text)     # _ESCAPE rejects a non-str key
+        return "{" + inner + ("," + inner).join(parts) + nl + "}"
+    # scalars in json's order of tests, subclasses included
+    if isinstance(value, str):
+        return _ESCAPE(value)
+    if value is None:
+        return "null"
+    if value is True:
+        return "true"
+    if value is False:
+        return "false"
+    if isinstance(value, int):
+        return _INT(value)
+    if isinstance(value, float):
+        text = _FLOAT(value)
+        return _NONFINITE.get(text, text)
+    raise TypeError(f"Object of type {t.__name__} is not JSON serializable")
 
 
 # json.loads builds exact int and float objects, so the checks below test
@@ -122,6 +203,7 @@ def instance_to_json(inst: Instance) -> str:
 # name is spelled out from its path only when the check fails.
 _NUMBER = frozenset((int, float))
 _LIST = frozenset((list,))
+_OBJECT = frozenset((dict,))
 
 
 def _field(path) -> str:
@@ -141,6 +223,28 @@ def _number(value, *path):
     if type(value) not in _NUMBER:
         raise ValueError(f"{_field(path)} must be a number, got {value!r}")
     return value
+
+
+def _object(value, *path) -> dict:
+    """``value`` if it is a JSON object, else a ValueError naming its field."""
+    if type(value) is not dict:
+        raise ValueError(f"{_field(path)} must be an object, got {value!r}")
+    return value
+
+
+def _objects(values, *path) -> list:
+    """``values`` if it is a list of JSON objects, checked in one pass.
+
+    ``values[k]`` is the field named by ``path`` with ``[k]`` after its
+    first part; only when the pass fails is each checked on its own, to
+    name the first that is wrong.
+    """
+    if type(values) is not list:
+        raise ValueError(f"{_field(path)} must be a list, got {values!r}")
+    if not _OBJECT.issuperset(map(type, values)):
+        for k, value in enumerate(values):
+            _object(value, path[0], k, *path[1:])
+    return values
 
 
 def _is_numbers(value, depth: int) -> bool:
@@ -184,9 +288,10 @@ def instance_from_json(text: str) -> Instance:
     """The instance a JSON document describes.
 
     Integer fields must be JSON integers and numeric fields JSON numbers
-    (``true`` is neither); any other value raises a :class:`ValueError`
-    that names the field.  What the types cannot tell (a negative
-    horizon, weights that do not sum to one) is left to
+    (``true`` is neither), list and object fields JSON lists and objects,
+    and ``mnl.n`` the number of products; any other value raises a
+    :class:`ValueError` that names the field.  What the types cannot tell
+    (a negative horizon, weights that do not sum to one) is left to
     :func:`~reuselab.model.validate_instance`.
     """
     doc = json.loads(text)
@@ -200,24 +305,30 @@ def instance_from_json(text: str) -> Instance:
     null_type = _int(doc["null_type"], "null_type")
     mnl_model = None
     if "mnl" in doc:
-        blk = doc["mnl"]
-        products, custs = blk["products"], blk["customers"]
+        blk = _object(doc["mnl"], "mnl")
+        products = _objects(blk["products"], "mnl.products")
+        custs = _objects(blk["customers"], "mnl.customers")
+        if _int(blk["n"], "mnl.n") != len(products):
+            raise ValueError(
+                f"mnl.n must be {len(products)}, the number of mnl.products, got {blk['n']}"
+            )
         mnl_model = MnlModel(
             features=_numbers_each([p["f"] for p in products], "mnl.products", "f"),
             cust_features=_numbers_each([c["b"] for c in custs], "mnl.customers", "b", depth=2),
             max_size=_int(blk["m"], "mnl.m"),
             prices=[_number(p["price"], "mnl.products", i, "price") for i, p in enumerate(products)],
         )
-    curves = _numbers_each([r["survival"] for r in doc["resources"]], "resources", "survival")
+    specs = _objects(doc["resources"], "resources")
+    curves = _numbers_each([r["survival"] for r in specs], "resources", "survival")
     resources = [
         ResourceSpec(
             capacity=_number(r["capacity"], "resources", i, "capacity"),
             survival=SurvivalCurve(surv),
             unit_price=_number(r.get("unit_price", 0.0), "resources", i, "unit_price"),
         )
-        for i, (r, surv) in enumerate(zip(doc["resources"], curves))
+        for i, (r, surv) in enumerate(zip(specs, curves))
     ]
-    ad = doc["actions"]
+    ad = _object(doc["actions"], "actions")
     if ad["kind"] == "explicit":
         actions = ExplicitActions(
             _int(ad["count"], "actions.count"),
@@ -230,9 +341,10 @@ def instance_from_json(text: str) -> Instance:
         )
     else:
         raise ValueError(f"unknown action space kind {ad['kind']!r}")
+    entries = _objects(doc["customers"], "customers")
+    outcomes = _objects([c["outcomes"] for c in entries], "customers", "outcomes")
     customers = []
-    for j, c in enumerate(doc["customers"]):
-        od = c["outcomes"]
+    for j, (c, od) in enumerate(zip(entries, outcomes)):
         if od["kind"] == "explicit":
             caps = {
                 key: None if od[key] is None else _number(od[key], "customers", j, "outcomes", key)

@@ -321,6 +321,19 @@ def _set(doc, path, value):
     (small_mnl_instance, ("mnl", "products", 1, "price"), "1.5", "mnl.products[1].price must be a number"),
     (small_mnl_instance, ("mnl", "products", 0, "f", 1), None, "mnl.products[0].f must be a number"),
     (small_mnl_instance, ("mnl", "customers", 1, "b", 2), 0.5, "mnl.customers[1].b must be a list"),
+    # containers of the wrong JSON type, and an mnl.n that is not the product count
+    (small_mnl_instance, ("resources",), 5, "resources must be a list, got 5\n"),
+    (small_mnl_instance, ("customers", 0), "x", "customers[0] must be an object, got 'x'\n"),
+    (small_mnl_instance, ("actions",), [], "actions must be an object, got []\n"),
+    (small_mnl_instance, ("mnl", "products"), {"f": [1.0], "price": 1.0},
+     "mnl.products must be a list, got {'f': [1.0], 'price': 1.0}\n"),
+    (small_mnl_instance, ("mnl", "n"), 99, "mnl.n must be 3, the number of mnl.products, got 99\n"),
+    (small_mnl_instance, ("mnl", "n"), 3.0, "mnl.n must be an integer, got 3.0\n"),
+    (small_mnl_instance, ("mnl",), [1], "mnl must be an object, got [1]\n"),
+    (small_mnl_instance, ("mnl", "customers", 0), 3, "mnl.customers[0] must be an object, got 3\n"),
+    (hand_instance, ("resources", 0), None, "resources[0] must be an object, got None\n"),
+    (hand_instance, ("customers",), {}, "customers must be a list, got {}\n"),
+    (hand_instance, ("customers", 1, "outcomes"), "y", "customers[1].outcomes must be an object, got 'y'\n"),
 ])
 @pytest.mark.parametrize("command", ["validate", "simulate"])
 def test_wrongly_typed_field_named(tmp_path, build, path, value, field, command, capsys):

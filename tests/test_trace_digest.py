@@ -1,5 +1,5 @@
 """``tools/trace_digest.py``: per-policy episode digests, the Bernoulli
-explicit digest and the planning digest."""
+explicit digest, the planning digest and the instance-file digest."""
 
 import importlib.util
 import os
@@ -10,7 +10,7 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
 TOOL = ROOT / "tools" / "trace_digest.py"
-NAMES = ["static", "uniform", "adaptive", "hybrid16", "null", "bernoulli", "planning"]
+NAMES = ["static", "uniform", "adaptive", "hybrid16", "null", "bernoulli", "planning", "instances"]
 
 
 def _digests(hash_seed: str) -> str:

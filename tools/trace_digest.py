@@ -1,5 +1,5 @@
 #!/usr/bin/env python3
-"""SHA-256 digests of whole episodes and planning LPs, for byte-identity checks.
+"""SHA-256 digests of episodes, planning LPs and instance files, for byte identity.
 
     python3 tools/trace_digest.py              # digests of this tree
     python3 tools/trace_digest.py --rev HEAD   # a revision against this tree
@@ -28,6 +28,10 @@ the steady-state LP over every column and over column generation's
 columns, of the time-expanded LP where it fits under its caps, and the
 value and rates of ``solve_steady_state``, ``solve_time_expanded`` and
 ``solve_steady_state_colgen``.
+
+The last digest, ``instances``, covers the instance files
+(``instance_to_json``) of the fixed instances above: the two episode
+instances, ``bernoulli_instance`` and the three planning instances.
 
 With ``--rev`` the same digests are computed for ``git archive REV``
 unpacked in a temporary directory (this script, that revision's
@@ -61,7 +65,7 @@ PLANNING = (
     dict(n_products=7, max_size=3, n_customers=6),
     dict(n_products=12, max_size=4, n_customers=4),
 )
-NAMES = (*POLICIES, "bernoulli", "planning")
+NAMES = (*POLICIES, "bernoulli", "planning", "instances")
 
 
 def _floats(h, values) -> None:
@@ -135,6 +139,7 @@ def digests(rl) -> dict:
     for name in POLICIES:
         _episode(hashes["bernoulli"], rl, inst, rl.make_policy(name, inst, config, bench))
     hashes["planning"] = planning_hash(rl)
+    hashes["instances"] = instances_hash(rl)
     return {name: h.hexdigest() for name, h in hashes.items()}
 
 
@@ -165,6 +170,17 @@ def planning_hash(rl):
         except rl.TooLarge:
             continue
         answer(*rl.solve_time_expanded(inst, p))
+    return h
+
+
+def instances_hash(rl):
+    """SHA-256 over the instance files of the episode, Bernoulli and planning instances."""
+    h = hashlib.sha256()
+    insts = [rl.generate_instance(rl.GeneratorSpec(scale=scale, seed=SEED)) for scale, _ in INSTANCES]
+    insts.append(bernoulli_instance(rl))
+    insts += [rl.generate_instance(rl.GeneratorSpec(seed=SEED, **spec)) for spec in PLANNING]
+    for inst in insts:
+        h.update(rl.instance_to_json(inst).encode())
     return h
 
 
