@@ -45,7 +45,6 @@ from .sim import run_episode
 
 _USER_ERRORS = (
     ValueError,
-    KeyError,
     OSError,
     json.JSONDecodeError,
     BadEpsilon,

@@ -82,14 +82,6 @@ class SurvivalCurve:
     def __repr__(self):
         return f"SurvivalCurve({self.surv.tolist()!r})"
 
-    def tail(self, u: int) -> float:
-        """Pr(D >= u); zero beyond the stored support, one at u <= 0."""
-        if u <= 0:
-            return 1.0
-        if u > self.surv.size:
-            return 0.0
-        return float(self.surv[u - 1])
-
     @property
     def d_max(self) -> int:
         """Largest duration with positive probability."""
@@ -485,9 +477,6 @@ class Instance:
 
     def capacities(self):
         return np.array([r.capacity for r in self.resources], dtype=float)
-
-    def unit_prices(self):
-        return np.array([r.unit_price for r in self.resources], dtype=float)
 
     def durations(self):
         """Mean durations E[D_i] = sum_u Pr(D_i >= u)."""

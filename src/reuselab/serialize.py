@@ -19,11 +19,11 @@ one call and so costs about half as much.  Saving the same instance twice
 produces identical bytes and a save/load cycle reproduces every number
 exactly.
 
-Loading checks each field's JSON type (an integer field takes no float
-and no ``true``, a list field no object, an object field no list) and
-names the first field that is wrong; ``mnl.n`` must equal the number of
-products.  A list is checked in one pass over its entries and walked
-entry by entry only to name the one that is wrong.
+Loading names the first field that is missing (only a resource's
+``unit_price`` may be left out, for 0.0) or not of its JSON type (an
+integer field takes no float and no ``true``, a list field no object, an
+object field no list); ``mnl.n`` must equal the number of products and an
+mnl stub's ``customer`` must index ``mnl.customers``.
 
 Traces dump as JSON lines, one step per line.
 """
@@ -198,12 +198,26 @@ def _dumps(value, nl: str = "\n") -> str:
     raise TypeError(f"Object of type {t.__name__} is not JSON serializable")
 
 
-# json.loads builds exact int and float objects, so the checks below test
-# type() itself: that also keeps out bool, a subclass of int.  A field's
-# name is spelled out from its path only when the check fails.
+# A kind is what a field may hold: the set of exact types its JSON values
+# may have, or [kind] for a list of that kind, nested for a matrix.
+# json.loads builds exact int and float objects, so type() itself is
+# tested: that also keeps out bool, a subclass of int.  A message names a
+# kind as _NAMES does, a kind that also takes null by its other type.
+_INTEGER = frozenset((int,))
 _NUMBER = frozenset((int, float))
-_LIST = frozenset((list,))
 _OBJECT = frozenset((dict,))
+_STRING = frozenset((str,))
+_INTEGER_OR_NULL = frozenset((int, type(None)))
+_NUMBER_OR_NULL = frozenset((int, float, type(None)))
+_NAMES = {
+    _INTEGER: "an integer",
+    _NUMBER: "a number",
+    _OBJECT: "an object",
+    _STRING: "a string",
+    _INTEGER_OR_NULL: "an integer",
+    _NUMBER_OR_NULL: "a number",
+}
+_LIST = frozenset((list,))
 
 
 def _field(path) -> str:
@@ -211,87 +225,66 @@ def _field(path) -> str:
     return path[0] + "".join(f"[{p}]" if type(p) is int else f".{p}" for p in path[1:])
 
 
-def _int(value, *path) -> int:
-    """``value`` if it is a JSON integer, else a ValueError naming its field."""
-    if type(value) is not int:
-        raise ValueError(f"{_field(path)} must be an integer, got {value!r}")
-    return value
+def _check(value, kind, path):
+    """``value`` if it is of ``kind``, else a ValueError naming its field.
 
-
-def _number(value, *path):
-    """``value`` if it is a JSON number, else a ValueError naming its field."""
-    if type(value) not in _NUMBER:
-        raise ValueError(f"{_field(path)} must be a number, got {value!r}")
-    return value
-
-
-def _object(value, *path) -> dict:
-    """``value`` if it is a JSON object, else a ValueError naming its field."""
-    if type(value) is not dict:
-        raise ValueError(f"{_field(path)} must be an object, got {value!r}")
-    return value
-
-
-def _objects(values, *path) -> list:
-    """``values`` if it is a list of JSON objects, checked in one pass.
-
-    ``values[k]`` is the field named by ``path`` with ``[k]`` after its
-    first part; only when the pass fails is each checked on its own, to
-    name the first that is wrong.
+    A list is tested in one pass over its entries, flattened as deep as
+    ``kind`` nests, and walked only when that fails, to name the first
+    entry that is wrong: an object by its index, any other by its list.
     """
-    if type(values) is not list:
-        raise ValueError(f"{_field(path)} must be a list, got {values!r}")
-    if not _OBJECT.issuperset(map(type, values)):
-        for k, value in enumerate(values):
-            _object(value, path[0], k, *path[1:])
-    return values
-
-
-def _is_numbers(value, depth: int) -> bool:
-    """True when ``value`` is a list (of lists, ``depth`` deep) of JSON numbers."""
-    items = [value]
-    for _ in range(depth):
-        if not _LIST.issuperset(map(type, items)):
-            return False
-        items = list(chain.from_iterable(items))
-    return _NUMBER.issuperset(map(type, items))
-
-
-def _numbers(value, *path, depth: int = 1):
-    """``value`` if it is a list (of lists, ``depth`` deep) of JSON numbers."""
-    if _is_numbers(value, depth):
-        return value
-    # some entry is wrong: find the first, to name it
+    if type(kind) is frozenset:
+        if type(value) in kind:
+            return value
+        raise ValueError(f"{_field(path)} must be {_NAMES[kind]}, got {value!r}")
     if type(value) is not list:
         raise ValueError(f"{_field(path)} must be a list, got {value!r}")
-    for x in value:
-        if depth > 1:
-            _numbers(x, *path, depth=depth - 1)
-        else:
-            _number(x, *path)
+    leaf, items = kind[0], value
+    while type(leaf) is list and _LIST.issuperset(map(type, items)):
+        leaf, items = leaf[0], list(chain.from_iterable(items))
+    if type(leaf) is frozenset and leaf.issuperset(map(type, items)):
+        return value
+    entry = kind[0]
+    for k, x in enumerate(value):
+        _check(x, entry, (*path, k) if entry is _OBJECT else path)
 
 
-def _numbers_each(values, *path, depth: int = 1):
-    """``values`` if each is what :func:`_numbers` takes, checked in one pass.
+def _get(obj, key, kind, *path):
+    """``obj[key]`` checked by :func:`_check`; ``path`` is the field of ``obj``.
 
-    ``values[k]`` is the field named by ``path`` with ``[k]`` after its
-    first part; only when the pass fails is each checked on its own, to
-    name the first that is wrong.
+    ``obj`` may also be a list of objects, entry k being the field
+    ``path[0][k]`` then ``path[1:]``: their ``key`` values are then read as
+    one list, checked in one pass, and walked entry by entry only to name
+    the one that is missing or wrong.
     """
-    if not _is_numbers(values, depth + 1):
-        for k, value in enumerate(values):
-            _numbers(value, path[0], k, *path[1:], depth=depth)
-    return values
+    if type(obj) is list:
+        try:
+            return _check([o[key] for o in obj], [kind], path)
+        except (KeyError, ValueError):
+            for k, o in enumerate(obj):
+                _get(o, key, kind, path[0], k, *path[1:])
+            raise
+    try:
+        value = obj[key]
+    except KeyError:
+        raise ValueError(f"{_field((*path, key))} is missing") from None
+    # a scalar of its kind is done without a call; a list kind holds no types
+    if type(value) in kind:
+        return value
+    return _check(value, kind, (*path, key))
 
 
 def instance_from_json(text: str) -> Instance:
     """The instance a JSON document describes.
 
-    Integer fields must be JSON integers and numeric fields JSON numbers
-    (``true`` is neither), list and object fields JSON lists and objects,
-    and ``mnl.n`` the number of products; any other value raises a
-    :class:`ValueError` that names the field.  What the types cannot tell
-    (a negative horizon, weights that do not sum to one) is left to
+    Every field but ``resources[i].unit_price`` (default 0.0) must be
+    present.  Integer fields must be JSON integers and numeric fields JSON
+    numbers (``true`` is neither), list, object and string fields JSON
+    lists, objects and strings; ``reward_cap``, ``consumption_cap`` and an
+    mnl stub's ``customer`` may also be null.  ``mnl.n`` must be the number
+    of products and an mnl stub's ``customer`` an index into
+    ``mnl.customers``.  Any other value raises a :class:`ValueError` that
+    names the field.  What the types cannot tell (a negative horizon,
+    weights that do not sum to one) is left to
     :func:`~reuselab.model.validate_instance`.
     """
     doc = json.loads(text)
@@ -300,72 +293,80 @@ def instance_from_json(text: str) -> Instance:
         raise ValueError(f"not an instance file (format={fmt!r})")
     if doc.get("version") != _VERSION:
         raise ValueError(f"unsupported instance version {doc.get('version')!r}")
-    horizon = _int(doc["horizon"], "horizon")
-    reward_count = _int(doc["reward_count"], "reward_count")
-    null_type = _int(doc["null_type"], "null_type")
+    horizon = _get(doc, "horizon", _INTEGER)
+    reward_count = _get(doc, "reward_count", _INTEGER)
+    null_type = _get(doc, "null_type", _INTEGER)
     mnl_model = None
     if "mnl" in doc:
-        blk = _object(doc["mnl"], "mnl")
-        products = _objects(blk["products"], "mnl.products")
-        custs = _objects(blk["customers"], "mnl.customers")
-        if _int(blk["n"], "mnl.n") != len(products):
-            raise ValueError(
-                f"mnl.n must be {len(products)}, the number of mnl.products, got {blk['n']}"
-            )
+        blk = _get(doc, "mnl", _OBJECT)
+        products = _get(blk, "products", [_OBJECT], "mnl")
+        custs = _get(blk, "customers", [_OBJECT], "mnl")
+        n = _get(blk, "n", _INTEGER, "mnl")
+        if n != len(products):
+            raise ValueError(f"mnl.n must be {len(products)}, the number of mnl.products, got {n}")
         mnl_model = MnlModel(
-            features=_numbers_each([p["f"] for p in products], "mnl.products", "f"),
-            cust_features=_numbers_each([c["b"] for c in custs], "mnl.customers", "b", depth=2),
-            max_size=_int(blk["m"], "mnl.m"),
-            prices=[_number(p["price"], "mnl.products", i, "price") for i, p in enumerate(products)],
+            features=_get(products, "f", [_NUMBER], "mnl.products"),
+            cust_features=_get(custs, "b", [[_NUMBER]], "mnl.customers"),
+            max_size=_get(blk, "m", _INTEGER, "mnl"),
+            prices=_get(products, "price", _NUMBER, "mnl.products"),
         )
-    specs = _objects(doc["resources"], "resources")
-    curves = _numbers_each([r["survival"] for r in specs], "resources", "survival")
+    specs = _get(doc, "resources", [_OBJECT])
     resources = [
         ResourceSpec(
-            capacity=_number(r["capacity"], "resources", i, "capacity"),
+            capacity=capacity,
             survival=SurvivalCurve(surv),
-            unit_price=_number(r.get("unit_price", 0.0), "resources", i, "unit_price"),
+            unit_price=_get(r, "unit_price", _NUMBER, "resources", i) if "unit_price" in r else 0.0,
         )
-        for i, (r, surv) in enumerate(zip(specs, curves))
+        for i, (r, capacity, surv) in enumerate(zip(
+            specs,
+            _get(specs, "capacity", _NUMBER, "resources"),
+            _get(specs, "survival", [_NUMBER], "resources"),
+        ))
     ]
-    ad = _object(doc["actions"], "actions")
-    if ad["kind"] == "explicit":
+    ad = _get(doc, "actions", _OBJECT)
+    kind = _get(ad, "kind", _STRING, "actions")
+    if kind == "explicit":
         actions = ExplicitActions(
-            _int(ad["count"], "actions.count"),
-            _int(ad["null_action"], "actions.null_action"),
+            _get(ad, "count", _INTEGER, "actions"),
+            _get(ad, "null_action", _INTEGER, "actions"),
         )
-    elif ad["kind"] == "assortment":
+    elif kind == "assortment":
         actions = AssortmentActions(
-            _int(ad["n_products"], "actions.n_products"),
-            _int(ad["max_size"], "actions.max_size"),
+            _get(ad, "n_products", _INTEGER, "actions"),
+            _get(ad, "max_size", _INTEGER, "actions"),
         )
     else:
-        raise ValueError(f"unknown action space kind {ad['kind']!r}")
-    entries = _objects(doc["customers"], "customers")
-    outcomes = _objects([c["outcomes"] for c in entries], "customers", "outcomes")
+        raise ValueError(f"unknown action space kind {kind!r}")
+    entries = _get(doc, "customers", [_OBJECT])
+    outcomes = _get(entries, "outcomes", _OBJECT, "customers")
     customers = []
-    for j, (c, od) in enumerate(zip(entries, outcomes)):
-        if od["kind"] == "explicit":
-            caps = {
-                key: None if od[key] is None else _number(od[key], "customers", j, "outcomes", key)
-                for key in ("reward_cap", "consumption_cap")
-            }
+    for j, (od, kind, weight) in enumerate(zip(
+        outcomes,
+        _get(outcomes, "kind", _STRING, "customers", "outcomes"),
+        _get(entries, "weight", _NUMBER, "customers"),
+    )):
+        if kind == "explicit":
+            at = ("customers", j, "outcomes")
             om = ExplicitOutcomes(
-                _numbers(od["rewards"], "customers", j, "outcomes", "rewards", depth=2),
-                _numbers(od["consumption"], "customers", j, "outcomes", "consumption", depth=2),
-                noise=od["noise"],
-                **caps,
+                _get(od, "rewards", [[_NUMBER]], *at),
+                _get(od, "consumption", [[_NUMBER]], *at),
+                noise=_get(od, "noise", _STRING, *at),
+                reward_cap=_get(od, "reward_cap", _NUMBER_OR_NULL, *at),
+                consumption_cap=_get(od, "consumption_cap", _NUMBER_OR_NULL, *at),
             )
-        elif od["kind"] == "mnl":
+        elif kind == "mnl":
             if mnl_model is None:
-                raise ValueError("mnl outcome stub without an mnl block")
-            who = od["customer"]
-            if who is not None:
-                _int(who, "customers", j, "outcomes", "customer")
-            om = MnlOutcomes(mnl_model, who)
+                raise ValueError(f"mnl is missing, and customers[{j}].outcomes is an mnl stub")
+            who = _get(od, "customer", _INTEGER_OR_NULL, "customers", j, "outcomes")
+            try:
+                om = MnlOutcomes(mnl_model, who)
+            except ValueError:
+                raise ValueError(
+                    f"customers[{j}].outcomes.customer must index the "
+                    f"{mnl_model.n_customers} mnl.customers, got {who}"
+                ) from None
         else:
-            raise ValueError(f"unknown outcome kind {od['kind']!r}")
-        weight = _number(c["weight"], "customers", j, "weight")
+            raise ValueError(f"unknown outcome kind {kind!r}")
         customers.append(CustomerType(weight=weight, outcomes=om))
     return Instance(
         resources=resources,

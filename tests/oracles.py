@@ -264,8 +264,8 @@ def reference_build_time_expanded_lp(inst, p):
     pa = (p[:, None, None] * Acons).transpose(1, 0, 2).reshape(C, J * K)
     surv = np.zeros((C, T))
     for i, r in enumerate(inst.resources):
-        for u in range(1, T + 1):
-            surv[i, u - 1] = r.survival.tail(u)
+        tail = r.survival.surv[:T]
+        surv[i, : tail.size] = tail
     A = np.zeros((m, nvar + 1))
     b = np.zeros(m)
     senses = [">="] * R + ["<="] * (C * T) + ["<="] * (J * T)

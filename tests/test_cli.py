@@ -334,6 +334,9 @@ def _set(doc, path, value):
     (hand_instance, ("resources", 0), None, "resources[0] must be an object, got None\n"),
     (hand_instance, ("customers",), {}, "customers must be a list, got {}\n"),
     (hand_instance, ("customers", 1, "outcomes"), "y", "customers[1].outcomes must be an object, got 'y'\n"),
+    # an mnl stub's customer index past the mnl model's customers
+    (small_mnl_instance, ("customers", 0, "outcomes", "customer"), 7,
+     "customers[0].outcomes.customer must index the 2 mnl.customers, got 7\n"),
 ])
 @pytest.mark.parametrize("command", ["validate", "simulate"])
 def test_wrongly_typed_field_named(tmp_path, build, path, value, field, command, capsys):
@@ -345,6 +348,51 @@ def test_wrongly_typed_field_named(tmp_path, build, path, value, field, command,
     cap = capsys.readouterr()
     assert cap.out == ""
     assert cap.err.count("\n") == 1 and cap.err.startswith(f"error: {field}"), cap.err
+
+
+def _key_paths(node, path=()):
+    """The path of every key in a JSON document, each before those below it."""
+    if type(node) is dict:
+        for key, value in node.items():
+            yield (*path, key)
+            yield from _key_paths(value, (*path, key))
+    elif type(node) is list:
+        for k, value in enumerate(node):
+            yield from _key_paths(value, (*path, k))
+
+
+def _dotted(path) -> str:
+    """("resources", 0, "capacity") -> "resources[0].capacity"."""
+    return path[0] + "".join(f"[{p}]" if type(p) is int else f".{p}" for p in path[1:])
+
+
+_DELETIONS = [
+    (build, path)
+    for build in (hand_instance, small_mnl_instance)
+    for path in _key_paths(json.loads(instance_to_json(build(8))))
+]
+
+
+@pytest.mark.parametrize(
+    "build, path", _DELETIONS, ids=[f"{b.__name__}-{_dotted(p)}" for b, p in _DELETIONS]
+)
+def test_deleted_field_named(tmp_path, build, path, capsys):
+    """Every key but unit_price is required, and a missing one is named."""
+    doc = json.loads(instance_to_json(build(8)))
+    node = doc
+    for key in path[:-1]:
+        node = node[key]
+    del node[path[-1]]
+    inst_file = tmp_path / "deleted.json"
+    inst_file.write_text(json.dumps(doc))
+    rc = main(["validate", "--instance", str(inst_file)])
+    cap = capsys.readouterr()
+    if path[-1] == "unit_price":
+        assert rc == 0 and cap.out.startswith("ok: "), cap.err
+        return
+    assert rc == 2 and cap.out == ""
+    assert cap.err.count("\n") == 1 and cap.err.startswith("error: "), cap.err
+    assert _dotted(path) in cap.err, cap.err
 
 
 @pytest.mark.parametrize("argv", [

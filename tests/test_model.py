@@ -26,10 +26,7 @@ from reuselab.model import (
 class TestSurvivalCurve:
     def test_tail_values(self):
         c = SurvivalCurve([1.0, 0.5, 0.25])
-        assert c.tail(0) == 1.0
-        assert c.tail(1) == 1.0
-        assert c.tail(3) == 0.25
-        assert c.tail(4) == 0.0
+        assert c.surv.tolist() == [1.0, 0.5, 0.25]
         assert len(c) == 3
         assert c.d_max == 3
 
@@ -53,7 +50,7 @@ class TestSurvivalCurve:
         draws = np.array([c.sample(rng) for _ in range(20000)])
         # Pr(D >= u) empirical vs curve
         for u in (1, 2, 3):
-            assert abs(np.mean(draws >= u) - c.tail(u)) < 0.02
+            assert abs(np.mean(draws >= u) - c.surv[u - 1]) < 0.02
         assert draws.max() <= 3
 
     def test_sample_is_draw_for_draw_the_per_call_reversal(self):

@@ -207,7 +207,7 @@ class TestErrors:
     def test_mnl_stub_without_block_rejected(self):
         doc = json.loads(instance_to_json(small_mnl_instance()))
         del doc["mnl"]
-        with pytest.raises(ValueError, match="mnl block"):
+        with pytest.raises(ValueError, match=r"mnl is missing, and customers\[0\]\.outcomes is an mnl stub"):
             instance_from_json(json.dumps(doc))
 
 

@@ -29,9 +29,11 @@ columns, of the time-expanded LP where it fits under its caps, and the
 value and rates of ``solve_steady_state``, ``solve_time_expanded`` and
 ``solve_steady_state_colgen``.
 
-The last digest, ``instances``, covers the instance files
-(``instance_to_json``) of the fixed instances above: the two episode
-instances, ``bernoulli_instance`` and the three planning instances.
+The last digest, ``instances``, covers the instance files of the fixed
+instances above (the two episode instances, ``bernoulli_instance`` and the
+three planning instances), each written, read back and written again,
+``instance_to_json(instance_from_json(instance_to_json(inst)))``, so that
+it covers the reader as well as the writer.
 
 With ``--rev`` the same digests are computed for ``git archive REV``
 unpacked in a temporary directory (this script, that revision's
@@ -174,13 +176,14 @@ def planning_hash(rl):
 
 
 def instances_hash(rl):
-    """SHA-256 over the instance files of the episode, Bernoulli and planning instances."""
+    """SHA-256 over the instance files of the episode, Bernoulli and planning
+    instances, each after a load and a save."""
     h = hashlib.sha256()
     insts = [rl.generate_instance(rl.GeneratorSpec(scale=scale, seed=SEED)) for scale, _ in INSTANCES]
     insts.append(bernoulli_instance(rl))
     insts += [rl.generate_instance(rl.GeneratorSpec(seed=SEED, **spec)) for spec in PLANNING]
     for inst in insts:
-        h.update(rl.instance_to_json(inst).encode())
+        h.update(rl.instance_to_json(rl.instance_from_json(rl.instance_to_json(inst))).encode())
     return h
 
 
