@@ -24,6 +24,7 @@ from, works one assortment size at a time in the arithmetic of
 from __future__ import annotations
 
 from bisect import bisect_right
+from functools import cached_property
 
 import numpy as np
 
@@ -63,6 +64,10 @@ class MnlModel:
     cust_features: (J, N, F) taste vectors, one per (customer, product).
     max_size: largest assortment a policy may offer.
     prices: (N,) per-unit rewards; defaults to all ones.
+
+    ``attraction_rows`` is ``attractions.tolist()``, read once for
+    :func:`best_assortment`'s per-arrival loop.  It is built on first use,
+    so a model that is never priced (static or uniform play) holds no copy.
     """
 
     def __init__(self, features, cust_features, max_size, prices=None):
@@ -90,6 +95,10 @@ class MnlModel:
         if not np.isfinite(self.attractions).all():
             raise ValueError("features and cust_features must give finite attractions exp(b @ f)")
         self._outcome_table = None
+
+    @cached_property
+    def attraction_rows(self) -> list:
+        return self.attractions.tolist()
 
     @property
     def n_products(self) -> int:
@@ -181,7 +190,7 @@ def best_assortment(model: MnlModel, customer: int, coef) -> tuple:
     # dominate the sort (and a generator's would the sums, hence lists)
     cands = [
         (i, v, -c * v)
-        for i, (c, v) in enumerate(zip(coef, model.attractions[customer].tolist()))
+        for i, (c, v) in enumerate(zip(coef, model.attraction_rows[customer]))
         if c < 0.0
     ]
     n = model.max_size

@@ -410,6 +410,12 @@ class AssortmentActions:
         sorted.  ``choice`` switches to a tail shuffle for n > 10,000 with
         sz > n / 50, where the two draw sequences part; the sample stays
         uniform there.
+
+        ``rng`` needs only ``random()`` and ``integers(n)``.  The policies
+        pass their stream wrapped in :class:`~reuselab.sim.DirectDraws`,
+        which makes both draws through the bit generator's own entry
+        points: the same draws as the ``Generator`` calls, at a lower
+        per-call cost.
         """
         if self._size_cdf is None:
             weights = np.array(
@@ -422,12 +428,13 @@ class AssortmentActions:
         sz = bisect_right(self._size_cdf, rng.random())
         if sz == 0:
             return ()
+        integers = rng.integers
         picked = set()
         for j in range(self.n_products - sz, self.n_products):
-            v = int(rng.integers(j + 1))
+            v = int(integers(j + 1))
             picked.add(j if v in picked else v)
         for i in range(sz - 1, 0, -1):
-            rng.integers(i + 1)
+            integers(i + 1)
         return tuple(sorted(picked))
 
     def __eq__(self, other):

@@ -34,6 +34,7 @@ import numpy as np
 
 from .lp import DegenerateStage, SteadyStateSolution, solve_stage_lambda
 from .model import AlgoConfig, Instance, stage_schedule, subsample_distribution
+from .sim import DirectDraws
 
 __all__ = [
     "estimate_margin",
@@ -340,8 +341,12 @@ class _RateTables:
     Each type's non-null rates are shrunk by 1/(1+epsilon); whatever
     probability is left over (the shrink slack, the null rate, and any
     unused budget) lands on the null action.  A draw is ``bisect_right``
-    on the type's cumulative rates, kept as plain floats: the same binary
-    search as ``searchsorted(side="right")`` on their numpy cumsum.
+    on the type's cumulative rates, kept as plain floats, of one
+    ``rng.random()``: the same binary search as ``searchsorted(side="right")``
+    on their numpy cumsum.  The policies hand :meth:`sample` their stream
+    wrapped in :class:`~reuselab.sim.DirectDraws`, whose ``random()`` is the
+    bit generator's own ``next_double``: the same draw at a lower per-call
+    cost.
     """
 
     def __init__(self, inst: Instance, rates, epsilon: float):
@@ -379,10 +384,11 @@ class StaticPolicy:
 
     def reset(self, inst: Instance, rng: np.random.Generator):
         self.inst, self.rng = inst, rng
+        self._draws = DirectDraws(rng)
         self._tables = _RateTables(inst, self.rates, self.epsilon)
 
     def choose(self, t: int, j: int):
-        return self._tables.sample(j, self.rng)
+        return self._tables.sample(j, self._draws)
 
     def observe(self, t: int, j: int, action, forced: bool):
         pass
@@ -395,9 +401,10 @@ class UniformRandomPolicy:
 
     def reset(self, inst: Instance, rng: np.random.Generator):
         self.inst, self.rng = inst, rng
+        self._draws = DirectDraws(rng)
 
     def choose(self, t: int, j: int):
-        return self.inst.actions.sample_uniform(self.rng)
+        return self.inst.actions.sample_uniform(self._draws)
 
     def observe(self, t: int, j: int, action, forced: bool):
         pass
@@ -478,6 +485,7 @@ class AdaptivePolicy:
         cfg = self.config
         self.schedule = stage_schedule(inst.horizon, cfg.epsilon, cfg.relaxed_schedule)
         self.inst, self.rng = inst, rng
+        self._draws = DirectDraws(rng)
         self._idx = -1
         self._stage_end = 0
         self._counts = [0] * inst.n_types
@@ -547,9 +555,9 @@ class AdaptivePolicy:
         if t > self._stage_end:
             self._advance(t)
         if t >= self._switch_at:
-            return self._tables.sample(j, self.rng)
+            return self._tables.sample(j, self._draws)
         if self._uniform:
-            return self.inst.actions.sample_uniform(self.rng)
+            return self.inst.actions.sample_uniform(self._draws)
         return select_action(self.ws, self.inst, j)
 
     def observe(self, t: int, j: int, action, forced: bool):

@@ -23,8 +23,12 @@ across policies only while the policies act identically.
 outcomes, durations) in blocks of ``_BLOCK`` doubles: ``rng.random(n)``
 fills its array with the doubles n scalar ``rng.random()`` calls return,
 in the same order, so every draw is unchanged while numpy's per-call cost
-is paid once a block.  The policy stream stays a plain generator, since
-the policy owns it and may call any of its methods.
+is paid once a block.  The policy stream is handed to the policy as a
+plain generator, since the policy owns it and may call any of its
+methods; the built-in policies make their per-step scalar draws through
+:class:`DirectDraws`, which calls the bit generator's own entry points and
+reads nothing ahead, so the stream's draws and its final state are those
+of the plain ``Generator`` calls.
 
 Per-episode cache: an :class:`Episode` computes its capacity thresholds
 and its cumulative arrival weights once, and keeps its state as plain
@@ -68,11 +72,15 @@ __all__ = [
     "run_episode",
     "CapacityViolation",
     "HorizonExceeded",
+    "DirectDraws",
 ]
 
 
 # doubles drawn at a time by each stream run_episode reads in blocks
 _BLOCK = 512
+# the default dtypes of Generator.random and Generator.integers, bound to
+# module names: DirectDraws tests them on every draw
+_F64, _I64 = np.float64, np.int64
 
 
 class CapacityViolation(RuntimeError):
@@ -125,6 +133,58 @@ class _BlockDraws:
         except StopIteration:
             self._block = iter(self._rng.random(_BLOCK).tolist())
             return next(self._block)
+
+
+class DirectDraws:
+    """A generator's scalar ``random()`` and ``integers(n)``, drawn through
+    its bit generator's own C entry points.
+
+    ``random()`` is ``next_double``, the call ``Generator.random()`` makes.
+    ``integers(n)`` for an int 1 <= n < 2**32 - 1 is numpy's scalar
+    bounded draw on [0, n) (Lemire, *ACM TOMACS* 29(1), 2019): n == 1
+    draws nothing; otherwise m = ``next_uint32()`` * n, redrawn while its
+    low 32 bits are below (2**32 - n) % n, gives m >> 32, as a Python int.
+    Any other call, and any other attribute, goes to the wrapped
+    generator.  Nothing is read ahead, so any mix of this wrapper's calls
+    and the generator's own consumes the same draws in the same order and
+    leaves the same ``bit_generator.state`` as the generator alone would.
+
+    The entry points are called through ``ctypes`` without the bit
+    generator's lock, which ``Generator`` methods take: wrap only a stream
+    that one thread reads, as an episode's policy stream is.
+    """
+
+    __slots__ = ("_rng", "_state", "_next_double", "_next_uint32")
+
+    def __init__(self, rng: np.random.Generator):
+        ct = rng.bit_generator.ctypes
+        self._rng = rng   # keeps the bit generator, and so its state, alive
+        self._state = ct.state
+        self._next_double = ct.next_double
+        self._next_uint32 = ct.next_uint32
+
+    def random(self, size=None, dtype=_F64, out=None):
+        if size is None and dtype is _F64 and out is None:
+            return self._next_double(self._state)
+        return self._rng.random(size, dtype, out)
+
+    def integers(self, low, high=None, size=None, dtype=_I64, endpoint=False):
+        if not (
+            type(low) is int and 0 < low < 0xFFFFFFFF
+            and high is None and size is None and dtype is _I64 and not endpoint
+        ):
+            return self._rng.integers(low, high, size, dtype, endpoint)
+        if low == 1:
+            return 0
+        m = self._next_uint32(self._state) * low
+        if m & 0xFFFFFFFF < low:
+            threshold = (0x100000000 - low) % low
+            while m & 0xFFFFFFFF < threshold:
+                m = self._next_uint32(self._state) * low
+        return m >> 32
+
+    def __getattr__(self, name):
+        return getattr(self._rng, name)
 
 
 class Episode:

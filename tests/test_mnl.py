@@ -44,6 +44,9 @@ class TestModel:
             for i in range(m.n_products):
                 expect = math.exp(float(np.dot(m.cust_features[j, i], m.features[i])))
                 assert m.attractions[j, i] == pytest.approx(expect, rel=1e-12)
+        # the pricing oracle's plain-float copy, built once on first use
+        assert m.attraction_rows == m.attractions.tolist()
+        assert m.attraction_rows is m.attraction_rows
 
     def test_choice_probabilities(self):
         m = tiny_model()

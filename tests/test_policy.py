@@ -14,6 +14,7 @@ from helpers import (
 import oracles
 from oracles import (
     reference_rate_draw,
+    reference_sample_uniform,
     reference_select,
     violation_potential,
     violation_potential_terms,
@@ -23,6 +24,7 @@ from reuselab.harness import GeneratorSpec, generate_instance, make_policy, solv
 from reuselab.lp import solve_steady_state
 from reuselab.model import (
     AlgoConfig,
+    AssortmentActions,
     CustomerType,
     ExplicitActions,
     ExplicitOutcomes,
@@ -942,3 +944,19 @@ class TestBaselinePolicies:
     def test_uniform_and_null_names(self):
         assert UniformRandomPolicy().name == "uniform"
         assert AlwaysNullPolicy().name == "null"
+
+    def test_uniform_draws_are_draw_for_draw_numpys_samplers(self):
+        # the policy draws through its stream's bit generator directly; the
+        # reference asks the Generator itself, and both streams end level
+        for inst in (generate_instance(GeneratorSpec(seed=3, n_products=7, max_size=3)),
+                     hand_instance(16)):
+            pol = UniformRandomPolicy()
+            rng, ref = np.random.default_rng(12), np.random.default_rng(12)
+            pol.reset(inst, rng)
+            for _ in range(5_000):
+                if isinstance(inst.actions, AssortmentActions):
+                    want = reference_sample_uniform(inst.actions, ref)
+                else:
+                    want = int(ref.integers(inst.actions.count))
+                assert pol.choose(1, 1) == want
+            assert rng.bit_generator.state == ref.bit_generator.state

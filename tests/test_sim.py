@@ -113,6 +113,67 @@ class TestStreams:
         assert served > 4 * B
 
 
+def _plain_state(state):
+    """A ``bit_generator.state`` with its arrays as lists, for ``==``."""
+    if isinstance(state, dict):
+        return {k: _plain_state(v) for k, v in state.items()}
+    return state.tolist() if isinstance(state, np.ndarray) else state
+
+
+# bounds of the interleaved integers(n) draws: n == 1 draws nothing, 3 * 2**30
+# redraws a quarter of its words, 2**32 - 1 and up are the generator's own
+# wider paths
+DIRECT_BOUNDS = (1, 2, 3, 7, 2**31, 3 * 2**30, 2**32 - 1, 2**32, 2**32 + 1, 2**40)
+
+
+class TestDirectDraws:
+    @pytest.mark.parametrize(
+        "bit_generator",
+        [np.random.PCG64, np.random.PCG64DXSM, np.random.MT19937, np.random.Philox, np.random.SFC64],
+    )
+    def test_interleaved_draws_are_a_twin_generators(self, bit_generator):
+        """Scalar draws through the wrapper, and calls it hands on, return a
+        twin generator's values and leave its exact state: nothing is read
+        ahead, and ``next_uint32``'s spare half-word is the one numpy keeps."""
+        wrapped = np.random.Generator(bit_generator(41))
+        twin = np.random.Generator(bit_generator(41))
+        direct = sim.DirectDraws(wrapped)
+        plan = np.random.default_rng(42)
+        for _ in range(20_000):
+            op = int(plan.integers(12))
+            if op < 3:
+                got, want = direct.random(), twin.random()
+                assert type(got) is float
+            elif op < 10:
+                n = DIRECT_BOUNDS[int(plan.integers(len(DIRECT_BOUNDS)))]
+                got, want = direct.integers(n), twin.integers(n)
+                assert 0 <= got < n
+            elif op == 10:
+                size = int(plan.integers(1, 6))
+                got, want = direct.random(size), twin.random(size)
+                assert got.tobytes() == want.tobytes()
+                continue
+            else:
+                got = (direct.choice(9, p=np.full(9, 1 / 9)), direct.choice(12, 3, replace=False),
+                       direct.multinomial(5, [0.2, 0.3, 0.5]))
+                want = (twin.choice(9, p=np.full(9, 1 / 9)), twin.choice(12, 3, replace=False),
+                        twin.multinomial(5, [0.2, 0.3, 0.5]))
+                assert [np.asarray(g).tolist() for g in got] == [np.asarray(w).tolist() for w in want]
+                continue
+            assert got == want
+        assert _plain_state(wrapped.bit_generator.state) == _plain_state(twin.bit_generator.state)
+
+    def test_bad_bounds_raise_the_generators_own_error(self):
+        direct, twin = sim.DirectDraws(np.random.default_rng(5)), np.random.default_rng(5)
+        for n in (0, -3):
+            with pytest.raises(ValueError) as got:
+                direct.integers(n)
+            with pytest.raises(ValueError) as want:
+                twin.integers(n)
+            assert str(got.value) == str(want.value)
+        assert direct.bit_generator.state == twin.bit_generator.state
+
+
 class TestEpisodeMechanics:
     def test_release_timing_duration_two(self):
         inst = hand_instance(6)

@@ -8,6 +8,8 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 ROOT = Path(__file__).resolve().parents[1]
 TOOL = ROOT / "tools" / "trace_digest.py"
 NAMES = ["static", "uniform", "adaptive", "hybrid16", "null", "bernoulli", "planning", "instances"]
@@ -30,6 +32,12 @@ def test_two_runs_print_the_same_digests():
 
 
 def test_rev_mode_reports_every_policy(capsys):
+    try:
+        subprocess.run(
+            ["git", "rev-parse", "--verify", "HEAD"], cwd=ROOT, capture_output=True, check=True,
+        )
+    except (OSError, subprocess.CalledProcessError):
+        pytest.skip("needs a git checkout with a commit")
     spec = importlib.util.spec_from_file_location("trace_digest", TOOL)
     mod = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(mod)

@@ -11,9 +11,12 @@ two fixed instances shaped like the benchmark's episode workloads,
 ``run_trend`` plans them, one episode each with replication seed 2.  A
 policy's digest covers, on both instances, every step record (type,
 chosen and executed action, forced flag, reward and consumption bytes,
-durations), the reward totals, the peak occupancy and, for the weighted
-policies, the final stage's log weights.  Any change to a draw, a float
-or a decision changes the digest.
+durations), the reward totals, the peak occupancy, for the weighted
+policies the final stage's log weights, and the final
+``bit_generator.state`` of the policy stream, kept by wrapping the
+policy's ``reset``.  Any change to a draw, a float or a decision changes
+the digest, and so does a policy that reads its stream ahead of what it
+uses.
 
 The ``bernoulli`` digest covers the same records for all five policies
 on one fixed explicit instance whose outcomes are Bernoulli draws
@@ -86,7 +89,16 @@ def _config(rl, inst, bench, epsilon):
 
 
 def _episode(h, rl, inst, pol) -> None:
-    """Every step record, the totals and any final weights of one episode."""
+    """Every step record, the totals, any final weights and the policy
+    stream's final state of one episode."""
+    streams = []
+    reset = pol.reset
+
+    def recording_reset(inst, rng):   # keeps the policy stream the episode hands over
+        streams.append(rng)
+        reset(inst, rng)
+
+    pol.reset = recording_reset
     trace = rl.run_episode(inst, pol, SEED + 1, record_steps=True)
     for st in trace.steps:
         h.update(repr((st.step, st.customer, st.chosen, st.executed, st.forced,
@@ -99,6 +111,7 @@ def _episode(h, rl, inst, pol) -> None:
     if ws is not None:
         _floats(h, ws.log_resource)
         _floats(h, ws.log_reward_mag)
+    h.update(repr(streams[0].bit_generator.state).encode())
 
 
 def bernoulli_instance(rl):
