@@ -14,7 +14,7 @@ from itertools import chain, combinations
 import numpy as np
 
 from reuselab.lp import solve_steady_state, solve_steady_state_colgen
-from reuselab.mnl import MnlModel, best_assortment, build_mnl_instance, make_assortment_pricing
+from reuselab.mnl import MnlModel, best_assortment, build_mnl_instance
 from reuselab.model import SurvivalCurve
 
 rng = np.random.default_rng(0)
@@ -58,10 +58,11 @@ inst = build_mnl_instance(
 )
 print(f"\naction space size: {inst.actions.size}")
 
+# Column generation prices each type through its own outcome model: a
+# logit segment runs best_assortment for itself, the null type offers nothing.
 p = inst.arrival_weights()
 dense = solve_steady_state(inst, p)
-pricing = make_assortment_pricing(model, inst.durations())
-colgen = solve_steady_state_colgen(inst, p, pricing=pricing)
+colgen = solve_steady_state_colgen(inst, p)
 print(f"dense steady-state optimum : {dense.lambda_:.8f}")
 print(f"column-generation optimum  : {colgen.lambda_:.8f}")
 

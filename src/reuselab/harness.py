@@ -3,9 +3,12 @@
 The standard experiment plays each requested policy over the same block of
 replication seeds (base+1 .. base+reps), so policies face identical arrival
 sequences, and reports the mean and spread of the worst-index total reward
-against the planning upper bound.  CSV output is byte-deterministic for a
-fixed base seed: the ``seconds`` column is left empty unless timing is
-explicitly requested (measured times still land on the in-memory rows).
+against the steady-state planning total T * lambda_ss.  That total is a
+reference, not a certified bound: lambda_ss <= lambda_te, the
+time-expanded value that ``reuselab solve-benchmark`` alone solves for and
+reports.  CSV output is byte-deterministic for a fixed base seed: the
+``seconds`` column is left empty unless timing is explicitly requested
+(measured times still land on the in-memory rows).
 """
 
 from __future__ import annotations
@@ -19,7 +22,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from . import lp as _lp
-from .lp import SteadyStateSolution, TooLarge
+from .lp import SteadyStateSolution
 from .mnl import MnlModel, build_mnl_instance
 from .model import (
     AlgoConfig,
@@ -121,46 +124,34 @@ def generate_instance(spec: GeneratorSpec) -> Instance:
 
 @dataclass
 class Benchmarks:
-    """Planning LP values for one instance under its true arrival weights.
+    """Steady-state planning values for one instance under its own arrival
+    weights.
 
-    ``upper_bound`` is the steady-state planning total T * lambda_ss; it
-    is the reference every summary row's gap is measured against.
-    ``lambda_te`` is the exact-occupancy relaxation value, kept as a
-    diagnostic when that LP fits under the size cap.  That LP starts with
-    every resource free, so lambda_ss <= lambda_te: T * lambda_te is the
-    looser bound and the one that always holds; T * lambda_ss, the
-    reporting baseline, carries no such guarantee.  Both values hold for
-    the instance they were solved on only: an instance derived from it
-    (``dataclasses.replace`` with other customers, resources or actions)
-    needs its own ``solve_benchmarks``.
+    ``upper_bound`` is the planning total T * lambda_ss, the reference
+    every summary row's gap is measured against.  It is not a certified
+    bound on what a policy can earn: the time-expanded relaxation starts
+    with every resource free, so lambda_ss <= lambda_te, and only
+    ``reuselab solve-benchmark`` solves that LP and reports lambda_te.
+    The values hold for the instance they were solved on only: an instance
+    derived from it (``dataclasses.replace`` with other customers,
+    resources or actions) needs its own ``solve_benchmarks``.
     """
 
     lambda_ss: float
     rates: SteadyStateSolution
-    lambda_te: float | None
     upper_bound: float
     tail_cutoff: int
     delta: float
 
 
-def solve_benchmarks(
-    inst: Instance, p=None, delta: float = 0.0, te_cap: int = 20_000
-) -> Benchmarks:
-    """Planning values under ``p`` (default: the arrival weights); the
-    tail cutoff ignores duration tail mass ``delta`` in [0, 1)."""
+def solve_benchmarks(inst: Instance, delta: float = 0.0) -> Benchmarks:
+    """Planning values under the instance's arrival weights; the tail
+    cutoff ignores duration tail mass ``delta`` in [0, 1)."""
     if not 0.0 <= delta < 1.0:
         raise ValueError(f"delta must lie in [0, 1), got {delta}")
-    p = inst.arrival_weights() if p is None else np.asarray(p, dtype=float)
-    rates = _lp.plan_rates(inst, p)
-    lam_ss = rates.lambda_
-    try:
-        lam_te, _y = _lp.solve_time_expanded(inst, p, cap=te_cap)
-    except TooLarge:
-        lam_te = None
-    curves = [r.survival for r in inst.resources]
-    dbar = duration_tail_cutoff(curves, delta)
-    ub = inst.horizon * lam_ss
-    return Benchmarks(lam_ss, rates, lam_te, float(ub), dbar, delta)
+    rates = _lp.plan_rates(inst, inst.arrival_weights())
+    dbar = duration_tail_cutoff([r.survival for r in inst.resources], delta)
+    return Benchmarks(rates.lambda_, rates, float(inst.horizon * rates.lambda_), dbar, delta)
 
 
 _NAME_RE = re.compile(

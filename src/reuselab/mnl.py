@@ -337,8 +337,7 @@ def build_mnl_instance(
 
     ``arrival_weights`` has one entry per logit customer plus a trailing
     no-purchase weight; the trailing entry becomes the designated null
-    type.  Product prices land on the resources as unit prices and drive
-    the reward outcomes.
+    type.  Product prices drive the reward outcomes.
     """
     n = model.n_products
     capacities = np.asarray(capacities, dtype=float)
@@ -349,10 +348,7 @@ def build_mnl_instance(
     weights = np.asarray(arrival_weights, dtype=float)
     if weights.shape != (model.n_customers + 1,):
         raise ValueError("arrival weights must cover every customer plus null")
-    resources = [
-        ResourceSpec(float(capacities[i]), survival_curves[i], float(model.prices[i]))
-        for i in range(n)
-    ]
+    resources = [ResourceSpec(float(c), curve) for c, curve in zip(capacities, survival_curves)]
     customers = [
         CustomerType(float(weights[j]), MnlOutcomes(model, j))
         for j in range(model.n_customers)

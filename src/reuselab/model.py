@@ -113,15 +113,10 @@ class SurvivalCurve:
 
 @dataclass
 class ResourceSpec:
-    """A reusable resource: hard capacity, usage-duration curve, unit price.
-
-    ``unit_price`` only matters for choice-model instances where reward i is
-    tied to resource i; explicit-outcome instances may leave it at zero.
-    """
+    """A reusable resource: hard capacity and usage-duration curve."""
 
     capacity: float
     survival: SurvivalCurve
-    unit_price: float = 0.0
 
 
 def duration_tail_cutoff(curves, delta: float, horizon: int | None = None) -> int:
@@ -661,8 +656,6 @@ def validate_instance(inst: Instance) -> list[str]:
     for i, r in enumerate(inst.resources):
         if not (0 < r.capacity < math.inf):
             out.append(f"resources[{i}].capacity must be positive and finite, got {r.capacity}")
-        if not (0 <= r.unit_price < math.inf):
-            out.append(f"resources[{i}].unit_price must be nonnegative and finite, got {r.unit_price}")
         out.extend(r.survival.violations(f"resources[{i}].survival"))
 
     weights = inst.arrival_weights() if inst.customers else np.zeros(0)

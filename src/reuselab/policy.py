@@ -383,7 +383,6 @@ class StaticPolicy:
         self.name = "static"
 
     def reset(self, inst: Instance, rng: np.random.Generator):
-        self.inst, self.rng = inst, rng
         self._draws = DirectDraws(rng)
         self._tables = _RateTables(inst, self.rates, self.epsilon)
 
@@ -400,7 +399,7 @@ class UniformRandomPolicy:
     name = "uniform"
 
     def reset(self, inst: Instance, rng: np.random.Generator):
-        self.inst, self.rng = inst, rng
+        self.inst = inst
         self._draws = DirectDraws(rng)
 
     def choose(self, t: int, j: int):

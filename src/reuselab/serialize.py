@@ -1,7 +1,7 @@
 """Instance files and trace dumps.
 
 Instance JSON (version 1): top-level ``horizon``, ``reward_count``,
-``null_type``; ``resources`` as [{capacity, survival, unit_price}];
+``null_type``; ``resources`` as [{capacity, survival}];
 ``actions`` as {"kind": "explicit", count, null_action} or
 {"kind": "assortment", n_products, max_size}; ``customers`` as
 [{weight, outcomes}].  Logit instances carry one shared ``mnl`` block
@@ -19,11 +19,12 @@ one call and so costs about half as much.  Saving the same instance twice
 produces identical bytes and a save/load cycle reproduces every number
 exactly.
 
-Loading names the first field that is missing (only a resource's
-``unit_price`` may be left out, for 0.0) or not of its JSON type (an
-integer field takes no float and no ``true``, a list field no object, an
-object field no list); ``mnl.n`` must equal the number of products and an
-mnl stub's ``customer`` must index ``mnl.customers``.
+Loading names the first field that is missing or not of its JSON type
+(an integer field takes no float and no ``true``, a list field no object,
+an object field no list); ``mnl.n`` must equal the number of products and
+an mnl stub's ``customer`` must index ``mnl.customers``.  Keys the format
+does not name are ignored, among them the ``unit_price`` that older
+writers put on each resource.
 
 Traces dump as JSON lines, one step per line.
 """
@@ -106,7 +107,6 @@ def _document(inst: Instance) -> dict:
             {
                 "capacity": r.capacity,
                 "survival": np.asarray(r.survival.surv, dtype=float).tolist(),
-                "unit_price": r.unit_price,
             }
             for r in inst.resources
         ],
@@ -276,12 +276,13 @@ def _get(obj, key, kind, *path):
 def instance_from_json(text: str) -> Instance:
     """The instance a JSON document describes.
 
-    Every field but ``resources[i].unit_price`` (default 0.0) must be
-    present.  Integer fields must be JSON integers and numeric fields JSON
-    numbers (``true`` is neither), list, object and string fields JSON
-    lists, objects and strings; ``reward_cap``, ``consumption_cap`` and an
-    mnl stub's ``customer`` may also be null.  ``mnl.n`` must be the number
-    of products and an mnl stub's ``customer`` an index into
+    Every field must be present; keys the format does not name, such as
+    an older file's ``resources[i].unit_price``, are ignored.  Integer
+    fields must be JSON integers and numeric fields JSON numbers (``true``
+    is neither), list, object and string fields JSON lists, objects and
+    strings; ``reward_cap``, ``consumption_cap`` and an mnl stub's
+    ``customer`` may also be null.  ``mnl.n`` must be the number of
+    products and an mnl stub's ``customer`` an index into
     ``mnl.customers``.  Any other value raises a :class:`ValueError` that
     names the field.  What the types cannot tell (a negative horizon,
     weights that do not sum to one) is left to
@@ -312,16 +313,11 @@ def instance_from_json(text: str) -> Instance:
         )
     specs = _get(doc, "resources", [_OBJECT])
     resources = [
-        ResourceSpec(
-            capacity=capacity,
-            survival=SurvivalCurve(surv),
-            unit_price=_get(r, "unit_price", _NUMBER, "resources", i) if "unit_price" in r else 0.0,
-        )
-        for i, (r, capacity, surv) in enumerate(zip(
-            specs,
+        ResourceSpec(capacity, SurvivalCurve(surv))
+        for capacity, surv in zip(
             _get(specs, "capacity", _NUMBER, "resources"),
             _get(specs, "survival", [_NUMBER], "resources"),
-        ))
+        )
     ]
     ad = _get(doc, "actions", _OBJECT)
     kind = _get(ad, "kind", _STRING, "actions")

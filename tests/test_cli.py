@@ -1,4 +1,5 @@
 import json
+import time
 
 import pytest
 
@@ -37,7 +38,7 @@ class TestValidate:
 
     @pytest.mark.parametrize("path, value, field", [
         (("resources", 0, "capacity"), float("inf"), "resources[0].capacity"),
-        (("resources", 0, "unit_price"), float("nan"), "resources[0].unit_price"),
+        (("resources", 0, "survival", 0), float("inf"), "resources[0].survival"),
         (("resources", 0, "survival", 1), float("nan"), "resources[0].survival"),
         (("customers", 1, "weight"), float("nan"), "customers[1].weight"),
         (("customers", 1, "outcomes", "rewards", 0, 1), float("nan"), "customers[1].outcomes: reward table"),
@@ -150,11 +151,16 @@ class TestSolveBenchmark:
         assert cap.out == ""
 
     def test_tableau_cap_skips(self, tmp_path, capsys):
-        # under the default variable cap, over the tableau cap (244 MB)
+        # 13,201 variables pass the default variable cap, but with 2,004
+        # rows the dense tableau would take 244 MB and the solve minutes
         path = tmp_path / "long.json"
         save_instance(path, generate_instance(GeneratorSpec(base_horizon=200, n_customers=5)))
+        start = time.perf_counter()
         assert main(["solve-benchmark", "--instance", str(path)]) == 0
-        assert "time-expanded rate: skipped (over the size cap)" in capsys.readouterr().out
+        assert time.perf_counter() - start < 20.0
+        out = capsys.readouterr().out
+        assert "time-expanded rate: skipped (over the size cap)" in out
+        assert float(out.split("steady-state rate: ")[1].split()[0]) > 0.0
 
 
 class TestSimulate:
@@ -302,7 +308,7 @@ def _set(doc, path, value):
     (hand_instance, ("reward_count",), None, "reward_count must be an integer"),
     (hand_instance, ("resources", 0, "capacity"), "5", "resources[0].capacity must be a number"),
     (hand_instance, ("resources", 0, "capacity"), True, "resources[0].capacity must be a number"),
-    (hand_instance, ("resources", 0, "unit_price"), [1], "resources[0].unit_price must be a number"),
+    (hand_instance, ("resources", 0, "survival", 0), True, "resources[0].survival must be a number"),
     (hand_instance, ("resources", 0, "survival", 1), "0.5", "resources[0].survival must be a number"),
     (hand_instance, ("resources", 0, "survival"), 0.5, "resources[0].survival must be a list, got 0.5"),
     (hand_instance, ("customers", 1, "weight"), "0.5", "customers[1].weight must be a number"),
@@ -366,10 +372,18 @@ def _dotted(path) -> str:
     return path[0] + "".join(f"[{p}]" if type(p) is int else f".{p}" for p in path[1:])
 
 
+def _older_doc(build) -> dict:
+    """``build(8)`` as older writers saved it, with a ``unit_price`` per resource."""
+    doc = json.loads(instance_to_json(build(8)))
+    for r in doc["resources"]:
+        r["unit_price"] = 1.0
+    return doc
+
+
 _DELETIONS = [
     (build, path)
     for build in (hand_instance, small_mnl_instance)
-    for path in _key_paths(json.loads(instance_to_json(build(8))))
+    for path in _key_paths(_older_doc(build))
 ]
 
 
@@ -377,8 +391,9 @@ _DELETIONS = [
     "build, path", _DELETIONS, ids=[f"{b.__name__}-{_dotted(p)}" for b, p in _DELETIONS]
 )
 def test_deleted_field_named(tmp_path, build, path, capsys):
-    """Every key but unit_price is required, and a missing one is named."""
-    doc = json.loads(instance_to_json(build(8)))
+    """Every key an older file carries is required but the ignored
+    unit_price, and a missing one is named."""
+    doc = _older_doc(build)
     node = doc
     for key in path[:-1]:
         node = node[key]

@@ -4,8 +4,9 @@ import time
 import numpy as np
 import pytest
 
-from helpers import hand_instance
-from reuselab import harness
+from helpers import hand_instance, small_mnl_instance, two_resource_instance
+from reuselab import harness, lp
+from reuselab.cli import main
 from reuselab.harness import (
     CSV_HEADER,
     GeneratorSpec,
@@ -18,10 +19,10 @@ from reuselab.harness import (
     trend_report,
     write_csv,
 )
-from reuselab.lp import solve_stage_lambda
+from reuselab.lp import TooLarge, plan_rates, solve_stage_lambda, solve_time_expanded
 from reuselab.mnl import MnlModel, build_mnl_instance
 from reuselab.model import AlgoConfig, Instance, SurvivalCurve, validate_instance
-from reuselab.serialize import instance_from_json, instance_to_json
+from reuselab.serialize import instance_from_json, instance_to_json, save_instance
 
 TINY_SPEC = GeneratorSpec(
     n_products=2,
@@ -84,13 +85,18 @@ class TestBenchmarks:
         assert bench.upper_bound == pytest.approx(hand.horizon * bench.lambda_ss, abs=1e-12)
 
     def test_time_expanded_diagnostic_present_when_small(self, hand):
-        bench = solve_benchmarks(hand)
-        assert bench.lambda_te is not None
-        assert bench.lambda_te + 1e-9 >= bench.lambda_ss
+        # solve-benchmark's diagnostic: the exact-occupancy LP starts with
+        # every resource free, so it is the looser of the two relaxations
+        p = hand.arrival_weights()
+        lam_te, _y = solve_time_expanded(hand, p)
+        assert lam_te + 1e-9 >= plan_rates(hand, p).lambda_
 
     def test_time_expanded_skipped_when_too_large(self, hand):
-        bench = solve_benchmarks(hand, te_cap=3)
-        assert bench.lambda_te is None
+        # solve-benchmark's --te-cap skip comes from this TooLarge; the
+        # planning values never depend on that LP
+        with pytest.raises(TooLarge):
+            solve_time_expanded(hand, hand.arrival_weights(), cap=3)
+        bench = solve_benchmarks(hand)
         assert bench.upper_bound == pytest.approx(hand.horizon * bench.lambda_ss)
 
     def test_time_expanded_skipped_over_tableau_cap(self):
@@ -98,14 +104,33 @@ class TestBenchmarks:
         # dense tableau would take 244 MB and the solve minutes
         inst = generate_instance(GeneratorSpec(base_horizon=200, n_customers=5))
         start = time.perf_counter()
+        with pytest.raises(TooLarge):
+            solve_time_expanded(inst, inst.arrival_weights())
         bench = solve_benchmarks(inst)
         assert time.perf_counter() - start < 20.0
-        assert bench.lambda_te is None
         assert bench.lambda_ss > 0.0
 
     def test_explicit_arrival_override(self, hand):
-        bench = solve_benchmarks(hand, p=[0.5, 0.5])
-        assert bench.lambda_ss == pytest.approx(0.5, abs=1e-9)
+        assert plan_rates(hand, [0.5, 0.5]).lambda_ == pytest.approx(0.5, abs=1e-9)
+
+    def test_planning_path_builds_no_time_expanded_lp(self, monkeypatch, tmp_path, capsys):
+        # experiments read lambda_ss, the rates and T * lambda_ss only;
+        # the time-expanded LP belongs to solve-benchmark alone
+        def boom(*_a, **_k):
+            raise AssertionError("time-expanded LP built")
+
+        monkeypatch.setattr(lp, "build_time_expanded_lp", boom)
+        inst = two_resource_instance(64)
+        run_experiment(inst, AlgoConfig(epsilon=0.25, gamma=1.0), ["static", "adaptive"], reps=1)
+        run_trend(scales=(1, 2, 4), reps=1, spec=TINY_SPEC, policies=("static",))
+        path = tmp_path / "inst.json"
+        save_instance(path, small_mnl_instance(48))
+        for argv in (
+            ["experiment", "--policy", "static,adaptive", "--reps", "2"],
+            ["simulate", "--policy", "adaptive"],
+            ["validate", "--epsilon", "0.25"],
+        ):
+            assert main([*argv, "--instance", str(path)]) == 0, capsys.readouterr().err
 
     def test_type_order_does_not_change_colgen_plan(self):
         # 15 products, size <= 5: 4944 assortments, past the enumeration
@@ -132,8 +157,8 @@ class TestBenchmarks:
         )
         null_first = instance_from_json(instance_to_json(null_first))
         assert validate_instance(null_first) == []
-        want = solve_benchmarks(inst, te_cap=0).lambda_ss
-        got = solve_benchmarks(null_first, te_cap=0).lambda_ss
+        want = solve_benchmarks(inst).lambda_ss
+        got = solve_benchmarks(null_first).lambda_ss
         assert got == pytest.approx(want, abs=1e-9)
         p_hat = np.array([0.5, 0.25, 0.25])  # model order: customers, then null
         want = solve_stage_lambda(inst, p_hat, 0.5).lambda_r

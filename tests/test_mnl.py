@@ -320,7 +320,6 @@ class TestInstance:
         assert validate_instance(mnl_inst) == []
         assert mnl_inst.null_type == mnl_inst.n_types - 1
         assert mnl_inst.reward_count == mnl_inst.n_resources == 3
-        assert [r.unit_price for r in mnl_inst.resources] == [1.0, 1.5, 2.0]
         assert mnl_inst.w_max == 2.0 and mnl_inst.a_max == 1.0
 
     def test_weight_shape_checked(self):

@@ -292,8 +292,6 @@ class TestValidateInstance:
     @pytest.mark.parametrize("field, value, where", [
         ("capacity", math.inf, "resources[0].capacity"),
         ("capacity", math.nan, "resources[0].capacity"),
-        ("unit_price", math.nan, "resources[0].unit_price"),
-        ("unit_price", math.inf, "resources[0].unit_price"),
     ])
     def test_catches_non_finite_resource_fields(self, field, value, where):
         inst = hand_instance()

@@ -857,7 +857,7 @@ class TestStageTailRejector:
         # adaptive does
         spec = GeneratorSpec(n_products=3, n_customers=4, base_horizon=50, base_capacity=5.0)
         inst = generate_instance(spec)
-        bench = solve_benchmarks(inst, te_cap=0)
+        bench = solve_benchmarks(inst)
         config = AlgoConfig(
             epsilon=0.03, gamma=scale_parameter(inst, bench.lambda_ss), tail_cutoff=5,
             relaxed_schedule=True,

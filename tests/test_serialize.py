@@ -53,7 +53,7 @@ def scalar_instance() -> Instance:
     noisy = ([[0.0, 1.0, 0.5]] * 2, [[0.0, 0.5, 1e-07]] * 2)
     return Instance(
         resources=[
-            ResourceSpec(5, SurvivalCurve([1.0, 1e-07, 5e-324]), unit_price=np.float64(0.1)),
+            ResourceSpec(5, SurvivalCurve([1.0, 1e-07, 5e-324])),
             ResourceSpec(np.float64(2.5), SurvivalCurve([np.float64(1.0), 0.5])),
         ],
         reward_count=2,
@@ -93,6 +93,20 @@ class TestRoundTrip:
         text = instance_to_json(inst)
         assert instance_to_json(instance_from_json(text)) == text
         assert text.endswith("\n")
+
+    def test_older_unit_price_key_is_ignored(self, tmp_path):
+        # older writers put a unit price on every resource: such a file
+        # loads, and saving it again drops the key
+        inst = small_mnl_instance()
+        doc = json.loads(instance_to_json(inst))
+        for r, price in zip(doc["resources"], [1.0, 1.5, 2.0]):
+            r["unit_price"] = price
+        path = tmp_path / "older.json"
+        path.write_text(json.dumps(doc, indent=2, sort_keys=True) + "\n")
+        back = load_instance(path)
+        save_instance(path, back)
+        assert all("unit_price" not in r for r in json.loads(path.read_text())["resources"])
+        assert path.read_text() == instance_to_json(inst)
 
     def test_file_round_trip(self, tmp_path):
         path = tmp_path / "inst.json"

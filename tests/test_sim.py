@@ -502,7 +502,7 @@ class TestReferenceLoop:
     def test_matches_reference_byte_for_byte(self):
         forced = {"mnl": 0, "explicit": 0}
         for n, inst in enumerate(self.instances()):
-            bench = solve_benchmarks(inst, te_cap=0)
+            bench = solve_benchmarks(inst)
             config = AlgoConfig(
                 epsilon=0.125,
                 gamma=max(scale_parameter(inst, bench.lambda_ss), 1e-3),
@@ -541,7 +541,7 @@ class TestReferenceLoop:
             _bernoulli(random_explicit_instance(np.random.default_rng(4), horizon=2000)),
         ]
         for n, inst in enumerate(instances):
-            bench = solve_benchmarks(inst, te_cap=0)
+            bench = solve_benchmarks(inst)
             config = AlgoConfig(
                 epsilon=0.125,
                 gamma=max(scale_parameter(inst, bench.lambda_ss), 1e-3),
