@@ -94,7 +94,12 @@ def _load_config(path) -> dict:
     return data
 
 
-def _resolve_config(args, inst, benchmarks) -> AlgoConfig:
+def _resolve_config(args, inst, lambda_ss) -> AlgoConfig:
+    """The config the flags and ``--config`` give, defaults filled in.
+
+    ``lambda_ss()`` returns the steady-state rate; it is called only when
+    gamma is derived, that is when neither a flag nor the file gives it.
+    """
     data = _load_config(args.config) if args.config else {}
     for name in _CONFIG_FLAGS:
         v = getattr(args, name)
@@ -104,7 +109,7 @@ def _resolve_config(args, inst, benchmarks) -> AlgoConfig:
     data.setdefault("delta", 0.0)
     data.setdefault("seed", 0)
     if "gamma" not in data:
-        data["gamma"] = scale_parameter(inst, benchmarks.lambda_ss)
+        data["gamma"] = scale_parameter(inst, lambda_ss())
     if "tail_cutoff" not in data:
         data["tail_cutoff"] = duration_tail_cutoff(
             [r.survival for r in inst.resources], data["delta"]
@@ -154,8 +159,7 @@ def _cmd_validate(args) -> int:
         f"actions={inst.actions.size}"
     )
     if args.config or any(getattr(args, name) is not None for name in _CONFIG_FLAGS):
-        bench = solve_benchmarks(inst)
-        config = _resolve_config(args, inst, bench)
+        config = _resolve_config(args, inst, lambda: solve_benchmarks(inst).lambda_ss)
         print(f"config ok: {config}")
     return 0
 
@@ -227,7 +231,7 @@ def _cmd_simulate(args) -> int:
     if args.reps < 1:
         raise ValueError(f"reps must be >= 1, got {args.reps}")
     bench = solve_benchmarks(inst)
-    config = _resolve_config(args, inst, bench)
+    config = _resolve_config(args, inst, lambda: bench.lambda_ss)
     labels = _policy_labels(args)
     if len(labels) != 1:
         raise ValueError("simulate plays exactly one policy")
@@ -263,7 +267,7 @@ def _cmd_experiment(args) -> int:
     if inst is None:
         return 2
     bench = solve_benchmarks(inst)
-    config = _resolve_config(args, inst, bench)
+    config = _resolve_config(args, inst, lambda: bench.lambda_ss)
     rows = run_experiment(
         inst,
         config,

@@ -30,9 +30,13 @@ pivots than Bland's lowest-index rule on the planning LPs.  After a run of
 rule until the next nondegenerate pivot, so it cannot cycle (see
 :func:`_pivot_loop`); the leaving row is the min-ratio row, ties to the
 lowest basic index, under both.  The path is deterministic.  Both phases
-share one pivot routine (:func:`_pivot`) and one objective-row setup; the
-entering and leaving scans are array ops, and a pivot loop allocates its
-scratch (including the rank-one update buffer) once.
+share one pivot routine (:func:`_pivot`) and one objective-row setup.  A
+pivot's rank-one update is one contiguous outer product into a buffer the
+pivot loop allocates once; both entering rules read one pricing vector
+(the reduced costs, +inf on banned columns) and the leaving scan is one
+min-reduction.  The outer product may give a zero entry of the tableau
+the other sign than a broadcasting multiply would; no pivot and no
+returned value depends on it (see :func:`_pivot`).
 
 Only an LP's live block goes on the tableau (:func:`_live_block`, a
 standard presolve step): the rows and columns reachable over the nonzero
@@ -203,14 +207,24 @@ def _pivot(tab, basis, row, col, buf):
     """Gauss-Jordan pivot on (row, col); col becomes basic in row.
 
     ``buf`` is caller-owned scratch of the tableau's shape: the rank-one
-    update is written there and subtracted, so a pivot allocates nothing
-    tableau-sized.
+    update, one IEEE product per entry, is written there as a contiguous
+    outer product (``einsum``, cheaper than a broadcasting multiply) and
+    subtracted, so a pivot allocates nothing tableau-sized.
+
+    ``einsum`` writes +0.0 where a broadcast multiply writes -0.0 for a
+    zero product, so a zero entry of the tableau may carry either sign;
+    every value, every pivot and every basis are the same.  No returned
+    value depends on that sign: x and lambda are formed by adding
+    ``lower``, ``shift`` or 0.0, which turns -0.0 into +0.0 (column
+    generation drops zero rates), and every test on a ratio, a dual or a
+    reduced cost compares it with a tolerance, which treats -0.0 and +0.0
+    alike.
     """
     piv = tab[row, col]
     tab[row] /= piv
     colvals = tab[:, col].copy()
     colvals[row] = 0.0
-    np.multiply(colvals[:, None], tab[row], out=buf)
+    np.einsum("i,j->ij", colvals, tab[row], out=buf)
     tab -= buf
     tab[:, col] = 0.0
     tab[row, col] = 1.0
@@ -237,20 +251,26 @@ def _pivot_loop(tab, basis, banned):
     Leaving, under either rule: min-ratio row, ties by lowest basic
     variable index.  Columns in ``banned`` never enter.
 
+    Both rules read one pricing vector, the reduced costs plus +inf on
+    banned columns: Dantzig's rule takes its argmin (the first minimum over
+    allowed columns, which is eligible exactly when it is below -tol),
+    Bland's rule its first entry below -tol, and the basis is optimal when
+    the chosen entry is not below -tol.  The min ratio is one reduction
+    with an initial +inf, which it keeps only when no entry of the column
+    passed ``_PIV_TOL`` (a zero-row tableau included).
+
     It cannot cycle (in exact arithmetic): a cycle returns to a basis, so
     the objective never rises along it and every pivot in it is
     degenerate.  A run of ``_BLAND_AFTER`` degenerate pivots hands over to
     Bland's rule, which does not cycle from any basis (Bland, Math. OR 2,
     1977), and only a nondegenerate pivot, which raises the objective past
-    every basis seen before, hands back.  The scratch arrays (eligibility
-    mask, pricing scores, ratios, pivot buffer) are allocated once per
-    call.
+    every basis seen before, hands back.  The scratch arrays (penalty,
+    pricing scores, ratios, pivot buffer) are allocated once per call.
     """
     m = basis.size
     if not banned.size:
         return "optimal"
-    allowed = ~banned
-    eligible = np.empty(banned.size, dtype=bool)
+    penalty = np.where(banned, np.inf, 0.0)
     scores = np.empty(banned.size)
     good = np.empty(m, dtype=bool)
     ratios = np.empty(m)
@@ -258,19 +278,19 @@ def _pivot_loop(tab, basis, banned):
     reduced, rhs = tab[m, :-1], tab[:m, -1]
     shaky = degenerate = 0
     for _ in range(_MAX_PIVOTS):
-        np.less(reduced, -_RC_TOL, out=eligible)
-        eligible &= allowed
+        np.add(reduced, penalty, out=scores)
         if degenerate < _BLAND_AFTER:
-            # ineligible columns score 0, above every eligible one
-            np.multiply(reduced, eligible, out=scores)
             enter = int(scores.argmin())
         else:
-            enter = int(eligible.argmax())
-        if not eligible[enter]:
+            enter = int((scores < -_RC_TOL).argmax())
+        if scores[enter] >= -_RC_TOL:
             return "optimal"
         col = tab[:m, enter]
         np.greater(col, _PIV_TOL, out=good)
-        if not good.any():
+        ratios.fill(np.inf)
+        np.divide(rhs, col, out=ratios, where=good)
+        rmin = float(np.minimum.reduce(ratios, initial=np.inf))
+        if rmin == math.inf:
             np.greater(col, _PIV_FLOOR, out=good)
             if not good.any():
                 return "unbounded"
@@ -279,11 +299,10 @@ def _pivot_loop(tab, basis, banned):
                 raise NumericalBreakdown(
                     "repeated pivots below magnitude 1e-9; tableau unreliable"
                 )
-        ratios.fill(np.inf)
-        np.divide(rhs, col, out=ratios, where=good)
-        rmin = ratios.min()
+            np.divide(rhs, col, out=ratios, where=good)
+            rmin = float(np.minimum.reduce(ratios, initial=np.inf))
         degenerate = degenerate + 1 if rmin <= _DEGENERATE else 0
-        tied = np.flatnonzero(ratios <= rmin * (1 + 1e-10) + 1e-15)
+        tied = (ratios <= rmin * (1 + 1e-10) + 1e-15).nonzero()[0]
         _pivot(tab, basis, int(tied[basis[tied].argmin()]), enter, buf)
     raise NumericalBreakdown(f"no convergence within {_MAX_PIVOTS} pivots")
 

@@ -66,8 +66,10 @@ class MnlModel:
     prices: (N,) per-unit rewards; defaults to all ones.
 
     ``attraction_rows`` is ``attractions.tolist()``, read once for
-    :func:`best_assortment`'s per-arrival loop.  It is built on first use,
-    so a model that is never priced (static or uniform play) holds no copy.
+    :func:`best_assortment`'s per-arrival loop, and ``price_list`` is
+    ``prices.tolist()``, read by :meth:`MnlOutcomes.best_action`.  Both are
+    built on first use, so a model that is never priced (static or uniform
+    play) holds no copy.
     """
 
     def __init__(self, features, cust_features, max_size, prices=None):
@@ -99,6 +101,10 @@ class MnlModel:
     @cached_property
     def attraction_rows(self) -> list:
         return self.attractions.tolist()
+
+    @cached_property
+    def price_list(self) -> list:
+        return self.prices.tolist()
 
     @property
     def n_products(self) -> int:
@@ -294,7 +300,7 @@ class MnlOutcomes(OutcomeModel):
             return space.null_action
         coef = [
             c - p * r
-            for c, p, r in zip(cost.tolist(), self.model.prices.tolist(), credit.tolist())
+            for c, p, r in zip(cost.tolist(), self.model.price_list, credit.tolist())
         ]
         return best_assortment(self.model, self.customer, coef)
 

@@ -37,8 +37,8 @@ def test_summary_counts_wins_ties_and_quartiles():
     assert bp.quartiles([7.0]) == {"median": 7.0, "q1": 7.0, "q3": 7.0, "iqr": 0.0, "n": 1}
 
 
-def test_tiny_pair_against_head(tmp_path):
-    bp = _bench_pairs()
+def _sides(bp, tmp_path):
+    """A checkout of HEAD and a copy of the working tree, by side."""
     parent, change = tmp_path / "parent", tmp_path / "change"
     parent.mkdir()
     try:
@@ -51,10 +51,15 @@ def test_tiny_pair_against_head(tmp_path):
     # the copy holds source files only: no .git, no bytecode caches
     assert copied > 0 and not (change / ".git").exists()
     assert not list(change.rglob("__pycache__"))
+    return {"parent": parent, "change": change}
+
+
+def test_tiny_pair_against_head(tmp_path):
+    bp = _bench_pairs()
     spec = json.loads((ROOT / "BENCHMARK.json").read_text())
     got = {
         side: bp.run_once(root, "replicate", 1, 0.3, size="tiny")
-        for side, root in (("parent", parent), ("change", change))
+        for side, root in _sides(bp, tmp_path).items()
     }
     assert got["parent"]["ok"] and got["change"]["ok"], got
     summary = bp.summarize(
@@ -62,6 +67,25 @@ def test_tiny_pair_against_head(tmp_path):
     )
     assert set(summary) == {m["name"] for m in spec["end_to_end"]}
     assert all(m["pairs"] == 1 for m in summary.values())
+
+
+def test_tiny_traced_pair_against_head(tmp_path):
+    # per-layer metrics are summarized as the end-to-end ones are; the
+    # adaptive workload solves no time-expanded LP, so that median is 0
+    bp = _bench_pairs()
+    spec = json.loads((ROOT / "BENCHMARK.json").read_text())
+    got = {
+        side: bp.run_once(root, "adaptive", 1, 0.3, size="tiny", trace=True)
+        for side, root in _sides(bp, tmp_path).items()
+    }
+    assert got["parent"]["ok"] and got["change"]["ok"], got
+    summary = bp.summarize(
+        [{side: got[side]["metrics"] for side in got}], spec["per_layer"]
+    )
+    assert set(summary) == {m["name"] for m in spec["per_layer"]}
+    assert all(m["pairs"] == 1 for m in summary.values())
+    assert summary["lp.solve_time_expanded_s"]["change_pct"] is None
+    assert summary["lp.solve_lp_us"]["parent"]["median"] > 0.0
 
 
 def test_unknown_workload_exits_2():

@@ -28,6 +28,25 @@ class TestValidate:
         assert rc == 0
         assert "config ok" in capsys.readouterr().out
 
+    @pytest.mark.parametrize("flags, solves", [
+        (["--gamma", "1.0", "--tail-cutoff", "2"], 0),
+        (["--config", "gamma.json"], 0),
+        (["--epsilon", "0.25"], 1),
+    ])
+    def test_steady_state_lp_solved_only_to_derive_gamma(
+        self, inst_file, tmp_path, monkeypatch, capsys, flags, solves
+    ):
+        (tmp_path / "gamma.json").write_text('{"gamma": 1.0}')
+        monkeypatch.chdir(tmp_path)
+        calls = []
+        plan_rates = harness._lp.plan_rates
+        monkeypatch.setattr(
+            harness._lp, "plan_rates", lambda *a: calls.append(a) or plan_rates(*a)
+        )
+        assert main(["validate", "--instance", inst_file, *flags]) == 0
+        assert "config ok" in capsys.readouterr().out
+        assert len(calls) == solves
+
     def test_invalid_instance(self, inst_file, capsys):
         doc = json.loads(open(inst_file).read())
         doc["customers"][1]["weight"] = 0.7  # weights no longer sum to 1

@@ -310,6 +310,96 @@ class TestPricing:
             solve_lp(diagonal(51))
 
 
+@pytest.fixture()
+def pinned_pivots(monkeypatch):
+    """Run the oracle's pivot loop beside every call of the package's.
+
+    Each call of ``lp._pivot_loop`` first runs ``oracles._pivot_loop`` on
+    copies of its tableau, basis and banned mask, with each module's
+    ``_pivot`` wrapped to record (row, col).  The two must take the same
+    pivots, return the same status and leave tableaux equal in value (a
+    zero may differ in sign).  Returns the pivot count of every call.
+    """
+    paths = {lp_module: [], oracles: []}
+    for module, path in paths.items():
+        def recording(tab, basis, row, col, *buf, pivot=module._pivot, path=path):
+            path.append((row, col))
+            return pivot(tab, basis, row, col, *buf)
+
+        monkeypatch.setattr(module, "_pivot", recording)
+    loop, counts = lp_module._pivot_loop, []
+
+    def both(tab, basis, banned):
+        ref_tab, ref_basis = tab.copy(), basis.copy()
+        for path in paths.values():
+            path.clear()
+        ref_status = oracles._pivot_loop(
+            ref_tab, ref_basis, banned.copy(), lp_module._BLAND_AFTER
+        )
+        status = loop(tab, basis, banned)
+        assert paths[lp_module] == paths[oracles]
+        assert status == ref_status
+        assert np.array_equal(tab, ref_tab) and np.array_equal(basis, ref_basis)
+        counts.append(len(paths[lp_module]))
+        return status
+
+    monkeypatch.setattr(lp_module, "_pivot_loop", both)
+    return counts
+
+
+class TestPivotPath:
+    """The pivot kernel takes the full-tableau oracle's pivots, one by one."""
+
+    def test_generated_lps(self, pinned_pivots):
+        for seed in (1, 2):
+            te, ss, cg = (
+                generate_instance(GeneratorSpec(seed=seed, **fields))
+                for fields in (
+                    dict(base_horizon=8, n_customers=4),
+                    dict(n_products=7, max_size=3, n_customers=6),
+                    dict(n_products=8, max_size=3, n_customers=4),
+                )
+            )
+            for lp in (
+                build_time_expanded_lp(te, te.arrival_weights())[0],
+                build_steady_state_lp(ss, ss.arrival_weights())[0],
+            ):
+                assert lp_module._solve_canonical(lp)[0] == "optimal"
+            # warm restarts: each colgen round resumes from the last basis
+            solve_steady_state_colgen(cg, cg.arrival_weights())
+        assert len(pinned_pivots) > 6 and min(pinned_pivots) >= 0 and max(pinned_pivots) > 50
+
+    @pytest.mark.parametrize("phase_one", [False, True])
+    def test_random_planted_lps(self, pinned_pivots, phase_one):
+        # with a phase 1, phase 2 runs with the artificials banned
+        rng = np.random.default_rng(7070 + phase_one)
+        statuses = [
+            lp_module._solve_canonical(random_planted_lp(rng, phase_one))[0] for _ in range(300)
+        ]
+        assert statuses.count("optimal") >= 100 and statuses.count("unbounded") >= 10
+        assert sum(pinned_pivots) > 300
+
+    def test_long_degenerate_run(self, pinned_pivots):
+        # Beale's LP cycles under Dantzig's rule: the loop makes
+        # _BLAND_AFTER degenerate pivots before Bland's rule breaks the cycle
+        lp = LinearProgram(
+            c=[0.75, -20.0, 0.5, -6.0],
+            A=[[0.25, -8.0, -1.0, 9.0], [0.5, -12.0, -0.5, 3.0], [0.0, 0.0, 1.0, 0.0]],
+            senses=["<=", "<=", "<="],
+            b=[0.0, 0.0, 1.0],
+        )
+        assert solve_lp(lp).status == "optimal"
+        assert pinned_pivots[0] > lp_module._BLAND_AFTER
+
+    def test_zero_row_tableau(self, pinned_pivots):
+        # no row is live: the tableau holds the objective row alone
+        for c, status in (([1.0, -1.0], "unbounded"), ([-1.0, -2.0], "optimal")):
+            lp = LinearProgram(c=c, A=[[0.0, 0.0]], senses=["<="], b=[1.0])
+            assert not live_block(lp)[0].any()
+            assert solve_lp(lp).status == status
+        assert pinned_pivots == [0, 0]
+
+
 def answer_bytes(answer):
     """Raw bytes of a (status, objective, x, duals) answer."""
     status, obj, x, duals = answer

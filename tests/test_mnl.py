@@ -152,6 +152,23 @@ class TestPricing:
             ww, aa = m.mean_outcomes(1, s)
             assert np.allclose(w, ww) and np.allclose(a, aa)
 
+    def test_best_action_coefficients_are_numpy_bytes(self, monkeypatch):
+        # best_action reads the model's cached price list; its coefficients
+        # are the bytes of numpy's cost - prices * credit
+        m = tiny_model()
+        seen = []
+        monkeypatch.setattr(
+            mnl, "best_assortment", lambda model, j, coef: seen.append(coef) or ()
+        )
+        om = MnlOutcomes(m, 1)
+        rng = np.random.default_rng(11)
+        for _ in range(25):
+            cost, credit = rng.random(3), rng.random(3) * 3.0
+            om.best_action(m.action_space(), cost, credit)
+            assert np.array(seen.pop()).tobytes() == (cost - m.prices * credit).tobytes()
+        assert m.price_list == m.prices.tolist()
+        assert m.price_list is m.price_list
+
 
 class TestEnumeration:
     def test_counts_and_order(self):

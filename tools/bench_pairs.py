@@ -2,11 +2,13 @@
 """Paired benchmark runs: a parent revision against the working tree.
 
     python3 tools/bench_pairs.py --rev HEAD --tag mytag --pairs 10 \\
-        --workloads replicate,adaptive,planning
+        --workloads replicate,adaptive,planning [--trace]
 
 Runs ``perfbench/run.py --trace 0`` alternately in a checkout of ``--rev``
 and in a copy of the working tree, for seeds 1 to ``--pairs`` and each
 chosen workload, each run lasting ``BENCHMARK.json``'s ``run_seconds``.
+With ``--trace`` the runs are ``--trace 1`` runs, and the per-layer
+metrics take the end-to-end metrics' place in everything below.
 Pair k runs the parent first when k is even and the working tree first
 when k is odd, so neither side always gets the warmer (or the quieter)
 machine.  Both sides run from fresh temporary directories, removed at the
@@ -17,9 +19,11 @@ starts with the other's bytecode caches or benchmark outputs.  The
 repository's own ``.git`` is left untouched.
 
 Writes ``BENCH_<tag>.json`` at the repository root: for every workload
-and every end-to-end metric in ``BENCHMARK.json``, each side's median,
-quartiles and interquartile range, and how many pairs the working tree
-won, lost and tied, plus every run's raw metrics.  Every run
+and every end-to-end (or, with ``--trace``, per-layer) metric in
+``BENCHMARK.json``, each side's median, quartiles and interquartile
+range, the change of the medians in percent (null when the parent's
+median is 0), and how many pairs the working tree won, lost and tied,
+plus every run's raw metrics.  Every run
 must print ``correct: true`` with ``failed: 0``; the tool says which did
 not and exits 1.  Uses only the standard library.
 """
@@ -51,7 +55,8 @@ def summarize(runs: list[dict], metrics: list[dict]) -> dict:
     """Per-metric sides and wins of the change over ``runs``' pairs.
 
     Each run is ``{"parent": {name: value}, "change": {name: value}}``;
-    ``metrics`` are ``BENCHMARK.json`` ``end_to_end`` entries.
+    ``metrics`` are ``BENCHMARK.json`` ``end_to_end`` or ``per_layer``
+    entries.
     """
     out = {}
     for m in metrics:
@@ -66,7 +71,10 @@ def summarize(runs: list[dict], metrics: list[dict]) -> dict:
             "better": m["better"],
             "parent": p_side,
             "change": c_side,
-            "change_pct": 100.0 * (c_side["median"] / p_side["median"] - 1.0),
+            "change_pct": (
+                100.0 * (c_side["median"] / p_side["median"] - 1.0)
+                if p_side["median"] else None
+            ),
             "wins": wins,
             "losses": len(runs) - wins - ties,
             "ties": ties,
@@ -75,11 +83,14 @@ def summarize(runs: list[dict], metrics: list[dict]) -> dict:
     return out
 
 
-def run_once(root: Path, workload: str, seed: int, seconds: float, size: str = "full") -> dict:
-    """One untraced benchmark run in ``root``; its metric values and checks."""
+def run_once(
+    root: Path, workload: str, seed: int, seconds: float, size: str = "full",
+    trace: bool = False,
+) -> dict:
+    """One benchmark run in ``root``; its metric values and checks."""
     cmd = [
         sys.executable, "perfbench/run.py", "--workload", workload, "--seed", str(seed),
-        "--seconds", str(seconds), "--trace", "0", "--size", size,
+        "--seconds", str(seconds), "--trace", str(int(trace)), "--size", size,
     ]
     proc = subprocess.run(cmd, cwd=root, capture_output=True, text=True)
     lines = proc.stdout.strip().splitlines()
@@ -132,6 +143,9 @@ def main(argv=None) -> int:
     ap.add_argument("--tag", required=True, help="writes BENCH_<tag>.json")
     ap.add_argument("--pairs", type=int, default=10)
     ap.add_argument("--workloads", default="replicate,adaptive,planning")
+    ap.add_argument(
+        "--trace", action="store_true", help="paired --trace 1 runs: per-layer metrics"
+    )
     args = ap.parse_args(argv)
     if args.pairs < 1:
         ap.error(f"--pairs must be >= 1, got {args.pairs}")
@@ -142,6 +156,8 @@ def main(argv=None) -> int:
     if unknown:
         ap.error(f"unknown workloads {', '.join(unknown)}; choose from {', '.join(known)}")
     seconds = spec["run_seconds"]
+    metrics = spec["per_layer"] if args.trace else spec["end_to_end"]
+    headline = "lp.self_pct" if args.trace else "round_s"
 
     with tempfile.TemporaryDirectory(prefix="bench_pairs_") as tmp:
         parent_root, change_root = Path(tmp) / "parent", Path(tmp) / "change"
@@ -153,6 +169,7 @@ def main(argv=None) -> int:
             "parent": parent_rev,
             "change": "working tree (copy)",
             "seconds": seconds,
+            "trace": args.trace,
             "pairs": args.pairs,
             "seeds": list(range(1, args.pairs + 1)),
             "workloads": {},
@@ -165,12 +182,12 @@ def main(argv=None) -> int:
                 got = {}
                 for side in order:
                     root = parent_root if side == "parent" else change_root
-                    got[side] = run_once(root, workload, seed, seconds)
+                    got[side] = run_once(root, workload, seed, seconds, trace=args.trace)
                     if not got[side]["ok"]:
                         failures.append(f"{workload} seed {seed} {side}: {got[side]}")
                 runs.append({"seed": seed, "first": order[0], **got})
                 print(f"{workload} seed {seed}: " + "  ".join(
-                    f"{side} round_s={got[side].get('metrics', {}).get('round_s', float('nan')):.4f}"
+                    f"{side} {headline}={got[side].get('metrics', {}).get(headline, float('nan')):.4g}"
                     for side in ("parent", "change")
                 ), flush=True)
             complete = [
@@ -179,17 +196,19 @@ def main(argv=None) -> int:
             ]
             report["workloads"][workload] = {
                 "all_correct": len(complete) == len(runs),
-                "metrics": summarize(complete, spec["end_to_end"]) if complete else {},
+                "metrics": summarize(complete, metrics) if complete else {},
                 "runs": runs,
             }
     out = ROOT / f"BENCH_{args.tag}.json"
     out.write_text(json.dumps(report, indent=1) + "\n")
+    width = max(len(m["name"]) for m in metrics)
     for workload, got in report["workloads"].items():
         for name, m in got["metrics"].items():
+            pct = "n/a" if m["change_pct"] is None else f"{m['change_pct']:+.1f}%"
             print(
-                f"{workload:9s} {name:11s} parent {m['parent']['median']:.4g} "
+                f"{workload:9s} {name:{width}s} parent {m['parent']['median']:.4g} "
                 f"(IQR {m['parent']['iqr']:.2g})  change {m['change']['median']:.4g} "
-                f"(IQR {m['change']['iqr']:.2g})  {m['change_pct']:+.1f}%  "
+                f"(IQR {m['change']['iqr']:.2g})  {pct}  "
                 f"wins {m['wins']}/{m['pairs']}"
             )
     for f in failures:
