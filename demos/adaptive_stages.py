@@ -68,11 +68,12 @@ def potential(rec, s):
         res += np.exp(log_mass).sum()
     cum_z = sum((w for w, _a in means), 0.0)
     shrink = math.log1p(-rec.eps_z)
-    drift = math.log1p(-rec.eps_z * rec.lam / (inst.w_max * (1.0 + eps)))
+    w_max = inst.w_max
+    drift = math.log1p(-rec.eps_z * rec.lam / (w_max * (1.0 + eps)))
     rew = np.exp(
-        (cum_z / inst.w_max) * shrink
+        (cum_z / w_max) * shrink
         + (L - s) * drift
-        - (1.0 - rec.eps_z) * L * rec.lam / inst.w_max * shrink
+        - (1.0 - rec.eps_z) * L * rec.lam / w_max * shrink
     )
     return float(res) + float(np.sum(rew))
 

@@ -18,7 +18,6 @@ from .model import (
     ExplicitActions,
     ExplicitOutcomes,
     Instance,
-    NoFeasibleTailCutoff,
     OutcomeModel,
     ResourceSpec,
     SurvivalCurve,
@@ -49,7 +48,6 @@ from .lp import (
     solve_time_expanded,
 )
 from .mnl import (
-    AssortmentTooLarge,
     MnlModel,
     MnlOutcomes,
     best_assortment,

@@ -2,7 +2,7 @@
 
 Verbs:
   validate         structural checks on an instance file (and a config)
-  solve-benchmark  steady-state / time-expanded LP values and upper bound
+  solve-benchmark  steady-state / time-expanded LP values and planning total
   simulate         play one policy for a few replications, optional dumps
   experiment       replicate several policies into a summary CSV
   trend            the scaling experiment on generated logit instances
@@ -29,29 +29,13 @@ from .harness import (
     solve_benchmarks,
     write_csv,
 )
-from .model import (
-    AlgoConfig,
-    BadEpsilon,
-    NoFeasibleTailCutoff,
-    duration_tail_cutoff,
-    scale_parameter,
-    validate_instance,
-)
+from .model import AlgoConfig, duration_tail_cutoff, scale_parameter, validate_instance
 from .lp import IterationLimit, NumericalBreakdown, TooLarge, solve_time_expanded
-from .mnl import AssortmentTooLarge
 from .policy import AdaptivePolicy, StageTailRejector
 from .serialize import load_instance, trace_to_jsonl
 from .sim import run_episode
 
-_USER_ERRORS = (
-    ValueError,
-    OSError,
-    json.JSONDecodeError,
-    BadEpsilon,
-    NoFeasibleTailCutoff,
-    TooLarge,
-    AssortmentTooLarge,
-)
+_USER_ERRORS = (ValueError, OSError)
 
 
 # AlgoConfig fields settable by flag; each flag is None unless given
@@ -110,7 +94,8 @@ def _resolve_config(args, inst, lambda_ss) -> AlgoConfig:
     data.setdefault("seed", 0)
     if "gamma" not in data:
         data["gamma"] = scale_parameter(inst, lambda_ss())
-    if "tail_cutoff" not in data:
+    # an invalid delta keeps the default cutoff, so that check names delta itself
+    if "tail_cutoff" not in data and 0.0 <= data["delta"] < 1.0:
         data["tail_cutoff"] = duration_tail_cutoff(
             [r.survival for r in inst.resources], data["delta"]
         )
@@ -132,6 +117,8 @@ def _policy_labels(args) -> list[str]:
 def _with_saa(label: str, m: int) -> str:
     """``label`` planning on an m-draw subsample: +saa<m> goes before +tailguard."""
     base, guard, rest = label.partition("+tailguard")
+    if "+saa" in base:
+        raise ValueError(f"--saa-sample {m}: policy label {label!r} already carries +saa")
     if base in ("uniform", "null"):
         return label
     return f"{base}+saa{m}{guard}{rest}"
@@ -320,7 +307,7 @@ def _parser() -> argparse.ArgumentParser:
     _add_config_flags(v)
     v.set_defaults(func=_cmd_validate)
 
-    b = sub.add_parser("solve-benchmark", help="planning LP values and upper bound")
+    b = sub.add_parser("solve-benchmark", help="planning LP values and planning total")
     b.add_argument("--instance", required=True)
     b.add_argument("--delta", type=float, default=0.0)
     b.add_argument("--te-cap", type=int, default=20_000)

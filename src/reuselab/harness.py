@@ -164,8 +164,9 @@ def make_policy(name: str, inst: Instance, config: AlgoConfig, benchmarks: Bench
     """Build a policy from its label.
 
     Labels: static, adaptive, uniform, null, hybrid<s>; any of them may
-    carry +saa<m> (plan on an m-draw subsample instead of full
-    information) and/or +tailguard (refuse allocations near stage ends).
+    carry +tailguard (refuse allocations near stage ends), and all but
+    uniform and null, which plan nothing, +saa<m> (plan on an m-draw
+    subsample instead of full information).
     """
     m = _NAME_RE.match(name)
     if not m:
@@ -174,6 +175,8 @@ def make_policy(name: str, inst: Instance, config: AlgoConfig, benchmarks: Bench
     saa = int(m.group("saa")) if m.group("saa") else None
     if saa is not None and saa < 1:
         raise ValueError(f"policy label {name!r}: +saa needs at least one draw")
+    if saa is not None and base in ("uniform", "null"):
+        raise ValueError(f"policy label {name!r}: {base} plans nothing, so +saa does not apply")
 
     def saa_rates():
         rng = np.random.default_rng(np.random.SeedSequence([config.seed, 101]))

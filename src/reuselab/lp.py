@@ -95,6 +95,8 @@ _PIV_FLOOR = 1e-12    # below this a column counts as zero
 _DEGENERATE = 1e-12   # a pivot whose min ratio is at most this is degenerate
 _BLAND_AFTER = 50     # consecutive degenerate pivots before Bland's rule
 _MAX_PIVOTS = 200_000
+_COLGEN_ROUNDS = 500   # restricted masters before column generation gives up
+_COLGEN_RC_TOL = 1e-7  # reduced cost a priced column needs to enter the master
 
 ENUMERATION_CAP = 4096  # largest action space the dense builders will expand
 TE_TABLEAU_CAP_MB = 64  # largest dense tableau the time-expanded LP may need
@@ -747,16 +749,14 @@ def solve_steady_state_colgen(
     inst: Instance,
     p,
     pricing=None,
-    max_rounds: int = 500,
-    rc_tol: float = 1e-7,
 ) -> SteadyStateSolution:
     """Steady-state LP by column generation.
 
     The restricted master starts with one null column per type.  Each round
     prices one candidate column per type against the master duals and adds
-    those with reduced cost above ``rc_tol``.  Stops when no column
+    those with reduced cost above ``_COLGEN_RC_TOL``.  Stops when no column
     improves; raises :class:`IterationLimit` (carrying the incumbent) after
-    ``max_rounds`` masters.  ``pricing(j, alpha, rho)`` returns (action,
+    ``_COLGEN_ROUNDS`` masters.  ``pricing(j, alpha, rho)`` returns (action,
     mean rewards, mean consumption); by default each type's own outcome
     model prices it through ``best_action``.
 
@@ -767,8 +767,6 @@ def solve_steady_state_colgen(
     the incumbent of an :class:`IterationLimit`, is certified primal and
     dual against the master LP rebuilt over its columns.
     """
-    if max_rounds < 1:
-        raise ValueError("max_rounds must be at least 1")
     p = np.asarray(p, dtype=float)
     R, C, J = inst.reward_count, inst.n_resources, inst.n_types
     m = R + C + J
@@ -789,7 +787,7 @@ def solve_steady_state_colgen(
     # tableau columns: null columns, the worst-rate variable, slacks and
     # artificials, then every added column in the order it was priced
     n_start = banned.size
-    for rnd in range(max_rounds):
+    for rnd in range(_COLGEN_ROUNDS):
         if status != "optimal":
             raise NumericalBreakdown(f"restricted master came back {status}")
         duals = g * tab[m, start]
@@ -802,10 +800,10 @@ def solve_steady_state_colgen(
                 continue
             action, wcol, acol = pricing(j, alpha, rho)
             rc = p[j] * (rho @ wcol - (alpha * d) @ acol) - beta[j]
-            if rc > rc_tol and (j, action) not in colset:
+            if rc > _COLGEN_RC_TOL and (j, action) not in colset:
                 new.append((j, action, wcol, acol))
                 colset.add((j, action))
-        if not new or rnd == max_rounds - 1:
+        if not new or rnd == _COLGEN_ROUNDS - 1:
             break
         types, actions, wcols, acols = zip(*new)
         block = _steady_state_block(
@@ -831,7 +829,7 @@ def solve_steady_state_colgen(
     # + 0.0 reports a -0.0 optimum as 0.0, as solve_lp does
     sol = SteadyStateSolution(float(tab[m, -1] + 0.0), rates)
     if new:
-        raise IterationLimit(f"no convergence in {max_rounds} rounds", incumbent=sol)
+        raise IterationLimit(f"no convergence in {_COLGEN_ROUNDS} rounds", incumbent=sol)
     return sol
 
 

@@ -28,7 +28,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .lp import ENUMERATION_CAP
+from .lp import ENUMERATION_CAP, TooLarge
 from .model import (
     AssortmentActions,
     CustomerType,
@@ -40,7 +40,6 @@ from .model import (
 __all__ = [
     "MnlModel",
     "MnlOutcomes",
-    "AssortmentTooLarge",
     "best_assortment",
     "make_assortment_pricing",
     "build_mnl_instance",
@@ -51,10 +50,6 @@ __all__ = [
 # the cache is emptied when full, so uniform play over a large space holds
 # at most this many.
 _CUM_CACHE = 64
-
-
-class AssortmentTooLarge(ValueError):
-    """An operation would enumerate more assortments than its cap allows."""
 
 
 class MnlModel:
@@ -306,7 +301,7 @@ class MnlOutcomes(OutcomeModel):
 
     def mean_matrix(self, space):
         if space.size > ENUMERATION_CAP:
-            raise AssortmentTooLarge(
+            raise TooLarge(
                 f"mean tables over {space.size} assortments exceed the cap"
             )
         # one size block at a time, in the arithmetic of choice_probability:

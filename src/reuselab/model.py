@@ -30,7 +30,6 @@ import numpy as np
 
 __all__ = [
     "BadEpsilon",
-    "NoFeasibleTailCutoff",
     "SurvivalCurve",
     "ResourceSpec",
     "OutcomeModel",
@@ -50,10 +49,6 @@ __all__ = [
 
 class BadEpsilon(ValueError):
     """The exploration rate cannot produce an exact doubling schedule."""
-
-
-class NoFeasibleTailCutoff(ValueError):
-    """No cutoff within the allowed range brings all duration tails under delta."""
 
 
 class SurvivalCurve:
@@ -119,28 +114,22 @@ class ResourceSpec:
     survival: SurvivalCurve
 
 
-def duration_tail_cutoff(curves, delta: float, horizon: int | None = None) -> int:
-    """Smallest cutoff in 1..horizon with every tail mass past it at most delta.
+def duration_tail_cutoff(curves, delta: float) -> int:
+    """Smallest cutoff h >= 1 with every tail mass past it at most delta.
 
     The tail mass of a curve past cutoff ``h`` is ``sum_{u > h} Pr(D >= u)``.
-    Bounded-support curves always admit their own length, so with the default
-    horizon (the longest curve) this cannot fail; a shorter explicit horizon
-    can raise :class:`NoFeasibleTailCutoff`.
+    Bounded-support curves always admit their own length, so only a
+    negative or NaN ``delta`` finds no cutoff; that raises a ``ValueError``
+    naming it.
     """
     curves = list(curves)
     if not curves:
         return 1
-    cap = max(len(c) for c in curves)
-    if horizon is not None:
-        cap = min(cap, horizon) if horizon >= 1 else 0
-    # suffix sums per curve, padded so tails(h) = sum_{u >= h+1} surv[u-1]
-    for h in range(1, max(cap, 1) + 1):
+    for h in range(1, max(len(c) for c in curves) + 1):
         worst = max(float(c.surv[h:].sum()) for c in curves)
         if worst <= delta + 1e-12:
             return h
-    raise NoFeasibleTailCutoff(
-        f"no cutoff <= {cap} brings all duration tails under {delta}"
-    )
+    raise ValueError(f"no tail cutoff brings every duration tail under delta = {delta}")
 
 
 class OutcomeModel:
@@ -446,8 +435,10 @@ class Instance:
 
     ``reward_count`` is the number of reward indices the planner must balance
     (the objective is the minimum over them of the accumulated reward).
-    ``w_max`` / ``a_max`` are scalar support bounds over all outcomes; when
-    omitted they are derived from the outcome models' declared bounds.
+    ``w_max`` / ``a_max`` are the scalar reward and consumption support
+    bounds over all outcomes, read from the customers' outcome models on
+    every access: nothing is stored, so a ``dataclasses.replace`` copy with
+    other customers has its own bounds.
     """
 
     resources: list
@@ -456,18 +447,16 @@ class Instance:
     actions: object
     horizon: int
     null_type: int = 0
-    w_max: float | None = None
-    a_max: float | None = None
 
-    def __post_init__(self):
-        if self.w_max is None or self.a_max is None:
-            bounds = [c.outcomes.bounds() for c in self.customers]
-            wb = max((w for w, _a in bounds), default=0.0)
-            ab = max((a for _w, a in bounds), default=0.0)
-            if self.w_max is None:
-                self.w_max = float(wb)
-            if self.a_max is None:
-                self.a_max = float(ab)
+    @property
+    def w_max(self) -> float:
+        """Largest reward any customer's outcomes can produce."""
+        return float(max((c.outcomes.bounds()[0] for c in self.customers), default=0.0))
+
+    @property
+    def a_max(self) -> float:
+        """Largest consumption any customer's outcomes can produce."""
+        return float(max((c.outcomes.bounds()[1] for c in self.customers), default=0.0))
 
     @property
     def n_resources(self):
@@ -503,12 +492,13 @@ def scale_parameter(inst: Instance, lambda_ss: float) -> float:
     units of the largest single consumption, and the target total reward in
     units of the largest single reward.
     """
-    if inst.a_max > 0:
-        cap_side = min(r.capacity for r in inst.resources) / inst.a_max if inst.resources else math.inf
+    a_max, w_max = inst.a_max, inst.w_max
+    if a_max > 0:
+        cap_side = min(r.capacity for r in inst.resources) / a_max if inst.resources else math.inf
     else:
         cap_side = math.inf
-    if inst.w_max > 0:
-        rew_side = inst.horizon * lambda_ss / inst.w_max
+    if w_max > 0:
+        rew_side = inst.horizon * lambda_ss / w_max
     else:
         rew_side = 0.0
     return float(min(cap_side, rew_side))
@@ -605,29 +595,25 @@ class AlgoConfig:
             return self.eta
         return self.epsilon / (5.0 * self.n_stages)
 
-    def violations(self, T: int | None = None) -> list[str]:
-        """Invalid fields as messages; an empty list means valid.
+    def violations(self, T: int) -> list[str]:
+        """Invalid fields for horizon ``T`` as messages; an empty list means valid.
 
-        The epsilon checks are :func:`stage_schedule`'s own.  Without a
-        horizon it is asked for T = 2^n_stages, which every power-of-two
-        epsilon divides, so only the horizon-free checks can fail.
+        The epsilon checks are :func:`stage_schedule`'s own.
         """
         out = []
-        eps_ok = 0.0 < self.epsilon <= 0.5
-        probe = T if T is not None else (1 << self.n_stages if eps_ok else 1)
         try:
-            stage_schedule(probe, self.epsilon, self.relaxed_schedule)
+            stage_schedule(T, self.epsilon, self.relaxed_schedule)
         except BadEpsilon as exc:
             out.append(str(exc))
         if not (0.0 <= self.delta < 1.0):
             out.append(f"delta must lie in [0, 1), got {self.delta}")
         if self.tail_cutoff < 1:
             out.append(f"tail cutoff must be >= 1, got {self.tail_cutoff}")
-        if T is not None and self.epsilon * T < self.tail_cutoff - 1e-9:
+        if self.epsilon * T < self.tail_cutoff - 1e-9:
             out.append(
                 f"epsilon must be >= tail_cutoff/T = {self.tail_cutoff}/{T}"
             )
-        if eps_ok or self.eta is not None:
+        if 0.0 < self.epsilon <= 0.5 or self.eta is not None:
             eta = self.eta_value()
             if not (0.0 < eta < 1.0):
                 out.append(f"eta must lie in (0, 1), got {eta}")
@@ -637,8 +623,8 @@ class AlgoConfig:
             out.append("seed must fit in 64 bits")
         return out
 
-    def check(self, T: int | None = None):
-        """Raise ``ValueError("config: ...")`` naming every violation."""
+    def check(self, T: int):
+        """Raise ``ValueError("config: ...")`` naming every violation for horizon ``T``."""
         problems = self.violations(T)
         if problems:
             raise ValueError("config: " + "; ".join(problems))
@@ -693,11 +679,6 @@ def validate_instance(inst: Instance) -> list[str]:
             if om.consumption.shape[0] != inst.n_resources:
                 out.append(f"customers[{j}]: consumption table has {om.consumption.shape[0]} rows, expected {inst.n_resources}")
             out.extend(om.violations(f"customers[{j}].outcomes"))
-        wb, ab = om.bounds()
-        if wb > inst.w_max + 1e-12:
-            out.append(f"customers[{j}]: reward bound {wb} exceeds instance w_max {inst.w_max}")
-        if ab > inst.a_max + 1e-12:
-            out.append(f"customers[{j}]: consumption bound {ab} exceeds instance a_max {inst.a_max}")
         # the null action must be worthless for every type
         try:
             w0, a0 = om.means(space.null_action)

@@ -75,17 +75,14 @@ def reward_margin(
     eta: float,
     stage_len: int,
     lam: float,
-) -> float:
-    """Concentration margin for the per-step reward target of one stage.
+) -> tuple[float, bool]:
+    """(margin, clamped): the concentration margin for the per-step reward
+    target of one stage, and whether it was clamped.
 
-    Clamped to 0.99 (with a warning) when the stage is too short for the
-    target: the weight updates stay well defined, the guarantee does not.
+    The margin is clamped to 0.99 (with a warning) when the stage is too
+    short for the target: the weight updates stay well defined, the
+    guarantee does not.
     """
-    return _reward_margin(w_max, epsilon, n_indices, n_stages, eta, stage_len, lam)[0]
-
-
-def _reward_margin(w_max, epsilon, n_indices, n_stages, eta, stage_len, lam):
-    """(margin, clamped): :func:`reward_margin` and whether it was clamped."""
     ez = math.sqrt(
         2.0 * w_max * (1.0 + epsilon) * math.log(2.0 * n_indices * n_stages / eta)
         / (stage_len * lam)
@@ -206,7 +203,8 @@ def init_penalty_weights(
     reward weights start at the negative of the full-stage drift so that a
     policy exactly on target ends the stage at magnitude about eps_z/w_max.
     """
-    if inst.w_max <= 0.0:
+    w_max = inst.w_max
+    if w_max <= 0.0:
         raise ValueError("adaptive weights need a positive reward bound")
     eps, gamma, delta = config.epsilon, config.gamma, config.delta
     caps = inst.capacities()
@@ -226,19 +224,19 @@ def init_penalty_weights(
     steps[:, 0] = lead
     np.cumsum(steps, axis=1, out=log_resource[:, 1:])
     log_shrink = math.log1p(-eps_z)
-    log_drift = math.log1p(-eps_z * lam / (inst.w_max * (1.0 + eps)))
+    log_drift = math.log1p(-eps_z * lam / (w_max * (1.0 + eps)))
     mag = (
         math.log(eps_z)
-        - math.log(inst.w_max)
+        - math.log(w_max)
         + (stage_len - 1) * log_drift
-        - (1.0 - eps_z) * stage_len * lam / inst.w_max * log_shrink
+        - (1.0 - eps_z) * stage_len * lam / w_max * log_shrink
     )
     return PenaltyWeights(
         stage_len=stage_len,
         gamma=gamma,
         lam=lam,
         eps_z=eps_z,
-        w_max=inst.w_max,
+        w_max=w_max,
         caps=caps,
         surv=surv,
         log_surv=log_surv,
@@ -349,13 +347,12 @@ class _RateTables:
     cost.
     """
 
-    def __init__(self, inst: Instance, rates, epsilon: float):
-        x = rates.x if isinstance(rates, SteadyStateSolution) else dict(rates)
+    def __init__(self, inst: Instance, rates: SteadyStateSolution, epsilon: float):
         null = inst.actions.null_action
         self.null = null
         self.actions = [[] for _ in range(inst.n_types)]
         per_type: dict = {}
-        for (j, k), v in x.items():
+        for (j, k), v in rates.x.items():
             if k != null and v > 0.0:
                 per_type.setdefault(j, []).append((k, v))
         self.cum = []
@@ -377,7 +374,7 @@ class _RateTables:
 class StaticPolicy:
     """Play LP rates shrunk by 1/(1+epsilon), the slack going to null."""
 
-    def __init__(self, rates, epsilon: float):
+    def __init__(self, rates: SteadyStateSolution, epsilon: float):
         self.rates = rates
         self.epsilon = epsilon
         self.name = "static"
@@ -526,7 +523,7 @@ class AdaptivePolicy:
                 )
             else:
                 lam = est.lambda_r
-                eps_z, clamped = _reward_margin(
+                eps_z, clamped = reward_margin(
                     self.inst.w_max,
                     self.config.epsilon,
                     self._n_indices,
@@ -598,7 +595,7 @@ class HybridPolicy(AdaptivePolicy):
     is the adaptive policy draw for draw.
     """
 
-    def __init__(self, config: AlgoConfig, rates, s_switch: int, **kwargs):
+    def __init__(self, config: AlgoConfig, rates: SteadyStateSolution, s_switch: int, **kwargs):
         super().__init__(config, **kwargs)
         self.rates = rates
         self.s_switch = int(s_switch)

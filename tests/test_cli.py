@@ -98,6 +98,7 @@ class TestValidate:
     @pytest.mark.parametrize("flag", [
         ["--eta", "3"], ["--gamma", "-1"], ["--delta", "1.5"],
         ["--tail-cutoff", "0"], ["--seed", str(2**64)],
+        ["--delta", "-0.1"], ["--delta", "nan"],
     ])
     def test_every_config_flag_is_checked(self, inst_file, flag, capsys):
         assert main(["validate", "--instance", inst_file, *flag]) == 2
@@ -280,6 +281,25 @@ class TestExperiment:
         assert cap.err.startswith(err)
         assert cap.err.count("\n") == 1
         assert not path.exists()
+
+    @pytest.mark.parametrize("argv, err", [
+        (["--policy", "static+saa5", "--saa-sample", "10"],
+         "error: --saa-sample 10: policy label 'static+saa5' already carries +saa\n"),
+        (["--policy", "uniform+saa5"],
+         "error: policy label 'uniform+saa5': uniform plans nothing, so +saa does not apply\n"),
+    ], ids=["saa-twice", "saa-on-uniform"])
+    def test_subsample_label_conflicts_rejected(self, inst_file, argv, err, capsys):
+        assert main(["experiment", "--instance", inst_file, *argv, "--reps", "1"]) == 2
+        assert capsys.readouterr().err == err
+
+    def test_saa_sample_skips_unplanned_policies(self, inst_file, capsys):
+        rc = main([
+            "experiment", "--instance", inst_file, "--policy", "static,uniform",
+            "--saa-sample", "10", "--reps", "1",
+        ])
+        assert rc == 0
+        out = capsys.readouterr().out
+        assert out.startswith("static+saa10: mean=") and "\nuniform: mean=" in out
 
     @pytest.mark.parametrize("policy", [",", "", " , "])
     def test_empty_policy_list_rejected(self, inst_file, tmp_path, policy, capsys):

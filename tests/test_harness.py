@@ -1,5 +1,7 @@
 import math
+import re
 import time
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -21,7 +23,7 @@ from reuselab.harness import (
 )
 from reuselab.lp import TooLarge, plan_rates, solve_stage_lambda, solve_time_expanded
 from reuselab.mnl import MnlModel, build_mnl_instance
-from reuselab.model import AlgoConfig, Instance, SurvivalCurve, validate_instance
+from reuselab.model import AlgoConfig, Instance, SurvivalCurve, scale_parameter, validate_instance
 from reuselab.serialize import instance_from_json, instance_to_json, save_instance
 
 TINY_SPEC = GeneratorSpec(
@@ -208,6 +210,12 @@ class TestMakePolicy:
         with pytest.raises(ValueError, match="at least one draw"):
             self.build(label)
 
+    @pytest.mark.parametrize("label", ["uniform+saa5", "null+saa5+tailguard"])
+    def test_subsample_on_unplanned_policy_rejected(self, label):
+        # these used to play and report the label without its +saa
+        with pytest.raises(ValueError, match=re.escape(f"policy label '{label}'")):
+            self.build(label)
+
 
 class TestRunExperiment:
     def rows(self, reps=4, policies=("null", "static", "adaptive")):
@@ -227,6 +235,30 @@ class TestRunExperiment:
             assert row.gap_pct == pytest.approx(want, rel=1e-12)
             assert len(row.min_rewards) == 4
             assert row.mean == pytest.approx(np.mean(row.min_rewards))
+
+    def test_replace_copy_plays_on_its_own_bounds(self):
+        # a replace copy used to keep its original's w_max and a_max: here
+        # w_max 1.98 instead of 5.94, so gamma and the adaptive weights
+        # were those of the cheaper products
+        inst = generate_instance(GeneratorSpec(seed=1, base_horizon=256))
+        m = inst.customers[0].outcomes.model
+        fresh = build_mnl_instance(
+            MnlModel(m.features, m.cust_features, m.max_size, 3.0 * m.prices),
+            inst.capacities(),
+            [r.survival for r in inst.resources],
+            inst.horizon,
+            inst.arrival_weights(),
+        )
+        copy = replace(inst, customers=fresh.customers)
+        got = []
+        for a in (copy, fresh):
+            bench = solve_benchmarks(a)
+            gamma = scale_parameter(a, bench.lambda_ss)
+            config = AlgoConfig(epsilon=0.25, gamma=gamma)
+            (row,) = run_experiment(a, config, ["adaptive"], reps=3, benchmarks=bench)
+            got.append([a.w_max, a.a_max, gamma, row.mean, row.std])
+        assert np.array(got[0]).tobytes() == np.array(got[1]).tobytes()
+        assert got[0][0] == 3.0 * inst.w_max
 
     def test_deterministic_given_seed(self):
         a = self.rows(policies=("static", "adaptive"))

@@ -756,13 +756,10 @@ class TestColumnGeneration:
         assert ref.status == 0
         assert cg.lambda_ == pytest.approx(-ref.fun, abs=1e-7)
 
-    def test_round_cap_must_allow_a_master(self, two_res):
-        with pytest.raises(ValueError):
-            solve_steady_state_colgen(two_res, two_res.arrival_weights(), max_rounds=0)
-
-    def test_round_cap_carries_incumbent(self, two_res):
+    def test_round_cap_carries_incumbent(self, two_res, monkeypatch):
+        monkeypatch.setattr(lp_module, "_COLGEN_ROUNDS", 1)
         with pytest.raises(IterationLimit) as exc:
-            solve_steady_state_colgen(two_res, two_res.arrival_weights(), max_rounds=1)
+            solve_steady_state_colgen(two_res, two_res.arrival_weights())
         assert exc.value.incumbent is not None
         assert exc.value.incumbent.lambda_ == pytest.approx(0.0, abs=1e-9)
 

@@ -13,9 +13,8 @@ from oracles import (
     reference_sample_uniform,
 )
 from reuselab import mnl
-from reuselab.lp import solve_steady_state, solve_steady_state_colgen
+from reuselab.lp import TooLarge, solve_steady_state, solve_steady_state_colgen
 from reuselab.mnl import (
-    AssortmentTooLarge,
     MnlModel,
     MnlOutcomes,
     best_assortment,
@@ -324,7 +323,7 @@ class TestOutcomes:
         class Huge:
             size = 10**9
 
-        with pytest.raises(AssortmentTooLarge):
+        with pytest.raises(TooLarge):
             om.mean_matrix(Huge())
 
     def test_customer_index_checked(self):

@@ -11,7 +11,6 @@ from oracles import reference_duration
 from reuselab.model import (
     AlgoConfig,
     BadEpsilon,
-    NoFeasibleTailCutoff,
     ResourceSpec,
     SurvivalCurve,
     duration_tail_cutoff,
@@ -91,13 +90,13 @@ class TestTailCutoff:
         assert duration_tail_cutoff(curves, 0.25) == 2
         assert duration_tail_cutoff(curves, 0.75) == 1
 
-    def test_short_horizon_raises(self):
-        curves = [SurvivalCurve([1.0, 1.0, 1.0])]
-        with pytest.raises(NoFeasibleTailCutoff):
-            duration_tail_cutoff(curves, 0.0, horizon=2)
-
     def test_no_curves(self):
         assert duration_tail_cutoff([], 0.0) == 1
+
+    @pytest.mark.parametrize("delta", [-0.1, math.nan])
+    def test_negative_or_nan_delta_named(self, delta):
+        with pytest.raises(ValueError, match=f"delta = {delta}"):
+            duration_tail_cutoff([SurvivalCurve([1.0, 0.5])], delta)
 
 
 class TestStageSchedule:
@@ -185,17 +184,17 @@ class TestAlgoConfig:
         assert cfg.violations(1024) == []
 
     def test_violations_catch_bad_fields(self):
-        assert AlgoConfig(epsilon=0.3, gamma=1.0).violations()
-        assert AlgoConfig(epsilon=0.25, gamma=-1.0).violations()
-        assert AlgoConfig(epsilon=0.25, gamma=1.0, delta=1.0).violations()
-        assert AlgoConfig(epsilon=0.25, gamma=1.0, tail_cutoff=0).violations()
-        assert AlgoConfig(epsilon=0.25, gamma=1.0, eta=1.5).violations()
+        assert AlgoConfig(epsilon=0.3, gamma=1.0).violations(16)
+        assert AlgoConfig(epsilon=0.25, gamma=-1.0).violations(16)
+        assert AlgoConfig(epsilon=0.25, gamma=1.0, delta=1.0).violations(16)
+        assert AlgoConfig(epsilon=0.25, gamma=1.0, tail_cutoff=0).violations(16)
+        assert AlgoConfig(epsilon=0.25, gamma=1.0, eta=1.5).violations(16)
         # epsilon * T not integral
         assert AlgoConfig(epsilon=0.25, gamma=1.0).violations(10)
         # tail cutoff longer than the exploration stage
         assert AlgoConfig(epsilon=0.25, gamma=1.0, tail_cutoff=5).violations(8)
         for eps in (0.0, -0.1, math.nan):
-            for T in (None, 16):
+            for T in (1, 16):
                 got = AlgoConfig(epsilon=eps, gamma=1.0).violations(T)
                 assert got[0] == f"epsilon must lie in (0, 1/2], got {eps}"
 
@@ -212,12 +211,12 @@ class TestAlgoConfig:
             st.floats(min_value=0.001, max_value=0.6),
             st.integers(min_value=1, max_value=11).map(lambda l: 1.0 / (1 << l)),
         ),
-        T=st.one_of(st.none(), st.integers(min_value=1, max_value=5000)),
+        T=st.integers(min_value=1, max_value=5000),
     )
     @settings(max_examples=300, deadline=None)
     def test_violations_report_exactly_what_the_schedule_rejects(self, eps, T):
         try:
-            stage_schedule(T if T is not None else 1 << 12, eps)
+            stage_schedule(T, eps)
         except BadEpsilon as exc:
             want = [str(exc)]
         else:

@@ -21,7 +21,7 @@ from oracles import (
     weights_closed_form,
 )
 from reuselab.harness import GeneratorSpec, generate_instance, make_policy, solve_benchmarks
-from reuselab.lp import solve_steady_state
+from reuselab.lp import SteadyStateSolution, solve_steady_state
 from reuselab.model import (
     AlgoConfig,
     AssortmentActions,
@@ -60,12 +60,12 @@ class TestMargins:
 
     def test_reward_margin_frozen(self):
         # sqrt(2 * 1 * 1.25 * ln(2*2*2/0.025) / (256 * 0.5))
-        got = reward_margin(1.0, 0.25, 2, 2, 0.025, 256, 0.5)
+        got = reward_margin(1.0, 0.25, 2, 2, 0.025, 256, 0.5)[0]
         assert got == pytest.approx(0.33565237888192767, rel=1e-13)
 
     def test_reward_margin_clamped_with_warning(self, caplog):
         with caplog.at_level(logging.WARNING, logger="reuselab.policy"):
-            got = reward_margin(1.0, 0.25, 2, 2, 0.025, 4, 0.01)
+            got = reward_margin(1.0, 0.25, 2, 2, 0.025, 4, 0.01)[0]
         assert got == 0.99
         assert any("clamping" in r.message for r in caplog.records)
 
@@ -656,7 +656,7 @@ class TestEpisodeDeltas:
 class TestStaticPolicy:
     def test_rate_frequencies(self):
         inst = hand_instance(16)
-        pol = StaticPolicy({(1, 1): 0.6}, epsilon=0.2)
+        pol = StaticPolicy(SteadyStateSolution(0.0, {(1, 1): 0.6}), epsilon=0.2)
         pol.reset(inst, np.random.default_rng(0))
         draws = [pol.choose(1, 1) for _ in range(4000)]
         freq = np.mean([d == 1 for d in draws])
@@ -672,7 +672,7 @@ class TestStaticPolicy:
 
     def test_overflowing_rates_rejected(self):
         inst = hand_instance(16)
-        pol = StaticPolicy({(1, 1): 1.5}, epsilon=0.2)
+        pol = StaticPolicy(SteadyStateSolution(0.0, {(1, 1): 1.5}), epsilon=0.2)
         with pytest.raises(ValueError, match="exceed"):
             pol.reset(inst, np.random.default_rng(0))
 
@@ -691,7 +691,7 @@ class TestStaticPolicy:
 
     def test_saturated_rates_always_play(self):
         inst = hand_instance(16)
-        pol = StaticPolicy({(1, 1): 2.0}, epsilon=1.0)  # shrinks to exactly 1
+        pol = StaticPolicy(SteadyStateSolution(0.0, {(1, 1): 2.0}), epsilon=1.0)  # shrinks to exactly 1
         pol.reset(inst, np.random.default_rng(2))
         assert all(pol.choose(1, 1) == 1 for _ in range(50))
 
@@ -808,7 +808,7 @@ class TestHybridPolicy:
 
     def test_name(self):
         config = AlgoConfig(epsilon=0.25, gamma=1.0)
-        assert HybridPolicy(config, {}, s_switch=3).name == "hybrid3"
+        assert HybridPolicy(config, SteadyStateSolution(0.0, {}), s_switch=3).name == "hybrid3"
 
 
 class AlwaysBuy:

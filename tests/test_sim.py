@@ -470,7 +470,7 @@ def _bernoulli(inst):
     for c in inst.customers[1:]:
         om = c.outcomes
         c.outcomes = ExplicitOutcomes(om.rewards, om.consumption, noise="bernoulli")
-    return replace(inst, w_max=None, a_max=None)  # re-derive the support bounds
+    return replace(inst)
 
 
 class TestReferenceLoop:
