@@ -82,7 +82,8 @@ def _resolve_config(args, inst, lambda_ss) -> AlgoConfig:
     """The config the flags and ``--config`` give, defaults filled in.
 
     ``lambda_ss()`` returns the steady-state rate; it is called only when
-    gamma is derived, that is when neither a flag nor the file gives it.
+    gamma is derived, that is when neither a flag nor the file gives it,
+    and only after every other field passed its checks.
     """
     data = _load_config(args.config) if args.config else {}
     for name in _CONFIG_FLAGS:
@@ -92,13 +93,15 @@ def _resolve_config(args, inst, lambda_ss) -> AlgoConfig:
     data.setdefault("epsilon", 0.25)
     data.setdefault("delta", 0.0)
     data.setdefault("seed", 0)
-    if "gamma" not in data:
-        data["gamma"] = scale_parameter(inst, lambda_ss())
     # an invalid delta keeps the default cutoff, so that check names delta itself
     if "tail_cutoff" not in data and 0.0 <= data["delta"] < 1.0:
         data["tail_cutoff"] = duration_tail_cutoff(
             [r.survival for r in inst.resources], data["delta"]
         )
+    if "gamma" not in data:
+        # the other fields are checked before the LP solve; 0.0, like any derived gamma, is valid
+        AlgoConfig(**data, gamma=0.0).check(inst.horizon)
+        data["gamma"] = scale_parameter(inst, lambda_ss())
     config = AlgoConfig(**data)
     config.check(inst.horizon)
     return config
@@ -242,7 +245,7 @@ def _cmd_simulate(args) -> int:
                 trace_to_jsonl(trace, fh)
             print(f"wrote {args.dump_trace}")
     print(f"mean min_reward over {args.reps} reps: {float(np.mean(vals))!r}")
-    print(f"upper bound: {bench.upper_bound!r}")
+    print(f"planning total (T * steady-state rate): {bench.upper_bound!r}")
     if args.dump_weights:
         _dump_weights(inner, args.dump_weights)
         print(f"wrote {args.dump_weights}")

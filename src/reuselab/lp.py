@@ -32,11 +32,19 @@ rule until the next nondegenerate pivot, so it cannot cycle (see
 lowest basic index, under both.  The path is deterministic.  Both phases
 share one pivot routine (:func:`_pivot`) and one objective-row setup.  A
 pivot's rank-one update is one contiguous outer product into a buffer the
-pivot loop allocates once; both entering rules read one pricing vector
-(the reduced costs, +inf on banned columns) and the leaving scan is one
+pivot loop allocates once, and it leaves the entering column exactly unit
+by itself; both entering rules read one pricing vector (the reduced
+costs, +inf on banned columns) and the leaving scan is one
 min-reduction.  The outer product may give a zero entry of the tableau
 the other sign than a broadcasting multiply would; no pivot and no
 returned value depends on it (see :func:`_pivot`).
+
+Setting up a planning LP builds no temporary the size of a tableau
+besides its A, the live block and the tableau itself: the canonical
+tableau takes g * A, the slack signs and the artificial 1s in place, and
+the time-expanded LP writes its occupancy and rate rows through views of
+its A.  Certification tests the rows of each sense in one vectorized
+comparison.
 
 Only an LP's live block goes on the tableau (:func:`_live_block`, a
 standard presolve step): the rows and columns reachable over the nonzero
@@ -184,19 +192,16 @@ def _feastol(rhs):
     return 1e-9 * (1.0 + abs(rhs))
 
 
+_BROKEN = {"<=": ">", ">=": "<", "==": "!="}  # how a row of each sense fails
+
+
 def _certify(lp: LinearProgram, x: np.ndarray) -> list[str]:
     """Residual check of x against every row and bound of the original LP."""
-    bad = []
-    res = lp.A @ x
-    for i, (s, rhs) in enumerate(zip(lp.senses, lp.b)):
-        tol = _feastol(rhs)
-        r = res[i]
-        if s == "<=" and r > rhs + tol:
-            bad.append(f"row {i}: {r!r} > {rhs!r}")
-        elif s == ">=" and r < rhs - tol:
-            bad.append(f"row {i}: {r!r} < {rhs!r}")
-        elif s == "==" and abs(r - rhs) > tol:
-            bad.append(f"row {i}: {r!r} != {rhs!r}")
+    res, b, tol = lp.A @ x, lp.b, _feastol(lp.b)
+    senses = np.asarray(lp.senses)
+    wrong = np.where(senses == "<=", res > b + tol, res < b - tol)
+    wrong = np.where(senses == "==", np.abs(res - b) > tol, wrong)
+    bad = [f"row {i}: {res[i]!r} {_BROKEN[senses[i]]} {b[i]!r}" for i in np.flatnonzero(wrong)]
     lo = lp.lower if lp.lower is not None else np.zeros(lp.n_vars)
     if np.any(x < lo - 1e-9):
         bad.append("lower bound violated")
@@ -213,6 +218,12 @@ def _pivot(tab, basis, row, col, buf):
     outer product (``einsum``, cheaper than a broadcasting multiply) and
     subtracted, so a pivot allocates nothing tableau-sized.
 
+    The entering column comes out of the update exactly unit, so nothing
+    is written to it afterwards: the pivot entry becomes ``piv / piv``,
+    which IEEE division makes exactly 1.0, and every other row's entry x
+    loses ``x * 1.0``, which is x itself, leaving +0.0 (the pivot row loses
+    ``0.0 * 1.0`` and keeps its 1.0).
+
     ``einsum`` writes +0.0 where a broadcast multiply writes -0.0 for a
     zero product, so a zero entry of the tableau may carry either sign;
     every value, every pivot and every basis are the same.  No returned
@@ -228,8 +239,6 @@ def _pivot(tab, basis, row, col, buf):
     colvals[row] = 0.0
     np.einsum("i,j->ij", colvals, tab[row], out=buf)
     tab -= buf
-    tab[:, col] = 0.0
-    tab[row, col] = 1.0
     basis[row] = col
 
 
@@ -395,16 +404,14 @@ def _canonical_tableau(A, b, senses):
     senses = np.asarray(senses, dtype=str)
     sign, g, need_art = _row_signs(b, senses)
     has_slack = senses != "=="
-    slacks = sign[:, None] * np.eye(m)[:, has_slack]
     n_real = n + int(has_slack.sum())
-    ncols = n_real + int(need_art.sum())
-    tab = np.zeros((m + 1, ncols + 1))
-    tab[:m, :n_real] = g[:, None] * np.hstack([A, slacks])
-    tab[:m, n_real:ncols] = np.eye(m)[:, need_art]
+    slack, art = n + np.cumsum(has_slack) - 1, n_real + np.cumsum(need_art) - 1
+    tab = np.zeros((m + 1, n_real + int(need_art.sum()) + 1))
+    np.multiply(g[:, None], A, out=tab[:m, :n])
+    tab[np.flatnonzero(has_slack), slack[has_slack]] = (g * sign)[has_slack]
+    tab[np.flatnonzero(need_art), art[need_art]] = 1.0
     tab[:m, -1] = g * b
-    start = np.where(
-        need_art, n_real + np.cumsum(need_art) - 1, n + np.cumsum(has_slack) - 1
-    )
+    start = np.where(need_art, art, slack)
     return tab, start.copy(), start, g, n_real
 
 
@@ -634,11 +641,7 @@ def solve_steady_state(inst: Instance, p, columns=None) -> SteadyStateSolution:
     sol = solve_lp(lp)
     if sol.status != "optimal":
         raise NumericalBreakdown(f"steady-state LP came back {sol.status}")
-    x = {
-        col: float(v)
-        for col, v in zip(columns, sol.x[:-1])
-        if v > 1e-12
-    }
+    x = {col: v for col, v in zip(columns, sol.x[:-1].tolist()) if v > 1e-12}
     return SteadyStateSolution(float(sol.objective), x)
 
 
@@ -710,15 +713,16 @@ def build_time_expanded_lp(inst: Instance, p, cap: int = 20_000):
     A[:R, :nvar] = np.tile(block[:R], T)
     A[:R, nvar] = -float(T)
     # occupancy row t of resource i holds Pr(D_i >= t - tau + 1) * p_j * a
-    # in step tau's block for tau <= t, and 0.0 where that probability is 0
-    occ = np.empty((T, T, J * K))
+    # in step tau's block for tau <= t, and 0.0 where that probability is 0;
+    # rows are written through (t, tau, j*K + k) views of A
     for i in range(C):
         band = np.tril(surv[i, lag])[:, :, None]
-        occ.fill(0.0)
+        occ = A[R + i * T : R + (i + 1) * T, :nvar].reshape(T, T, J * K)
         np.multiply(band, block[R + i], out=occ, where=band > 0.0)
-        A[R + i * T : R + (i + 1) * T, :nvar] = occ.reshape(T, nvar)
     b[R : R + C * T] = np.repeat(inst.capacities(), T)
-    A[R + C * T :, :nvar] = np.kron(np.eye(T), block[R + C :])
+    # the rate row of type j at step t holds type j's rate row in step t's block
+    steps = np.arange(T)
+    A[R + C * T :, :nvar].reshape(T, J, T, J * K)[steps, :, steps] = block[R + C :]
     b[R + C * T :] = 1.0
     c = np.zeros(nvar + 1)
     c[nvar] = 1.0
@@ -733,11 +737,11 @@ def solve_time_expanded(inst: Instance, p, cap: int = 20_000):
         raise NumericalBreakdown(f"time-expanded LP came back {sol.status}")
     J, K = inst.n_types, len(actions)
     y = {}
-    for flat, v in enumerate(sol.x[:-1]):
+    for flat, v in enumerate(sol.x[:-1].tolist()):
         if v > 1e-12:
             t, rem = divmod(flat, J * K)
             j, k = divmod(rem, K)
-            y[(t + 1, j, actions[k])] = float(v)
+            y[(t + 1, j, actions[k])] = v
     return float(sol.objective), y
 
 
@@ -793,13 +797,14 @@ def solve_steady_state_colgen(
         duals = g * tab[m, start]
         rho = np.maximum(-duals[:R], 0.0)        # ">=" rows carry y <= 0
         alpha = np.maximum(duals[R : R + C], 0.0)
-        beta = duals[R + C :]
+        beta = duals[R + C :].tolist()
+        cost = alpha * d
         new = []
-        for j in range(J):
-            if p[j] <= 1e-15:
+        for j, pj in enumerate(p.tolist()):
+            if pj <= 1e-15:
                 continue
             action, wcol, acol = pricing(j, alpha, rho)
-            rc = p[j] * (rho @ wcol - (alpha * d) @ acol) - beta[j]
+            rc = pj * (float(rho @ wcol) - float(cost @ acol)) - beta[j]
             if rc > _COLGEN_RC_TOL and (j, action) not in colset:
                 new.append((j, action, wcol, acol))
                 colset.add((j, action))
@@ -807,12 +812,12 @@ def solve_steady_state_colgen(
             break
         types, actions, wcols, acols = zip(*new)
         block = _steady_state_block(
-            p, np.array(types), np.column_stack(wcols), np.column_stack(acols), d, J
+            p, np.array(types), np.array(wcols).T, np.array(acols).T, d, J
         )
         # tab[:, start] maps a column of the g-scaled rows to its tableau
         # column, objective entry included (the added columns cost nothing)
-        cols = g[:, None] * block
-        tab = np.hstack([tab[:, :-1], tab[:, start] @ cols, tab[:, -1:]])
+        block *= g[:, None]
+        tab = np.hstack([tab[:, :-1], tab[:, start] @ block, tab[:, -1:]])
         banned = np.concatenate([banned, np.zeros(len(new), dtype=bool)])
         columns += zip(types, actions)
         status = _pivot_loop(tab, basis, banned)
@@ -825,7 +830,7 @@ def solve_steady_state_colgen(
     )
     if bad:
         raise NumericalBreakdown("restricted master failed certification: " + "; ".join(bad))
-    rates = {c: float(v) for c, v in zip(columns, x[:-1]) if v > 1e-12}
+    rates = {c: v for c, v in zip(columns, x[:-1].tolist()) if v > 1e-12}
     # + 0.0 reports a -0.0 optimum as 0.0, as solve_lp does
     sol = SteadyStateSolution(float(tab[m, -1] + 0.0), rates)
     if new:

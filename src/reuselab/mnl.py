@@ -216,9 +216,11 @@ def make_assortment_pricing(model: MnlModel, durations):
     """
     d = np.asarray(durations, dtype=float)
     space = model.action_space()
+    outcomes = [MnlOutcomes(model, j) for j in range(model.n_customers)]
+    null = MnlOutcomes(model, None)
 
     def pricing(j, alpha, rho):
-        om = MnlOutcomes(model, j if j < model.n_customers else None)
+        om = outcomes[j] if j < len(outcomes) else null
         s = om.best_action(space, alpha * d, rho)
         return (s, *om.means(s))
 

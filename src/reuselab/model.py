@@ -338,13 +338,10 @@ class AssortmentActions:
         self.n_products = int(n_products)
         self.max_size = int(min(max_size, n_products))
         self.null_action = ()
+        self.size = sum(math.comb(self.n_products, sz) for sz in range(self.max_size + 1))
         self._actions = None
         self._blocks = None
         self._size_cdf = None
-
-    @property
-    def size(self):
-        return sum(math.comb(self.n_products, sz) for sz in range(self.max_size + 1))
 
     def all_actions(self):
         if self._actions is None:

@@ -47,6 +47,20 @@ class TestValidate:
         assert "config ok" in capsys.readouterr().out
         assert len(calls) == solves
 
+    @pytest.mark.parametrize("flag, message", [
+        (["--delta", "-0.1"], "delta must lie in [0, 1), got -0.1"),
+        (["--epsilon", "0.3"], "1/epsilon must be a power of two, got 0.3"),
+    ])
+    def test_invalid_config_named_before_any_solve(
+        self, inst_file, monkeypatch, capsys, flag, message
+    ):
+        # gamma is left to be derived, but the config fails without an LP solve
+        calls = []
+        monkeypatch.setattr(harness._lp, "plan_rates", lambda *a: calls.append(a))
+        assert main(["validate", "--instance", inst_file, *flag]) == 2
+        assert capsys.readouterr().err == f"error: config: {message}\n"
+        assert calls == []
+
     def test_invalid_instance(self, inst_file, capsys):
         doc = json.loads(open(inst_file).read())
         doc["customers"][1]["weight"] = 0.7  # weights no longer sum to 1
@@ -190,7 +204,7 @@ class TestSimulate:
         out = capsys.readouterr().out
         assert "rep 1: min_reward=" in out
         assert "mean min_reward over 1 reps:" in out
-        assert "upper bound: 8.0" in out
+        assert "planning total (T * steady-state rate): 8.0" in out
 
     def test_dump_trace(self, inst_file, tmp_path, capsys):
         trace_path = tmp_path / "trace.jsonl"

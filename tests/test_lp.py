@@ -512,6 +512,53 @@ class TestLiveBlock:
             assert not nz[np.ix_(~rows, cols)].any()
 
 
+class TestSetUpAndCertificate:
+    def test_canonical_tableau_is_the_reference_in_value(self):
+        # all three senses, negative rhs (artificials), zero rows and
+        # zero-row LPs; a zero entry may differ in sign
+        rng = np.random.default_rng(2525)
+        artificials = zero_rows = empty = 0
+        for _ in range(300):
+            m, n = int(rng.integers(0, 7)), int(rng.integers(1, 7))
+            A = np.where(rng.random((m, n)) < 0.3, 0.0, np.round(rng.standard_normal((m, n)), 3))
+            A[rng.random(m) < 0.2] = 0.0
+            senses = [str(s) for s in rng.choice(["<=", ">=", "=="], size=m)]
+            b = np.round(rng.uniform(-1.0, 2.0, size=m), 3)
+            b[rng.random(m) < 0.2] = 0.0
+            tab, basis, start, g, n_real = lp_module._canonical_tableau(A, b, senses)
+            ref = oracles._canonical_tableau(A, b, senses)
+            assert np.array_equal(tab, ref[0]) and tab.shape == ref[0].shape
+            for got, want in zip((basis, start, g), ref[1:4]):
+                assert np.array_equal(got, want)
+            assert n_real == ref[4]
+            artificials += tab.shape[1] - 1 > n_real
+            zero_rows += not A.any(axis=1).all()
+            empty += m == 0
+        assert artificials >= 100 and zero_rows >= 100 and empty >= 20
+
+    def test_certify_messages(self):
+        # violated rows in row order, then the bound faults; row 4 misses
+        # its rhs by less than the feasibility tolerance
+        lp = LinearProgram(
+            c=[1.0, 0.0],
+            A=[[1.0, 0.0], [0.0, 1.0], [1.0, 1.0], [1.0, 0.0], [0.0, 0.0]],
+            senses=["<=", ">=", "==", "<=", ">="],
+            b=[1.0, 2.0, 0.5, 5.0, 1e-10],
+            lower=[0.0, -1.0],
+            upper=[1.5, 1.0],
+        )
+        assert lp_module._certify(lp, np.array([2.0, -2.0])) == [
+            "row 0: np.float64(2.0) > np.float64(1.0)",
+            "row 1: np.float64(-2.0) < np.float64(2.0)",
+            "row 2: np.float64(0.0) != np.float64(0.5)",
+            "lower bound violated",
+            "upper bound violated",
+        ]
+        assert lp_module._certify(lp, np.array([0.5, 0.0])) == [
+            "row 1: np.float64(0.0) < np.float64(2.0)",
+        ]
+
+
 class TestSteadyStateLp:
     def test_hand_value(self, hand):
         sol = solve_steady_state(hand, hand.arrival_weights())
