@@ -107,6 +107,23 @@ def _resolve_config(args, inst, lambda_ss) -> AlgoConfig:
     return config
 
 
+def _config_and_benchmarks(args, inst):
+    """The resolved config and ``solve_benchmarks(inst)``.
+
+    The steady-state LP is solved once, and only after the config passed
+    every check that needs no LP: inside :func:`_resolve_config` when
+    gamma is derived, after it otherwise.
+    """
+    solved = []
+
+    def lambda_ss():
+        solved.append(solve_benchmarks(inst))
+        return solved[0].lambda_ss
+
+    config = _resolve_config(args, inst, lambda_ss)
+    return config, solved[0] if solved else solve_benchmarks(inst)
+
+
 def _policy_labels(args) -> list[str]:
     labels = [s.strip() for s in args.policy.split(",") if s.strip()]
     m = getattr(args, "saa_sample", None)
@@ -220,8 +237,7 @@ def _cmd_simulate(args) -> int:
         return 2
     if args.reps < 1:
         raise ValueError(f"reps must be >= 1, got {args.reps}")
-    bench = solve_benchmarks(inst)
-    config = _resolve_config(args, inst, lambda: bench.lambda_ss)
+    config, bench = _config_and_benchmarks(args, inst)
     labels = _policy_labels(args)
     if len(labels) != 1:
         raise ValueError("simulate plays exactly one policy")
@@ -256,8 +272,7 @@ def _cmd_experiment(args) -> int:
     inst = _load_valid_instance(args.instance)
     if inst is None:
         return 2
-    bench = solve_benchmarks(inst)
-    config = _resolve_config(args, inst, lambda: bench.lambda_ss)
+    config, bench = _config_and_benchmarks(args, inst)
     rows = run_experiment(
         inst,
         config,

@@ -11,7 +11,10 @@ Assortment optimization minimizes a linear function
 sum_{i in S} coef_i q_i(S) over assortments of size at most n.  That
 problem is solved exactly by sorting and a fixed-point iteration on the
 optimal value (Rusmevichientong, Shen & Shmoys, Oper. Res. 2010), so
-neither enumeration nor an LP is needed.  On top of it,
+neither enumeration nor an LP is needed.  When at most one product has a
+negative coefficient, :func:`best_assortment` returns the loop's answer
+without running it: the empty assortment, or the one candidate when its
+revenue is positive.  On top of it,
 :meth:`MnlOutcomes.best_action` is a logit type's pricing oracle for
 column generation and for the adaptive policy's per-arrival choice: each
 type prices as its own logit customer, wherever it sits in the instance.
@@ -174,6 +177,12 @@ def best_assortment(model: MnlModel, customer: int, coef) -> tuple:
     revenue; z rises strictly until it reaches the optimum, and the set
     that attained it is returned as a sorted tuple.
 
+    With no candidate the answer is ``()``, and with one candidate i it is
+    ``(i,)`` exactly when v_i r_i / (1 + v_i) > 0, the float the loop's
+    first round computes and its second round confirms; both are returned
+    without the loop.  A subnormal r_i can make that value 0, and then
+    the answer is ``()``, as the loop's.
+
     ``coef`` is a list of floats, used as it is once its length is
     checked (the per-arrival path builds one), or anything
     ``np.asarray`` takes to a length-N float vector.
@@ -194,6 +203,13 @@ def best_assortment(model: MnlModel, customer: int, coef) -> tuple:
         for i, (c, v) in enumerate(zip(coef, model.attraction_rows[customer]))
         if c < 0.0
     ]
+    # the loop's answer at fewer than two candidates: its first round's
+    # value is this same float, and its second round stops on it
+    if not cands:
+        return ()
+    if len(cands) == 1:
+        i, v, vr = cands[0]
+        return (i,) if vr / (1.0 + v) > 0.0 else ()
     n = model.max_size
     best, z = [], 0.0
     while True:

@@ -342,7 +342,13 @@ class EpisodeTrace:
 
     @property
     def min_reward(self) -> float:
-        """The objective: the worst total across reward indices."""
+        """The objective: the worst total across reward indices, min_r W_r.
+
+        The lab scores its mean over replications, E[min_r W_r]. The
+        planning LP and the planning total T * lambda_ss use the worst
+        expected reward rate instead, min_r E[W_r] / T.  Per step, the two
+        differ by a Jensen gap of order 1/sqrt(T).
+        """
         return float(self.reward_total.min())
 
 

@@ -8,7 +8,9 @@ and the policies whose episodes it replays.  The exceptions are
 assortment problem that runs on the package's simplex, and
 :func:`cold_colgen`, column generation that re-solves every restricted
 master from scratch on it; A1 checks that simplex against
-:func:`lp_enumerate`.  :func:`reference_solve_canonical` is the simplex
+:func:`lp_enumerate`.  :func:`reference_best_assortment` is the package's
+own assortment loop, kept without the early exits the package takes
+before it.  :func:`reference_solve_canonical` is the simplex
 kernel itself in its full-tableau form (the package's entering rule,
 tolerances and certification checks, every row and column on the
 tableau), against which the live-block kernel is checked bit for bit;
@@ -159,6 +161,38 @@ def lp_best_assortment(model: MnlModel, customer: int, coef) -> tuple:
         tight = np.zeros(m, dtype=bool)
         tight[np.argsort(-ratio)[: model.max_size]] = True
     return tuple(int(i) for i in keep[tight])
+
+
+def reference_best_assortment(model: MnlModel, customer: int, coef) -> tuple:
+    """The sort-and-fixed-point loop of :func:`reuselab.mnl.best_assortment`
+    run on every input, with no early exit for zero or one candidate.
+
+    Kept verbatim from the package's loop, so that its early exits can be
+    checked tuple for tuple against the loop they skip.
+    """
+    if isinstance(coef, list):
+        if len(coef) != model.n_products:
+            raise ValueError("one coefficient per product required")
+    else:
+        coef = np.asarray(coef, dtype=float)
+        if coef.shape != (model.n_products,):
+            raise ValueError("one coefficient per product required")
+        coef = coef.tolist()
+    cands = [
+        (i, v, -c * v)
+        for i, (c, v) in enumerate(zip(coef, model.attraction_rows[customer]))
+        if c < 0.0
+    ]
+    n = model.max_size
+    best, z = [], 0.0
+    while True:
+        ranked = sorted(cands, key=lambda p: z * p[1] - p[2])  # stable: ties by index
+        top = [p for p in ranked[:n] if p[2] - z * p[1] > 0.0]
+        val = sum([p[2] for p in top]) / (1.0 + sum([p[1] for p in top]))
+        if val <= z:
+            break
+        best, z = top, val
+    return tuple(sorted([p[0] for p in best]))
 
 
 def cold_colgen(inst, p, pricing=None, max_rounds: int = 500, rc_tol: float = 1e-7):

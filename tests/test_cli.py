@@ -250,6 +250,37 @@ class TestSimulate:
         assert "policy label" in capsys.readouterr().err
 
 
+@pytest.fixture
+def plan_calls(monkeypatch):
+    """The arguments of every ``lp.plan_rates`` call, which still solves."""
+    calls = []
+    plan = harness._lp.plan_rates
+
+    def counted(*args):
+        calls.append(args)
+        return plan(*args)
+
+    monkeypatch.setattr(harness._lp, "plan_rates", counted)
+    return calls
+
+
+@pytest.mark.parametrize("command", ["simulate", "experiment"])
+class TestConfigBeforeSolve:
+    def test_invalid_config_named_before_any_solve(self, inst_file, plan_calls, capsys, command):
+        argv = [command, "--instance", inst_file, "--policy", "static", "--delta", "-0.1"]
+        assert main(argv) == 2
+        cap = capsys.readouterr()
+        assert cap.err == "error: config: delta must lie in [0, 1), got -0.1\n"
+        assert cap.out == ""
+        assert plan_calls == []
+
+    @pytest.mark.parametrize("flags", [[], ["--gamma", "0.5"]])
+    def test_valid_run_solves_once(self, inst_file, plan_calls, capsys, command, flags):
+        argv = [command, "--instance", inst_file, "--policy", "static", "--reps", "2", *flags]
+        assert main(argv) == 0
+        assert len(plan_calls) == 1
+
+
 class TestExperiment:
     def test_csv_deterministic(self, inst_file, tmp_path, capsys):
         a, b = tmp_path / "a.csv", tmp_path / "b.csv"

@@ -9,6 +9,7 @@ from oracles import (
     enumerate_best_assortment,
     lp_best_assortment,
     membership_matrix,
+    reference_best_assortment,
     reference_mnl_sample,
     reference_sample_uniform,
 )
@@ -127,6 +128,62 @@ class TestBestAssortment:
         for coef in bad:
             with pytest.raises(ValueError, match="^one coefficient per product required$"):
                 best_assortment(tiny_model(), 0, coef)
+
+
+# negative coefficients: ordinary, subnormal, -inf and huge
+_NEGATIVE = (-0.3, -1.7, -5e-324, -1e-310, -float("inf"), -1e300)
+# coefficients that make no candidate: -0.0 among them
+_NONNEGATIVE = (0.0, -0.0, 0.4, 2.5, float("inf"))
+
+
+def _edge_model(rng):
+    """A logit model whose attractions include ones near 1e-300, 1 and 1e300."""
+    n = int(rng.integers(1, 7))
+    feats = np.ones((n, 1))
+    logs = rng.choice([-690.7, -5.0, 0.0, 0.3, 5.0, 690.7], size=(2, n, 1))
+    return MnlModel(feats, logs, int(rng.integers(1, n + 1)), np.ones(n))
+
+
+class TestEarlyExits:
+    """best_assortment's answers at zero and one candidate are the loop's."""
+
+    def _coefs(self, rng, n):
+        for k in sorted({0, 1, min(2, n), int(rng.integers(0, n + 1)), n}):
+            coef = [float(x) for x in rng.choice(_NONNEGATIVE, size=n)]
+            for i in rng.choice(n, size=k, replace=False):
+                coef[i] = float(rng.choice(_NEGATIVE) if rng.random() < 0.5 else -rng.random())
+            yield coef
+
+    def test_matches_the_reference_loop_fuzz(self):
+        rng = np.random.default_rng(2606)
+        seen = {0: 0, 1: 0, 2: 0}
+        for trial in range(600):
+            m = random_mnl_model(rng) if trial % 2 else _edge_model(rng)
+            j = int(rng.integers(0, m.n_customers))
+            for coef in self._coefs(rng, m.n_products):
+                want = reference_best_assortment(m, j, coef)
+                assert best_assortment(m, j, coef) == want, (coef, m.attractions[j])
+                assert best_assortment(m, j, np.array(coef)) == want
+                seen[min(sum(c < 0.0 for c in coef), 2)] += 1
+        assert min(seen.values()) > 100
+
+    @pytest.mark.parametrize("coef, attraction, want", [
+        (-5e-324, 1.0, ()),            # v r underflows: the value is +0.0
+        (-5e-324, 0.5, ()),            # v r itself rounds to 0
+        (-float("inf"), 1.0, (0,)),
+        (-2.0, 1e300, (0,)),           # the second round's score is exactly 0
+        (-0.0, 1.0, ()),               # -0.0 is no candidate
+        (-1e-300, 1e-300, ()),
+    ])
+    def test_one_product_edge_cases(self, coef, attraction, want):
+        m = MnlModel([[1.0]], [[[math.log(attraction)]]], 1)
+        assert m.attractions[0, 0] == pytest.approx(attraction, rel=1e-12)
+        coefs = [coef, 0.5]
+        m2 = MnlModel([[1.0], [1.0]], [[[math.log(attraction)], [0.0]]], 2)
+        for model, c in ((m, [coef]), (m2, coefs)):
+            assert best_assortment(model, 0, c) == want
+            assert best_assortment(model, 0, np.array(c)) == want
+            assert reference_best_assortment(model, 0, c) == want
 
 
 class TestPricing:

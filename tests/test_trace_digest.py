@@ -1,5 +1,6 @@
 """``tools/trace_digest.py``: per-policy episode digests, the Bernoulli
-explicit digest, the planning digest and the instance-file digest."""
+explicit digest, the planning digest, the logit pricing digest and the
+instance-file digest."""
 
 import importlib.util
 import os
@@ -12,7 +13,10 @@ import pytest
 
 ROOT = Path(__file__).resolve().parents[1]
 TOOL = ROOT / "tools" / "trace_digest.py"
-NAMES = ["static", "uniform", "adaptive", "hybrid16", "null", "bernoulli", "planning", "instances"]
+NAMES = [
+    "static", "uniform", "adaptive", "hybrid16", "null", "bernoulli", "planning", "pricing",
+    "instances",
+]
 
 
 def _digests(hash_seed: str) -> str:

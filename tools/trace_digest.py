@@ -32,6 +32,15 @@ columns, of the time-expanded LP where it fits under its caps, and the
 value and rates of ``solve_steady_state``, ``solve_time_expanded`` and
 ``solve_steady_state_colgen``.
 
+The ``pricing`` digest covers the logit pricing oracle directly, not
+only the calls an episode happens to make: ``best_assortment`` answers,
+for list and array coefficients, and ``MnlOutcomes.best_action`` answers
+on seeded logit models with 1 to 12 products and a size cap of 1 to 4
+(one customer's attractions reach about 1e300 and 1e-300), on
+coefficients with no, one, two, half and all products negative, and on
+the edge coefficients ``EDGE_COEFS`` (``-0.0``, subnormal, ``-inf`` and
+-1e300), alone and beside one ordinary negative coefficient.
+
 The last digest, ``instances``, covers the instance files of the fixed
 instances above (the two episode instances, ``bernoulli_instance`` and the
 three planning instances), each written, read back and written again,
@@ -70,7 +79,10 @@ PLANNING = (
     dict(n_products=7, max_size=3, n_customers=6),
     dict(n_products=12, max_size=4, n_customers=4),
 )
-NAMES = (*POLICIES, "bernoulli", "planning", "instances")
+# coefficients at the edges of best_assortment's candidate test:
+# -0.0 makes no candidate, the others are negative
+EDGE_COEFS = (-0.0, -5e-324, -1e-310, -float("inf"), -1e300)
+NAMES = (*POLICIES, "bernoulli", "planning", "pricing", "instances")
 
 
 def _floats(h, values) -> None:
@@ -154,6 +166,7 @@ def digests(rl) -> dict:
     for name in POLICIES:
         _episode(hashes["bernoulli"], rl, inst, rl.make_policy(name, inst, config, bench))
     hashes["planning"] = planning_hash(rl)
+    hashes["pricing"] = pricing_hash(rl)
     hashes["instances"] = instances_hash(rl)
     return {name: h.hexdigest() for name, h in hashes.items()}
 
@@ -185,6 +198,46 @@ def planning_hash(rl):
         except rl.TooLarge:
             continue
         answer(*rl.solve_time_expanded(inst, p))
+    return h
+
+
+def pricing_hash(rl):
+    """SHA-256 over logit pricing answers on seeded models and coefficients."""
+    h = hashlib.sha256()
+    rng = np.random.default_rng(SEED)
+
+    def coefs(n):
+        for k in sorted({0, 1, min(2, n), n // 2, n}):
+            coef = rng.uniform(0.0, 1.0, size=n)
+            coef[rng.choice(n, size=k, replace=False)] *= -2.0
+            yield coef.tolist()
+        for edge in EDGE_COEFS:
+            coef = rng.uniform(0.0, 1.0, size=n).tolist()
+            coef[int(rng.integers(n))] = edge
+            yield coef
+            if n > 1:
+                i, other = rng.choice(n, size=2, replace=False).tolist()
+                coef = rng.uniform(0.0, 1.0, size=n).tolist()
+                coef[i], coef[other] = edge, -float(rng.uniform(0.0, 2.0))
+                yield coef
+
+    for n in range(1, 13):
+        for size in range(1, 5):
+            logs = rng.normal(0.0, 1.5, size=(2, n, 1))
+            logs[1, -1] -= 680.0          # an attraction near 1e-300 when n > 1
+            logs[1, 0] = 690.7            # and one near 1e300
+            model = rl.MnlModel(np.ones((n, 1)), logs, size, rng.uniform(0.5, 2.0, size=n))
+            space = model.action_space()
+            for j in range(2):
+                for coef in coefs(n):
+                    answers = (rl.best_assortment(model, j, coef),
+                               rl.best_assortment(model, j, np.array(coef)))
+                    h.update(repr((n, size, j, coef, answers)).encode())
+                om = rl.MnlOutcomes(model, j)
+                for _ in range(8):
+                    cost, credit = rng.random(n), rng.random(n) * 3.0
+                    h.update(repr(om.best_action(space, cost, credit)).encode())
+            h.update(repr(rl.MnlOutcomes(model, None).best_action(space, cost, credit)).encode())
     return h
 
 
