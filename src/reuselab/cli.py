@@ -23,6 +23,7 @@ import numpy as np
 
 from .harness import (
     GeneratorSpec,
+    check_policy_labels,
     make_policy,
     run_experiment,
     run_trend,
@@ -125,12 +126,15 @@ def _config_and_benchmarks(args, inst):
 
 
 def _policy_labels(args) -> list[str]:
+    """The ``--policy`` labels with ``--saa-sample`` applied, each checked
+    as :func:`make_policy` checks it; no LP is solved."""
     labels = [s.strip() for s in args.policy.split(",") if s.strip()]
     m = getattr(args, "saa_sample", None)
     if m is not None:
         if m < 1:
             raise ValueError(f"--saa-sample must be >= 1, got {m}")
         labels = [_with_saa(n, m) for n in labels]
+    check_policy_labels(labels)
     return labels
 
 
@@ -237,10 +241,10 @@ def _cmd_simulate(args) -> int:
         return 2
     if args.reps < 1:
         raise ValueError(f"reps must be >= 1, got {args.reps}")
-    config, bench = _config_and_benchmarks(args, inst)
     labels = _policy_labels(args)
     if len(labels) != 1:
         raise ValueError("simulate plays exactly one policy")
+    config, bench = _config_and_benchmarks(args, inst)
     pol = make_policy(labels[0], inst, config, bench)
     inner = pol.inner if isinstance(pol, StageTailRejector) else pol
     if args.dump_weights:
@@ -272,11 +276,14 @@ def _cmd_experiment(args) -> int:
     inst = _load_valid_instance(args.instance)
     if inst is None:
         return 2
+    if args.reps < 1:
+        raise ValueError(f"reps must be >= 1, got {args.reps}")
+    labels = _policy_labels(args)
     config, bench = _config_and_benchmarks(args, inst)
     rows = run_experiment(
         inst,
         config,
-        _policy_labels(args),
+        labels,
         reps=args.reps,
         benchmarks=bench,
     )

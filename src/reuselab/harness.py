@@ -47,6 +47,7 @@ __all__ = [
     "generate_instance",
     "Benchmarks",
     "solve_benchmarks",
+    "check_policy_labels",
     "make_policy",
     "SummaryRow",
     "run_experiment",
@@ -160,14 +161,9 @@ _NAME_RE = re.compile(
 )
 
 
-def make_policy(name: str, inst: Instance, config: AlgoConfig, benchmarks: Benchmarks):
-    """Build a policy from its label.
-
-    Labels: static, adaptive, uniform, null, hybrid<s>; any of them may
-    carry +tailguard (refuse allocations near stage ends), and all but
-    uniform and null, which plan nothing, +saa<m> (plan on an m-draw
-    subsample instead of full information).
-    """
+def _parse_label(name: str):
+    """(match, base, saa draws or None) of a policy label ``make_policy``
+    accepts; a ValueError names any other label."""
     m = _NAME_RE.match(name)
     if not m:
         raise ValueError(f"unknown policy label {name!r}")
@@ -177,6 +173,27 @@ def make_policy(name: str, inst: Instance, config: AlgoConfig, benchmarks: Bench
         raise ValueError(f"policy label {name!r}: +saa needs at least one draw")
     if saa is not None and base in ("uniform", "null"):
         raise ValueError(f"policy label {name!r}: {base} plans nothing, so +saa does not apply")
+    return m, base, saa
+
+
+def check_policy_labels(labels) -> None:
+    """Raise the ValueError ``make_policy`` would raise on the first bad
+    label, or one for an empty list; needs no instance and solves nothing."""
+    if not labels:
+        raise ValueError("need at least one policy")
+    for name in labels:
+        _parse_label(name)
+
+
+def make_policy(name: str, inst: Instance, config: AlgoConfig, benchmarks: Benchmarks):
+    """Build a policy from its label.
+
+    Labels: static, adaptive, uniform, null, hybrid<s>; any of them may
+    carry +tailguard (refuse allocations near stage ends), and all but
+    uniform and null, which plan nothing, +saa<m> (plan on an m-draw
+    subsample instead of full information).
+    """
+    m, base, saa = _parse_label(name)
 
     def saa_rates():
         rng = np.random.default_rng(np.random.SeedSequence([config.seed, 101]))
@@ -227,11 +244,13 @@ def run_experiment(
     reps: int = 10,
     benchmarks: Benchmarks | None = None,
 ) -> list[SummaryRow]:
-    """Replicate each policy over seeds config.seed+1 .. config.seed+reps."""
+    """Replicate each policy over seeds config.seed+1 .. config.seed+reps.
+
+    Every label is checked before any LP is solved or episode played.
+    """
     if reps < 1:
         raise ValueError(f"reps must be >= 1, got {reps}")
-    if not policies:
-        raise ValueError("need at least one policy")
+    check_policy_labels(policies)
     if benchmarks is None:
         benchmarks = solve_benchmarks(inst, delta=config.delta)
     rows = []
@@ -302,17 +321,16 @@ def run_trend(
     epsilon shrinks inversely with scale so every run keeps the same
     exploration-stage length; ``relaxed`` sets every config's
     ``relaxed_schedule``.  Scales must be positive and distinct and at
-    least one policy given; a ``ValueError`` names the offending input
-    before any work.  Every scale is generated, solved and its config
-    checked against its instance's horizon (``ValueError("config:
-    ...")``) before any experiment runs.
+    least one policy given, every label valid; a ``ValueError`` names the
+    offending input before any work.  Every scale is generated, solved
+    and its config checked against its instance's horizon
+    (``ValueError("config: ...")``) before any experiment runs.
     Returns (rows, report); rows carry every scale's summaries in scale
     order.
     """
     if reps < 1:
         raise ValueError(f"reps must be >= 1, got {reps}")
-    if not policies:
-        raise ValueError("need at least one policy")
+    check_policy_labels(policies)
     bad = sorted({s for s in scales if s < 1})
     if bad:
         raise ValueError(f"trend scales must be positive, got {', '.join(map(str, bad))}")

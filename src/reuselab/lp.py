@@ -12,7 +12,10 @@ used as benchmarks and inside the adaptive policy:
 
 Every planning LP takes its coefficients by one path, so a column
 carries the same bytes in every LP: :func:`_column_means` gathers the
-columns' means and :func:`_steady_state_block` weights them by p.  The
+columns' means and :func:`_steady_state_block` weights them by p.  Over
+every column the means come from one ``OutcomeModel.mean_tables`` call
+per outcome class, which builds the tables of all logit customers in
+one array pass; over given columns, from one ``means`` call each.  The
 time-expanded LP takes that block at unit durations and spreads it over
 the steps; nothing is cached on the instance.
 
@@ -572,9 +575,11 @@ def _column_means(inst: Instance, columns=None):
     """(columns, types, W, A): LP columns, their type indices, mean rewards
     (R x n) and mean consumption (C x n).
 
-    ``columns=None`` means every (type, action) pair, type outermost, read
-    from one ``mean_matrix`` per type; given columns take one ``means``
-    call each, the same bytes by ``mean_matrix``'s contract.
+    ``columns=None`` means every (type, action) pair, type outermost. Its
+    tables come from one ``mean_tables`` call per outcome class over that
+    class's types, each type's block put in its place; given columns take
+    one ``means`` call each, the same bytes by ``mean_matrix``'s
+    contract.
     """
     if columns is None:
         if inst.actions.size > ENUMERATION_CAP:
@@ -582,11 +587,24 @@ def _column_means(inst: Instance, columns=None):
                 f"action space of size {inst.actions.size} needs column generation"
             )
         actions = inst.actions.all_actions()
-        columns = [(j, k) for j in range(inst.n_types) for k in actions]
-        tables = [c.outcomes.mean_matrix(inst.actions) for c in inst.customers]
-        types = np.repeat(np.arange(inst.n_types), len(actions))
-        W = np.hstack([Wj for Wj, _Aj in tables])
-        A = np.hstack([Aj for _Wj, Aj in tables])
+        J, K = inst.n_types, len(actions)
+        columns = [(j, k) for j in range(J) for k in actions]
+        types = np.repeat(np.arange(J), K)
+        by_class: dict = {}
+        for j, cust in enumerate(inst.customers):
+            by_class.setdefault(type(cust.outcomes), []).append(j)
+        tables = [
+            (js, cls.mean_tables([inst.customers[j].outcomes for j in js], inst.actions))
+            for cls, js in by_class.items()
+        ]
+        if len(tables) == 1:
+            W, A = tables[0][1]
+        else:
+            W = np.empty((inst.reward_count, J * K))
+            A = np.empty((inst.n_resources, J * K))
+            for js, (Wc, Ac) in tables:
+                cols = (np.asarray(js)[:, None] * K + np.arange(K)).ravel()
+                W[:, cols], A[:, cols] = Wc, Ac
     else:
         types = np.array([j for j, _k in columns], dtype=np.intp)
         W = np.empty((inst.reward_count, len(columns)))

@@ -18,10 +18,12 @@ revenue is positive.  On top of it,
 :meth:`MnlOutcomes.best_action` is a logit type's pricing oracle for
 column generation and for the adaptive policy's per-arrival choice: each
 type prices as its own logit customer, wherever it sits in the instance.
-:meth:`MnlOutcomes.mean_matrix`, the mean table the planning LPs are built
-from, works one assortment size at a time in the arithmetic of
+:meth:`MnlOutcomes.mean_tables` builds the mean tables the planning LPs
+are built from, for every logit customer of an instance in one array
+pass per assortment size, in the arithmetic of
 :meth:`MnlModel.choice_probability`, so each of its columns equals
-:meth:`MnlOutcomes.means` byte for byte.
+:meth:`MnlOutcomes.means` byte for byte; :meth:`MnlOutcomes.mean_matrix`
+is its one-customer case.
 """
 
 from __future__ import annotations
@@ -318,20 +320,46 @@ class MnlOutcomes(OutcomeModel):
         return best_assortment(self.model, self.customer, coef)
 
     def mean_matrix(self, space):
+        return self.mean_tables([self], space)
+
+    @classmethod
+    def mean_tables(cls, models, space):
+        """The mean tables of every customer in ``models`` in one pass.
+
+        The customers may belong to different logit models over the same
+        products.  Each column is q = v / (1 + sum of v over the
+        assortment) on the offered products and 0 elsewhere, W = price * q:
+        the arithmetic of :meth:`MnlModel.choice_probability` and
+        :meth:`MnlModel.mean_outcomes`, so every column equals ``means``
+        of its assortment byte for byte.  A null customer has attractions
+        0, so its columns are 0.
+
+        The sums go one assortment size at a time over a (customers, count,
+        size) gather that ``np.take`` lays out C-contiguous.  numpy then
+        reduces each row by its 1-D pairwise loop, the one ``v.sum()``
+        runs.  A gather ``att[:, idx]`` puts the customer axis innermost
+        instead, and numpy then adds the terms one at a time across rows,
+        which rounds differently from 8 terms on.
+        """
         if space.size > ENUMERATION_CAP:
             raise TooLarge(
                 f"mean tables over {space.size} assortments exceed the cap"
             )
-        # one size block at a time, in the arithmetic of choice_probability:
-        # every column equals means() of its assortment byte for byte
-        q = np.zeros((self.model.n_products, space.size))
-        if self.customer is not None:
-            v = self.model.attractions[self.customer]
-            for start, idx in space.size_blocks():
-                V = v[idx]
-                cols = np.arange(start, start + idx.shape[0])[:, None]
-                q[idx, cols] = V / (1.0 + V.sum(axis=1))[:, None]
-        return self.model.prices[:, None] * q, q
+        n, m, k = space.n_products, len(models), space.size
+        att = np.zeros((m, n))
+        for i, om in enumerate(models):
+            if om.customer is not None:
+                att[i] = om.model.attractions[om.customer]
+        tot = np.zeros((m, k))      # each assortment's attraction sum, per customer
+        offered = np.zeros((n, k))  # 1 where assortment k offers product i
+        for start, idx in space.size_blocks():
+            cols = np.arange(start, start + idx.shape[0])
+            tot[:, cols] = np.take(att, idx, axis=1).sum(axis=2)
+            offered[idx, cols[:, None]] = 1.0
+        # v * 1.0 is v and v * 0.0 is 0.0, so q is v / (1 + sum) or 0.0
+        q = att.T[:, :, None] * offered[:, None, :] / (1.0 + tot)
+        prices = np.array([om.model.prices for om in models]).T
+        return (prices[:, :, None] * q).reshape(n, m * k), q.reshape(n, m * k)
 
     def __eq__(self, other):
         return (

@@ -174,9 +174,24 @@ class OutcomeModel:
 
         Column k must equal ``means`` of action k of ``space.all_actions()``
         byte for byte: the planning LPs over every column are built from
-        this table, and LPs over given columns from ``means``.
+        these tables (through :meth:`mean_tables`), and LPs over given
+        columns from ``means``.
         """
         raise NotImplementedError
+
+    @classmethod
+    def mean_tables(cls, models, space):
+        """The ``mean_matrix`` tables of ``models`` side by side.
+
+        ``models`` are outcome models of this class; model i's table
+        fills columns i*K .. i*K+K-1 of (W R x nK, A C x nK), K =
+        ``space.size``.  The planning LPs over every column ask each
+        outcome class once through this hook.  This default stacks each
+        model's own table; a class whose tables share arithmetic may build
+        them together, with the same bytes.
+        """
+        tables = [om.mean_matrix(space) for om in models]
+        return np.hstack([W for W, _A in tables]), np.hstack([A for _W, A in tables])
 
 
 class ExplicitOutcomes(OutcomeModel):

@@ -225,12 +225,14 @@ def _field(path) -> str:
     return path[0] + "".join(f"[{p}]" if type(p) is int else f".{p}" for p in path[1:])
 
 
-def _check(value, kind, path):
+def _check(value, kind, path, flat=False):
     """``value`` if it is of ``kind``, else a ValueError naming its field.
 
     A list is tested in one pass over its entries, flattened as deep as
     ``kind`` nests, and walked only when that fails, to name the first
     entry that is wrong: an object by its index, any other by its list.
+    With ``flat`` a list of the right kind gives those flattened entries
+    instead of itself.
     """
     if type(kind) is frozenset:
         if type(value) in kind:
@@ -242,23 +244,24 @@ def _check(value, kind, path):
     while type(leaf) is list and _LIST.issuperset(map(type, items)):
         leaf, items = leaf[0], list(chain.from_iterable(items))
     if type(leaf) is frozenset and leaf.issuperset(map(type, items)):
-        return value
+        return items if flat else value
     entry = kind[0]
     for k, x in enumerate(value):
         _check(x, entry, (*path, k) if entry is _OBJECT else path)
 
 
-def _get(obj, key, kind, *path):
+def _get(obj, key, kind, *path, flat=False):
     """``obj[key]`` checked by :func:`_check`; ``path`` is the field of ``obj``.
 
     ``obj`` may also be a list of objects, entry k being the field
     ``path[0][k]`` then ``path[1:]``: their ``key`` values are then read as
     one list, checked in one pass, and walked entry by entry only to name
-    the one that is missing or wrong.
+    the one that is missing or wrong.  ``flat`` is passed on to
+    :func:`_check`.
     """
     if type(obj) is list:
         try:
-            return _check([o[key] for o in obj], [kind], path)
+            return _check([o[key] for o in obj], [kind], path, flat)
         except (KeyError, ValueError):
             for k, o in enumerate(obj):
                 _get(o, key, kind, path[0], k, *path[1:])
@@ -270,7 +273,43 @@ def _get(obj, key, kind, *path):
     # a scalar of its kind is done without a call; a list kind holds no types
     if type(value) in kind:
         return value
-    return _check(value, kind, (*path, key))
+    return _check(value, kind, (*path, key), flat)
+
+
+def _tastes(custs, features) -> np.ndarray:
+    """The (customers, products, features) array of the mnl customers' ``b``.
+
+    It is built from the checked numbers as one flat list, so every ``b``
+    must first be seen to hold one row per product and every row one
+    number per feature, the length of ``mnl.products[0].f``; a
+    ValueError names the first ``f`` or ``b`` entry that does not.
+    """
+    n = len(features)
+    width = len(features[0]) if n else 0
+    for k, f in enumerate(features):
+        if len(f) != width:
+            raise ValueError(
+                f"mnl.products[{k}].f must hold {width} numbers, as mnl.products[0].f does, "
+                f"got {len(f)}"
+            )
+    leaves = _get(custs, "b", [[_NUMBER]], "mnl.customers", flat=True)
+    tastes = [c["b"] for c in custs]
+    if not (
+        set(map(len, tastes)) <= {n}
+        and set(map(len, chain.from_iterable(tastes))) <= {width}
+    ):
+        for j, b in enumerate(tastes):
+            if len(b) != n:
+                raise ValueError(
+                    f"mnl.customers[{j}].b must hold {n} rows, one per product, got {len(b)}"
+                )
+            for i, row in enumerate(b):
+                if len(row) != width:
+                    raise ValueError(
+                        f"mnl.customers[{j}].b[{i}] must hold {width} numbers, "
+                        f"one per feature, got {len(row)}"
+                    )
+    return np.array(leaves, dtype=float).reshape(len(custs), n, width)
 
 
 def instance_from_json(text: str) -> Instance:
@@ -305,9 +344,10 @@ def instance_from_json(text: str) -> Instance:
         n = _get(blk, "n", _INTEGER, "mnl")
         if n != len(products):
             raise ValueError(f"mnl.n must be {len(products)}, the number of mnl.products, got {n}")
+        features = _get(products, "f", [_NUMBER], "mnl.products")
         mnl_model = MnlModel(
-            features=_get(products, "f", [_NUMBER], "mnl.products"),
-            cust_features=_get(custs, "b", [[_NUMBER]], "mnl.customers"),
+            features=features,
+            cust_features=_tastes(custs, features),
             max_size=_get(blk, "m", _INTEGER, "mnl"),
             prices=_get(products, "price", _NUMBER, "mnl.products"),
         )

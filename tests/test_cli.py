@@ -281,6 +281,27 @@ class TestConfigBeforeSolve:
         assert len(plan_calls) == 1
 
 
+class TestPolicyBeforeSolve:
+    @pytest.mark.parametrize("argv, err", [
+        (["simulate", "--policy", "greedy"], "unknown policy label 'greedy'"),
+        (["simulate", "--policy", "static,adaptive"], "simulate plays exactly one policy"),
+        (["experiment", "--policy", "static,greedy"], "unknown policy label 'greedy'"),
+        (["experiment", "--policy", "static", "--saa-sample", "0"],
+         "--saa-sample must be >= 1, got 0"),
+        (["simulate", "--policy", "static+saa5", "--saa-sample", "10"],
+         "--saa-sample 10: policy label 'static+saa5' already carries +saa"),
+        (["experiment", "--policy", "uniform+saa5"],
+         "policy label 'uniform+saa5': uniform plans nothing, so +saa does not apply"),
+        (["experiment", "--policy", "static", "--reps", "0"], "reps must be >= 1, got 0"),
+    ])
+    def test_bad_policy_named_before_any_solve(self, inst_file, plan_calls, capsys, argv, err):
+        assert main([*argv, "--instance", inst_file]) == 2
+        cap = capsys.readouterr()
+        assert cap.err == f"error: {err}\n"
+        assert cap.out == ""
+        assert plan_calls == []
+
+
 class TestExperiment:
     def test_csv_deterministic(self, inst_file, tmp_path, capsys):
         a, b = tmp_path / "a.csv", tmp_path / "b.csv"
@@ -438,6 +459,29 @@ def test_wrongly_typed_field_named(tmp_path, build, path, value, field, command,
     cap = capsys.readouterr()
     assert cap.out == ""
     assert cap.err.count("\n") == 1 and cap.err.startswith(f"error: {field}"), cap.err
+
+
+@pytest.mark.parametrize("edit, err", [
+    (lambda mnl: mnl["customers"][1]["b"][2].pop(),
+     "mnl.customers[1].b[2] must hold 2 numbers, one per feature, got 1"),
+    # as many numbers as before, which a reshape of the flat numbers would take
+    (lambda mnl: mnl["customers"][0]["b"][1].append(mnl["customers"][0]["b"][0].pop()),
+     "mnl.customers[0].b[0] must hold 2 numbers, one per feature, got 1"),
+    (lambda mnl: mnl["customers"][1]["b"].pop(),
+     "mnl.customers[1].b must hold 3 rows, one per product, got 2"),
+    (lambda mnl: mnl["products"][1]["f"].pop(),
+     "mnl.products[1].f must hold 2 numbers, as mnl.products[0].f does, got 1"),
+], ids=["short-row", "same-count", "missing-row", "ragged-f"])
+@pytest.mark.parametrize("command", ["validate", "simulate"])
+def test_ragged_logit_tables_named(tmp_path, edit, err, command, capsys):
+    doc = json.loads(instance_to_json(small_mnl_instance(8)))
+    edit(doc["mnl"])
+    inst_file = tmp_path / "ragged.json"
+    inst_file.write_text(json.dumps(doc))
+    assert main([command, "--instance", str(inst_file)]) == 2
+    cap = capsys.readouterr()
+    assert cap.out == ""
+    assert cap.err == f"error: {err}\n"
 
 
 def _key_paths(node, path=()):

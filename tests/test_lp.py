@@ -32,8 +32,15 @@ from reuselab.lp import (
     solve_time_expanded,
 )
 from reuselab.lp import _certify_optimal, _live_block, _row_signs, solve_lp_with_duals
-from reuselab.mnl import make_assortment_pricing
-from reuselab.model import AssortmentActions, Instance
+from reuselab.mnl import MnlModel, MnlOutcomes, make_assortment_pricing
+from reuselab.model import (
+    AssortmentActions,
+    CustomerType,
+    ExplicitOutcomes,
+    Instance,
+    ResourceSpec,
+    SurvivalCurve,
+)
 
 
 class TestSimplexCore:
@@ -559,6 +566,69 @@ class TestSetUpAndCertificate:
         ]
 
 
+class AssortmentTable(ExplicitOutcomes):
+    """Explicit mean tables over an assortment space, column k for action k
+    of its enumeration."""
+
+    def __init__(self, rewards, consumption, space):
+        super().__init__(rewards, consumption)
+        self._index = {a: k for k, a in enumerate(space.all_actions())}
+
+    def means(self, action):
+        return super().means(self._index[action])
+
+
+def _mean_table_instance(case: str) -> Instance:
+    """The instance of one ``test_batched_mean_tables_are_the_per_column_means``
+    case: logit customers whose attractions span several orders of
+    magnitude, so that the order of each sum shows in its last bits."""
+    rng = np.random.default_rng(sorted(_MEAN_TABLE_CASES).index(case))
+    n, size, kinds, null_first = _MEAN_TABLE_CASES[case]
+    space = AssortmentActions(n, size)
+
+    def logit_model(count):
+        return MnlModel(
+            rng.standard_normal((n, 2)), 2.0 * rng.standard_normal((count, n, 2)), size,
+            rng.uniform(0.5, 2.0, n),
+        )
+
+    models = {kind: logit_model(kinds.count(kind)) for kind in set(kinds) if kind != "explicit"}
+    seen = dict.fromkeys(models, 0)
+    outcomes = []
+    for kind in kinds:
+        if kind == "explicit":
+            w = rng.uniform(0.0, 1.0, (n, space.size))
+            outcomes.append(AssortmentTable(w, w / 2.0, space))
+        else:
+            outcomes.append(MnlOutcomes(models[kind], seen[kind]))
+            seen[kind] += 1
+    null = MnlOutcomes(models[kinds[-1]], None)
+    outcomes.insert(0 if null_first else len(outcomes), null)
+    weights = rng.dirichlet(np.ones(len(outcomes)))
+    return Instance(
+        resources=[ResourceSpec(3.0, SurvivalCurve([1.0, 0.6])) for _ in range(n)],
+        reward_count=n,
+        customers=[CustomerType(float(w), om) for w, om in zip(weights, outcomes)],
+        actions=space,
+        horizon=16,
+        null_type=0 if null_first else len(outcomes) - 1,
+    )
+
+
+# case -> (products, size cap, the non-null types' kinds in order, null first);
+# "a" and "b" are logit models, "explicit" an AssortmentTable type
+_MEAN_TABLE_CASES = {
+    "12 products, sizes 1-12, 1 customer, null last": (12, 12, ["a"], False),
+    "12 products, sizes 1-12, 2 customers, null first": (12, 12, ["a"] * 2, True),
+    "8 products, sizes 1-8, 20 customers, null last": (8, 8, ["a"] * 20, False),
+    "10 products, sizes 1-9, 20 customers, null first": (10, 9, ["a"] * 20, True),
+    "explicit and logit types mixed": (
+        9, 8, ["a", "explicit", "a", "a", "explicit", "a"], False,
+    ),
+    "two logit models": (9, 9, ["a", "b", "b", "a", "a", "b"], True),
+}
+
+
 class TestSteadyStateLp:
     def test_hand_value(self, hand):
         sol = solve_steady_state(hand, hand.arrival_weights())
@@ -607,6 +677,33 @@ class TestSteadyStateLp:
             q[inst.null_type] = 0.0
             q[(inst.null_type + 1) % inst.n_types] = 0.0
             same(inst, q)
+
+    @pytest.mark.parametrize("case", [
+        "12 products, sizes 1-12, 1 customer, null last",
+        "12 products, sizes 1-12, 2 customers, null first",
+        "8 products, sizes 1-8, 20 customers, null last",
+        "10 products, sizes 1-9, 20 customers, null first",
+        "explicit and logit types mixed",
+        "two logit models",
+    ])
+    def test_batched_mean_tables_are_the_per_column_means(self, case):
+        # every logit customer's table is built in one pass per size block;
+        # from 8 terms on, numpy's sums round by the gather's memory layout
+        inst = _mean_table_instance(case)
+        columns, _types, W, A = lp_module._column_means(inst)
+        W_ref, A_ref = np.empty_like(W), np.empty_like(A)
+        for idx, (j, k) in enumerate(columns):
+            W_ref[:, idx], A_ref[:, idx] = inst.customers[j].outcomes.means(k)
+        for got, ref in ((W, W_ref), (A, A_ref)):
+            if got.tobytes() != ref.tobytes():
+                bad = int(np.flatnonzero((got != ref).any(axis=0))[0])
+                pytest.fail(f"{case}: column {columns[bad]} differs from means()")
+        p = inst.arrival_weights()
+        got, cols = build_steady_state_lp(inst, p)
+        ref, ref_cols = oracles.reference_build_steady_state_lp(inst, p)
+        assert cols == ref_cols
+        assert got.A.tobytes() == ref.A.tobytes()
+        assert got.b.tobytes() == ref.b.tobytes() and got.c.tobytes() == ref.c.tobytes()
 
     def test_rates_respect_constraints_on_random_instances(self):
         rng = np.random.default_rng(99)

@@ -15,6 +15,7 @@ from helpers import (
 )
 from oracles import reference_run_episode
 from reuselab.harness import GeneratorSpec, generate_instance
+from reuselab.mnl import MnlModel, build_mnl_instance
 from reuselab.model import (
     CustomerType,
     ExplicitActions,
@@ -93,6 +94,24 @@ class TestRoundTrip:
         text = instance_to_json(inst)
         assert instance_to_json(instance_from_json(text)) == text
         assert text.endswith("\n")
+
+    @pytest.mark.parametrize("spec", SHAPES)
+    def test_logit_tastes_are_the_nested_array_byte_for_byte(self, spec):
+        # the reader builds them from its flat list of checked numbers
+        text = instance_to_json(generate_instance(GeneratorSpec(seed=3, **spec)))
+        nested = [c["b"] for c in json.loads(text)["mnl"]["customers"]]
+        got = instance_from_json(text).customers[0].outcomes.model.cust_features
+        want = np.asarray(nested, dtype=float)
+        assert got.shape == want.shape and got.flags.c_contiguous
+        assert got.tobytes() == want.tobytes()
+
+    def test_logit_model_without_customers_reads_back(self):
+        model = MnlModel(np.ones((2, 1)), np.zeros((0, 2, 1)), 1)
+        inst = build_mnl_instance(model, [1.0, 1.0], [SurvivalCurve([1.0])] * 2, 4, [1.0])
+        text = instance_to_json(inst)
+        back = instance_from_json(text)
+        assert back.customers[0].outcomes.model == model
+        assert instance_to_json(back) == text
 
     def test_older_unit_price_key_is_ignored(self, tmp_path):
         # older writers put a unit price on every resource: such a file

@@ -24,8 +24,10 @@ on one fixed explicit instance whose outcomes are Bernoulli draws
 are forced), the instance type whose outcome draws are sized
 ``random(n)`` calls rather than scalar ones.
 
-One more digest, ``planning``, covers the planning LPs of three fixed
-instances shaped like the benchmark's ``planning`` workload
+One more digest, ``planning``, covers the planning LPs of four fixed
+instances, three shaped like the benchmark's ``planning`` workload and one
+with every assortment of up to 12 of 12 products, 4096 actions, whose
+attraction sums of 8 terms and more take numpy's unrolled pairwise loop
 (``GeneratorSpec(seed=1)`` with the fields in ``PLANNING``): the bytes of
 the steady-state LP over every column and over column generation's
 columns, of the time-expanded LP where it fits under its caps, and the
@@ -43,7 +45,7 @@ the edge coefficients ``EDGE_COEFS`` (``-0.0``, subnormal, ``-inf`` and
 
 The last digest, ``instances``, covers the instance files of the fixed
 instances above (the two episode instances, ``bernoulli_instance`` and the
-three planning instances), each written, read back and written again,
+four planning instances), each written, read back and written again,
 ``instance_to_json(instance_from_json(instance_to_json(inst)))``, so that
 it covers the reader as well as the writer.
 
@@ -73,11 +75,12 @@ POLICIES = ("static", "uniform", "adaptive", "hybrid16", "null")
 INSTANCES = ((2, 1 / 8), (4, 1 / 16))
 SEED = 1
 # GeneratorSpec fields of the planning instances: time-expanded,
-# steady-state and column-generation shaped
+# steady-state and column-generation shaped, then assortment sizes 1-12
 PLANNING = (
     dict(base_horizon=8, n_customers=4),
     dict(n_products=7, max_size=3, n_customers=6),
     dict(n_products=12, max_size=4, n_customers=4),
+    dict(n_products=12, max_size=12, n_customers=2),
 )
 # coefficients at the edges of best_assortment's candidate test:
 # -0.0 makes no candidate, the others are negative
